@@ -1,0 +1,64 @@
+"""Byte-for-byte behaviour goldens of the command line.
+
+Each file under ``tests/golden/`` is the exact output of one seeded ``qkdopt``
+invocation listed in :data:`CASES`.  A change that alters any byte — a
+different random stream, a reordered float operation, a changed format —
+fails here.  A deliberate change regenerates the files with::
+
+    PYTHONPATH=src python3 tests/test_golden.py
+
+and records the reason (and the largest relative difference) in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from qkdopt.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _sweep(family: str, fmt: str) -> list[str]:
+    return ["sweep", "--config", str(GOLDEN / f"sweep_{family}.ini"), "--format", fmt]
+
+
+#: Golden file name -> command line (without ``--out``).
+CASES = {
+    "sweep_dv.csv": _sweep("dv", "csv"),
+    "sweep_dv.json": _sweep("dv", "json"),
+    "sweep_cv.csv": _sweep("cv", "csv"),
+    "sweep_cv.json": _sweep("cv", "json"),
+    "optimize_dv.json": [
+        "optimize", "--family", "dv", "--eps", "1e-18", "--seed", "1", "--format", "json",
+    ],
+    "optimize_cv.json": [
+        "optimize", "--family", "cv", "--eps", "1e-9", "--seed", "1", "--format", "json",
+    ],
+    "oracle_dv.csv": ["oracle", "--family", "dv", "--eps", "1e-18", "--points", "20"],
+    "oracle_cv.csv": ["oracle", "--family", "cv", "--eps", "1e-9", "--points", "20"],
+}
+
+
+def _produce(name: str, out: Path) -> None:
+    code = main([*CASES[name], "--out", str(out)])
+    if code != 0:
+        raise RuntimeError(f"{name}: qkdopt exited {code}")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name, tmp_path):
+    out = tmp_path / name
+    _produce(name, out)
+    assert out.read_bytes() == (GOLDEN / name).read_bytes(), (
+        f"{name} differs from tests/golden/{name}"
+    )
+
+
+if __name__ == "__main__":
+    for case in sorted(CASES):
+        _produce(case, GOLDEN / case)
+        print(f"wrote {GOLDEN / case}", file=sys.stderr)

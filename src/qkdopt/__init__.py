@@ -13,7 +13,6 @@ from .budget import (
 from .cga import (
     WORST_FITNESS,
     CgaConfig,
-    Chromosome,
     OptimizationResult,
     run,
     run_genetic,

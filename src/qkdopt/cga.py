@@ -2,17 +2,21 @@
 
 A chromosome is a pair of genes in ``[-1, 1]`` encoding the two free budget
 components (estimation and correctness shares); the secrecy share is whatever
-the total leaves over.  Selection is elitist and softmax-weighted, crossover
-blends genes convexly, and mutation adds clipped Gaussian noise.  Infeasible
-splits are not errors: they score the worst-fitness marker ``-inf`` and are
-simply never selected while anything feasible exists.
+the total leaves over.  A population is a ``(P, 2)`` gene array scored by a
+length-``P`` fitness vector.  Selection is elitist and softmax-weighted,
+crossover blends genes convexly, and mutation adds clipped Gaussian noise.
+Infeasible splits are not errors: they score the worst-fitness marker
+``-inf`` and are simply never selected while anything feasible exists.
 
 Determinism: every run consumes a single ``numpy`` generator in a fixed
-stream order — one uniform block for initialization, then per generation all
-pairing draws, all crossover draws, one uniform block and one normal block
+stream order — one uniform block for initialization, then per generation one
+pairing block, one crossover block, one uniform block and one normal block
 for mutation (and, only when a generation must be re-seeded, one uniform
 block).  Fitness evaluation draws nothing, so identical seeds give identical
-results regardless of how evaluations are scheduled.
+results regardless of how evaluations are scheduled.  Probabilities are
+normalized by sequential left-to-right sums (``np.cumsum``), not by the
+builtin ``sum``, which is compensated from Python 3.12 on, so the stream does
+not depend on the interpreter version.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -29,10 +33,8 @@ from .budget import EpsilonBudget, Family, GeneBounds, map_gene, reconstruct_sec
 __all__ = [
     "WORST_FITNESS",
     "CgaConfig",
-    "Chromosome",
     "OptimizationResult",
     "initialize",
-    "evaluate",
     "select",
     "softmax_probabilities",
     "pair",
@@ -87,6 +89,12 @@ class CgaConfig:
                 "parent_rate too small: the parent pool must keep at least "
                 f"two of {self.population} chromosomes"
             )
+        if self.rng_seed is not None and (
+            not isinstance(self.rng_seed, int) or self.rng_seed < 0
+        ):
+            raise ValueError(
+                f"rng_seed must be a non-negative integer, got {self.rng_seed!r}"
+            )
 
     @property
     def n_parents(self) -> int:
@@ -98,17 +106,8 @@ class CgaConfig:
 
 
 @dataclass(frozen=True)
-class Chromosome:
-    """A candidate split in gene space, with its score once evaluated."""
-
-    genes: tuple[float, float]
-    fitness: float | None = None
-    feasible: bool | None = None
-
-
-@dataclass(frozen=True)
 class OptimizationResult:
-    """Outcome of one genetic run.
+    """Outcome of one genetic run, in plain Python floats.
 
     ``fitness_history`` records the best fitness of each generation's
     evaluated population; elitism makes it non-decreasing.  ``evaluations``
@@ -125,59 +124,22 @@ class OptimizationResult:
     reseeds: int = 0
 
 
-def initialize(config: CgaConfig, rng: np.random.Generator) -> list[Chromosome]:
-    """Draw the starting population uniformly over the gene square."""
-    genes = rng.uniform(-1.0, 1.0, size=(config.population, 2))
-    return [Chromosome(genes=(float(g[0]), float(g[1]))) for g in genes]
+def initialize(config: CgaConfig, rng: np.random.Generator) -> np.ndarray:
+    """Draw the starting ``(population, 2)`` genes uniformly over the square."""
+    return rng.uniform(-1.0, 1.0, size=(config.population, 2))
 
 
-def evaluate(
-    population: Sequence[Chromosome],
-    total_eps: float,
-    family: Family,
-    rate_fn: Callable[[EpsilonBudget], float],
-) -> list[Chromosome]:
-    """Score every chromosome by mapping genes to a budget and rating it.
+def select(fitness: np.ndarray, config: CgaConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Return ``(parent pool, survivors)`` as indices into ``fitness``.
 
-    Genes map linearly onto ``[component floor, total_eps]``; splits whose
-    secrecy remainder falls below the floor, and budgets on which
-    ``rate_fn`` raises a domain error, receive :data:`WORST_FITNESS` so that
-    selection discards them without aborting the run.
+    Both are prefixes of one best-first ranking; equal fitness keeps the
+    original (stable) order.
     """
-    bounds = GeneBounds.for_total(total_eps)
-    out = []
-    for chrom in population:
-        eps_pe = map_gene(chrom.genes[0], bounds)
-        eps_cor = map_gene(chrom.genes[1], bounds)
-        budget = reconstruct_sec(total_eps, eps_pe, eps_cor, family)
-        if budget is None:
-            out.append(replace(chrom, fitness=WORST_FITNESS, feasible=False))
-            continue
-        try:
-            rate = rate_fn(budget)
-        except (ValueError, ArithmeticError, OverflowError):
-            out.append(replace(chrom, fitness=WORST_FITNESS, feasible=False))
-            continue
-        if math.isnan(rate):
-            rate = WORST_FITNESS
-        out.append(replace(chrom, fitness=rate, feasible=rate > WORST_FITNESS))
-    return out
-
-
-def _sorted_by_fitness(population: Sequence[Chromosome]) -> list[Chromosome]:
-    """Best first; equal fitness keeps the original (stable) order."""
-    return sorted(population, key=lambda c: -c.fitness)
-
-
-def select(
-    population: Sequence[Chromosome], config: CgaConfig
-) -> tuple[list[Chromosome], list[Chromosome]]:
-    """Return ``(parent pool, survivors)`` — the fitness-ranked prefixes."""
-    ranked = _sorted_by_fitness(population)
+    ranked = np.argsort(-np.asarray(fitness, dtype=float), kind="stable")
     return ranked[: config.n_parents], ranked[: config.n_survivors]
 
 
-def softmax_probabilities(fitnesses: Sequence[float]) -> list[float]:
+def softmax_probabilities(fitness: np.ndarray) -> np.ndarray:
     """Selection weights over a parent pool.
 
     Finite fitness values are min-max rescaled to ``[0, 1]`` (keeping the
@@ -185,103 +147,80 @@ def softmax_probabilities(fitnesses: Sequence[float]) -> list[float]:
     exponentiated; worst-fitness entries get probability zero.  A pool of
     identical finite values degenerates to the uniform distribution.
     """
-    finite = [f for f in fitnesses if f > WORST_FITNESS]
-    if not finite:
+    fitness = np.asarray(fitness, dtype=float)
+    finite = fitness > WORST_FITNESS
+    if not finite.any():
         raise ValueError("no finite-fitness chromosomes to select from")
-    lo, hi = min(finite), max(finite)
-    span = hi - lo
-    weights = []
-    for f in fitnesses:
-        if f <= WORST_FITNESS:
-            weights.append(0.0)
-        elif span == 0.0:
-            weights.append(1.0)
-        else:
-            weights.append(math.exp((f - lo) / span))
-    norm = sum(weights)
-    return [w / norm for w in weights]
+    lo, hi = fitness[finite].min(), fitness[finite].max()
+    scaled = (fitness[finite] - lo) / (hi - lo or 1.0)  # constant pool: all 0
+    weights = np.zeros(fitness.shape)
+    # math.exp, not np.exp: numpy's SIMD exp may round differently by CPU
+    weights[finite] = [math.exp(x) for x in scaled.tolist()]
+    return weights / np.cumsum(weights)[-1]
 
 
-def _draw_index(probs: Sequence[float], u: float) -> int:
-    """Inverse-CDF draw: smallest index whose cumulative probability exceeds u."""
-    acc = 0.0
-    for i, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return i
-    # u landed in the rounding slack at the top of the CDF
-    return max(i for i, p in enumerate(probs) if p > 0.0)
+def _draw_index(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise inverse-CDF draw: first index whose cumulative probability
+    exceeds ``u``.  ``probs`` has one row per draw, or a single shared row."""
+    hit = u[:, None] < np.cumsum(probs, axis=1)
+    positive = probs > 0.0
+    last_positive = probs.shape[1] - 1 - positive[:, ::-1].argmax(axis=1)
+    # a row never hit means u landed in the rounding slack at the top of the CDF
+    return np.where(hit[:, -1], hit.argmax(axis=1), last_positive)
 
 
 def pair(
-    parents: Sequence[Chromosome], rng: np.random.Generator
-) -> tuple[int, int]:
-    """Draw a (mother, father) index pair from the parent pool.
+    fitness: np.ndarray, n_pairs: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``n_pairs`` (mother, father) index pairs from a parent pool.
 
-    The mother follows the softmax weights; the father follows the same
-    weights renormalized with the mother excluded, so the two are always
-    distinct.  Consumes exactly two uniform draws.
+    Mothers follow the softmax weights of ``fitness``; each father follows
+    the same weights renormalized with his mother excluded, so the two are
+    always distinct.  Consumes one ``(n_pairs, 2)`` uniform block: row ``i``
+    holds the mother's then the father's draw of pair ``i``.
     """
-    probs = softmax_probabilities([c.fitness for c in parents])
-    if sum(1 for p in probs if p > 0.0) < 2:
+    probs = softmax_probabilities(fitness)
+    if np.count_nonzero(probs > 0.0) < 2:
         raise ValueError("pairing needs at least two selectable parents")
-    mother = _draw_index(probs, rng.random())
-    conditional = list(probs)
-    conditional[mother] = 0.0
-    norm = sum(conditional)
-    conditional = [p / norm for p in conditional]
-    father = _draw_index(conditional, rng.random())
-    return mother, father
+    u = rng.random((n_pairs, 2))
+    mothers = _draw_index(probs[None, :], u[:, 0])
+    conditional = np.tile(probs, (n_pairs, 1))
+    conditional[np.arange(n_pairs), mothers] = 0.0
+    conditional /= np.cumsum(conditional, axis=1)[:, -1:]
+    return mothers, _draw_index(conditional, u[:, 1])
 
 
 def crossover(
-    mother: Chromosome, father: Chromosome, rng: np.random.Generator
-) -> Chromosome:
-    """Produce one offspring; consumes two coins then two blend weights.
+    mothers: np.ndarray, fathers: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Breed one offspring per row of the ``(n, 2)`` parent gene arrays.
 
-    Each gene independently either blends convexly,
-    ``gamma * mother + (1 - gamma) * father`` with ``gamma`` uniform, or
-    copies the mother's gene.  Offspring therefore never leave the interval
-    hull of their parents' genes.
+    Consumes one ``(n, 4)`` uniform block: columns 0–1 are per-gene coins,
+    columns 2–3 blend weights.  A gene whose coin falls below 0.5 blends
+    convexly, ``gamma * mother + (1 - gamma) * father``; the others copy the
+    mother's gene.  Offspring therefore never leave the interval hull of
+    their parents' genes.
     """
-    coins = rng.random(2)
-    gammas = rng.random(2)
-    genes = []
-    for i in range(2):
-        if coins[i] < _CROSSOVER_PROB:
-            g = gammas[i] * mother.genes[i] + (1.0 - gammas[i]) * father.genes[i]
-        else:
-            g = mother.genes[i]
-        genes.append(float(g))
-    return Chromosome(genes=(genes[0], genes[1]))
+    draws = rng.random((len(mothers), 4))
+    coins, gammas = draws[:, :2], draws[:, 2:]
+    blend = gammas * mothers + (1.0 - gammas) * fathers
+    return np.where(coins < _CROSSOVER_PROB, blend, mothers)
 
 
 def mutate(
-    population: Sequence[Chromosome],
-    elite_index: int,
-    config: CgaConfig,
-    rng: np.random.Generator,
-) -> list[Chromosome]:
+    genes: np.ndarray, elite_index: int, config: CgaConfig, rng: np.random.Generator
+) -> np.ndarray:
     """Add Gaussian noise to genes, sparing the elite chromosome.
 
-    Consumes one uniform block and one normal block of shape
-    ``(len(population), 2)`` regardless of which genes actually mutate, so
-    the stream layout does not depend on outcomes.  Each gene mutates with
-    probability ``mutation_rate``; results are clipped to ``[-1, 1]``.
+    Consumes one uniform block and one normal block of the genes' shape
+    regardless of which genes actually mutate, so the stream layout does not
+    depend on outcomes.  Each gene mutates with probability
+    ``mutation_rate``; results are clipped to ``[-1, 1]``.
     """
-    mask = rng.random((len(population), 2)) < config.mutation_rate
-    noise = rng.normal(0.0, config.mutation_sigma, size=(len(population), 2))
-    out = []
-    for i, chrom in enumerate(population):
-        if i == elite_index or not (mask[i][0] or mask[i][1]):
-            out.append(chrom)
-            continue
-        genes = list(chrom.genes)
-        for j in range(2):
-            if mask[i][j]:
-                genes[j] = float(min(max(genes[j] + noise[i][j], -1.0), 1.0))
-        out.append(Chromosome(genes=(genes[0], genes[1])))
-    return out
+    mask = rng.random(genes.shape) < config.mutation_rate
+    noise = rng.normal(0.0, config.mutation_sigma, size=genes.shape)
+    mask[elite_index] = False
+    return np.where(mask, np.clip(genes + noise, -1.0, 1.0), genes)
 
 
 def run_genetic(
@@ -291,54 +230,49 @@ def run_genetic(
 ) -> OptimizationResult:
     """Core generational loop over an arbitrary gene-space fitness.
 
-    ``fitness_fn`` must be deterministic and may return
-    :data:`WORST_FITNESS` for infeasible genes.  Each generation: evaluate,
-    rank, record the best, select parents and survivors, draw all pairs,
-    breed offspring to refill the population, then mutate everything except
-    the elite.  If fewer than two feasible parents exist the generation is
+    ``fitness_fn`` receives each chromosome's genes as a tuple of floats,
+    must be deterministic, and may return :data:`WORST_FITNESS` (or NaN, read
+    as the same) for infeasible genes.  Each generation: evaluate, rank,
+    record the best, select parents and survivors, draw all pairs, breed
+    offspring to refill the population, then mutate everything except the
+    elite.  If fewer than two feasible parents exist the generation is
     re-drawn uniformly around the sole best chromosome.
     """
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
-    population = initialize(config, rng)
+    genes = initialize(config, rng)
     n_offspring = config.population - config.n_survivors
     history: list[float] = []
-    evaluations = 0
     reseeds = 0
-    best: Chromosome | None = None
+    best_genes: np.ndarray | None = None
+    best_fitness = WORST_FITNESS
 
     for _ in range(config.iterations):
-        scored = []
-        for chrom in population:
-            fit = fitness_fn(chrom.genes)
-            if math.isnan(fit):
-                fit = WORST_FITNESS
-            scored.append(replace(chrom, fitness=fit, feasible=fit > WORST_FITNESS))
-        evaluations += len(scored)
-        parents, survivors = select(scored, config)
-        gen_best = parents[0]
-        if best is None or gen_best.fitness > best.fitness:
-            best = gen_best
-        history.append(gen_best.fitness)
+        fitness = np.array([fitness_fn(tuple(g)) for g in genes.tolist()], dtype=float)
+        fitness[np.isnan(fitness)] = WORST_FITNESS
+        parents, survivors = select(fitness, config)
+        elite = parents[0]
+        if best_genes is None or fitness[elite] > best_fitness:
+            best_genes, best_fitness = genes[elite].copy(), float(fitness[elite])
+        history.append(float(fitness[elite]))
 
-        if sum(1 for c in parents if c.feasible) < 2:
+        if np.count_nonzero(fitness[parents] > WORST_FITNESS) < 2:
             logger.info("re-seeding generation: fewer than two feasible parents")
             reseeds += 1
-            population = initialize(config, rng)
-            population[0] = Chromosome(genes=best.genes)
+            genes = initialize(config, rng)
+            genes[0] = best_genes
             continue
 
-        pairs = [pair(parents, rng) for _ in range(n_offspring)]
-        offspring = [crossover(parents[m], parents[f], rng) for m, f in pairs]
-        next_population = list(survivors) + offspring
-        population = mutate(next_population, 0, config, rng)
+        mothers, fathers = pair(fitness[parents], n_offspring, rng)
+        offspring = crossover(genes[parents[mothers]], genes[parents[fathers]], rng)
+        genes = mutate(np.concatenate([genes[survivors], offspring]), 0, config, rng)
 
     return OptimizationResult(
-        best_genes=best.genes,
-        best_fitness=best.fitness,
+        best_genes=tuple(best_genes.tolist()),
+        best_fitness=best_fitness,
         best_budget=None,
         fitness_history=history,
-        evaluations=evaluations,
+        evaluations=config.population * config.iterations,
         reseeds=reseeds,
     )
 
@@ -352,16 +286,21 @@ def run(
 ) -> OptimizationResult:
     """Optimize the split of ``total_eps`` against a key-rate function.
 
-    Wraps :func:`run_genetic` with the gene-to-budget mapping used by
-    :func:`evaluate` and resolves the winning genes back into a budget
-    (``None`` if the search never found a feasible split).
+    Genes map linearly onto ``[component floor, total_eps]``.  Splits whose
+    secrecy remainder falls below the floor, budgets on which ``rate_fn``
+    raises a domain error, and NaN rates all score :data:`WORST_FITNESS`, so
+    selection discards them without aborting the run.  The winning genes are
+    resolved back into a budget (``None`` if the search never found a
+    feasible split).
     """
     bounds = GeneBounds.for_total(total_eps)
 
+    def budget_of(genes: tuple[float, float]) -> EpsilonBudget | None:
+        eps_pe, eps_cor = map_gene(genes[0], bounds), map_gene(genes[1], bounds)
+        return reconstruct_sec(total_eps, eps_pe, eps_cor, family)
+
     def fitness(genes: tuple[float, float]) -> float:
-        budget = reconstruct_sec(
-            total_eps, map_gene(genes[0], bounds), map_gene(genes[1], bounds), family
-        )
+        budget = budget_of(genes)
         if budget is None:
             return WORST_FITNESS
         try:
@@ -370,12 +309,6 @@ def run(
             return WORST_FITNESS
 
     result = run_genetic(config, fitness, rng=rng)
-    best_budget = None
-    if result.best_fitness > WORST_FITNESS:
-        best_budget = reconstruct_sec(
-            total_eps,
-            map_gene(result.best_genes[0], bounds),
-            map_gene(result.best_genes[1], bounds),
-            family,
-        )
-    return replace(result, best_budget=best_budget)
+    if result.best_fitness == WORST_FITNESS:
+        return result
+    return replace(result, best_budget=budget_of(result.best_genes))

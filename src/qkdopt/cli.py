@@ -24,15 +24,14 @@ from dataclasses import asdict, replace
 from typing import Any, Sequence
 
 from .budget import Family, baseline_budgets, reconstruct_sec
-from .cga import run as run_cga
 from .cv_rate import CvProtocolParams, cv_key_rate
 from .dv_rate import DvProtocolParams, dv_key_rate
 from .harness import (
     ConfigError,
     SweepSpec,
-    _level_rng,
     emit_results,
     load_config,
+    optimize_level,
     run_sweep,
 )
 from .oracle import GridSpec, grid_csv_text, grid_search
@@ -235,13 +234,7 @@ def _cmd_rate(args: argparse.Namespace) -> None:
 def _cmd_optimize(args: argparse.Namespace) -> None:
     spec = _build_spec(args)
     total = _single_eps(args)
-    rate_fn = spec.rate_fn()
-    best = None
-    for restart in range(spec.restarts):
-        rng = _level_rng(spec.cga.rng_seed, 0, restart)
-        result = run_cga(spec.cga, total, spec.family, rate_fn, rng=rng)
-        if best is None or result.best_fitness > best.best_fitness:
-            best = result
+    best = optimize_level(spec, total, level=0)
     budget = best.best_budget
     record: dict[str, Any] = {
         "family": spec.family.value,

@@ -21,7 +21,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .budget import EpsilonBudget, Family, baseline_budgets
-from .cga import CgaConfig, run as run_cga
+from .cga import CgaConfig, OptimizationResult, run as run_cga
 from .cv_rate import CvProtocolParams, cv_key_rate
 from .dv_rate import DvProtocolParams, dv_key_rate
 from .oracle import GridSpec, grid_search
@@ -36,6 +36,7 @@ __all__ = [
     "loads_config",
     "dump_config",
     "run_sweep",
+    "optimize_level",
     "emit_results",
     "CSV_COLUMNS",
 ]
@@ -119,7 +120,13 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Outcome at one total-budget level; raw (unclamped) rates in bits/s."""
+    """Outcome at one total-budget level; raw (unclamped) rates in bits/s.
+
+    ``error`` holds the message of a failed computation.  When only the
+    baseline splits failed (a total too small for them), the optimizer's
+    budget, rate and history and the oracle are kept and the baseline rates
+    are ``None``; when the whole level failed, only ``eps_total`` is set.
+    """
 
     eps_total: float
     budget_opt: EpsilonBudget | None = None
@@ -160,24 +167,39 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(spec=spec, records=records)
 
 
+def optimize_level(spec: SweepSpec, total: float, level: int) -> OptimizationResult:
+    """Best of ``spec.restarts`` optimizer runs at one total budget.
+
+    Restart ``r`` at level index ``level`` draws from its own generator,
+    derived from ``(spec.cga.rng_seed, level, r)``; the first restart with
+    the highest fitness wins.
+    """
+    rate = spec.rate_fn()
+    best = None
+    for restart in range(spec.restarts):
+        rng = _level_rng(spec.cga.rng_seed, level, restart)
+        result = run_cga(spec.cga, total, spec.family, rate, rng=rng)
+        if best is None or result.best_fitness > best.best_fitness:
+            best = result
+    return best
+
+
 def _run_level(
     spec: SweepSpec,
     rate: Callable[[EpsilonBudget], float],
     idx: int,
     total: float,
 ) -> SweepRecord:
-    best = None
-    for restart in range(spec.restarts):
-        rng = _level_rng(spec.cga.rng_seed, idx, restart)
-        result = run_cga(spec.cga, total, spec.family, rate, rng=rng)
-        if best is None or result.best_fitness > best.best_fitness:
-            best = result
+    best = optimize_level(spec, total, idx)
     rate_opt = best.best_fitness if best.best_budget is not None else None
-    rate_sym = rate_asym = None
+    rate_sym = rate_asym = error = None
     if spec.include_baselines:
-        (_, sym), (_, asym) = baseline_budgets(total, spec.family)
-        rate_sym = rate(sym)
-        rate_asym = rate(asym)
+        # a total too small for a baseline split loses only the baselines
+        try:
+            (_, sym), (_, asym) = baseline_budgets(total, spec.family)
+            rate_sym, rate_asym = rate(sym), rate(asym)
+        except (ValueError, ArithmeticError, OverflowError) as err:
+            error = str(err)
     rate_oracle = None
     if spec.include_oracle:
         grid = grid_search(
@@ -192,6 +214,7 @@ def _run_level(
         rate_asym=rate_asym,
         rate_oracle=rate_oracle,
         fitness_history=list(best.fitness_history),
+        error=error,
     )
 
 

@@ -1,15 +1,16 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
 
+from qkdopt import cga
 from qkdopt.budget import Family, GeneBounds, map_gene, reconstruct_sec
 from qkdopt.cga import (
     WORST_FITNESS,
     CgaConfig,
-    Chromosome,
     crossover,
-    evaluate,
     initialize,
     mutate,
     pair,
@@ -26,11 +27,10 @@ def dv_rate_fn():
     return lambda budget: dv_key_rate(params, budget).rate_bits_per_sec
 
 
-def scored(*fitnesses):
-    return [
-        Chromosome(genes=(0.0, 0.0), fitness=f, feasible=f > WORST_FITNESS)
-        for f in fitnesses
-    ]
+def fixed_population(monkeypatch, *genes):
+    """Make every (re-)initialization of a run draw exactly ``genes``."""
+    monkeypatch.setattr(cga, "initialize", lambda config, rng: np.array(genes, dtype=float))
+    return CgaConfig(population=len(genes), iterations=1, parent_rate=1.0, rng_seed=0)
 
 
 def test_config_validation():
@@ -40,6 +40,10 @@ def test_config_validation():
         CgaConfig(population=4, parent_rate=0.1)  # floor(0.4) < 2 parents
     with pytest.raises(ValueError):
         CgaConfig(mutation_rate=1.5)
+    for seed in (-3, 1.5, "7"):
+        with pytest.raises(ValueError, match="rng_seed"):
+            CgaConfig(rng_seed=seed)
+    assert CgaConfig(rng_seed=0).rng_seed == 0
     cfg = CgaConfig(population=200, parent_rate=0.5, survival_rate=1.0)
     assert cfg.n_parents == 100
     assert cfg.n_survivors == 100
@@ -48,80 +52,86 @@ def test_config_validation():
 def test_initialize_ranges_and_determinism():
     cfg = CgaConfig(population=200)
     pop = initialize(cfg, np.random.default_rng(123))
-    assert len(pop) == 200
-    flat = [g for c in pop for g in c.genes]
-    assert all(-1.0 <= g <= 1.0 for g in flat)
+    assert pop.shape == (200, 2)
+    assert np.all((-1.0 <= pop) & (pop <= 1.0))
     # mean of 400 uniform genes: 5 sigma of the sample mean is ~0.14
-    assert abs(float(np.mean(flat))) < 0.2
+    assert abs(float(np.mean(pop))) < 0.2
     again = initialize(cfg, np.random.default_rng(123))
-    assert [c.genes for c in again] == [c.genes for c in pop]
+    assert np.array_equal(again, pop)
 
 
-def test_evaluate_feasibility_corners():
+def test_run_scores_feasibility_corners(monkeypatch):
+    # genes (1, 1) put eps_pe and eps_cor on the total: no secrecy share left.
+    # With one of two chromosomes feasible the generation re-seeds, and the
+    # feasible corner (-1, -1) is the best.
     rate = dv_rate_fn()
-    pop = [Chromosome(genes=(1.0, 1.0)), Chromosome(genes=(-1.0, -1.0))]
-    for family, total in ((Family.CV, 1e-9), (Family.DV, 1e-17)):
-        out = evaluate(pop, total, family, rate if family is Family.DV else (lambda b: 1.0))
-        assert out[0].fitness == WORST_FITNESS
-        assert out[0].feasible is False
-        assert out[1].feasible is True
-        assert math.isfinite(out[1].fitness)
+    cfg = fixed_population(monkeypatch, (1.0, 1.0), (-1.0, -1.0))
+    for family, total, fn in ((Family.CV, 1e-9, lambda b: 1.0), (Family.DV, 1e-17, rate)):
+        result = run(cfg, total, family, fn)
+        assert result.reseeds == 1
+        assert result.best_genes == (-1.0, -1.0)
+        assert math.isfinite(result.best_fitness)
+        assert result.best_budget is not None
+        assert result.best_fitness == fn(result.best_budget)
 
 
-def test_evaluate_matches_direct_rate():
+def test_run_fitness_matches_direct_rate(monkeypatch):
     rate = dv_rate_fn()
     total = 1e-17
-    chrom = Chromosome(genes=(-0.9, -0.95))
-    (out,) = evaluate([chrom], total, Family.DV, rate)
+    cfg = fixed_population(monkeypatch, (-0.9, -0.95), (-0.9, -0.95))
+    result = run(cfg, total, Family.DV, rate)
     bounds = GeneBounds.for_total(total)
     budget = reconstruct_sec(
         total, map_gene(-0.9, bounds), map_gene(-0.95, bounds), Family.DV
     )
-    assert out.fitness == rate(budget)
+    assert result.best_budget == budget
+    assert result.best_fitness == rate(budget)
+    assert result.fitness_history == [rate(budget)]
+    assert type(result.best_fitness) is float
 
 
-def test_evaluate_absorbs_rate_errors():
+def test_run_absorbs_rate_errors_and_nan(monkeypatch):
     def broken(budget):
         raise ValueError("no rate here")
 
-    (out,) = evaluate([Chromosome(genes=(-0.5, -0.5))], 1e-9, Family.CV, broken)
-    assert out.fitness == WORST_FITNESS
-    assert out.feasible is False
-
-    (nan_out,) = evaluate(
-        [Chromosome(genes=(-0.5, -0.5))], 1e-9, Family.CV, lambda b: float("nan")
-    )
-    assert nan_out.fitness == WORST_FITNESS
+    cfg = fixed_population(monkeypatch, (-0.5, -0.5), (-0.4, -0.6))
+    for fn in (broken, lambda b: float("nan")):
+        result = run(cfg, 1e-9, Family.CV, fn)
+        assert result.best_fitness == WORST_FITNESS
+        assert result.best_budget is None
+        assert result.fitness_history == [WORST_FITNESS]
+        assert result.reseeds == 1
 
 
 def test_select_counts():
     cfg = CgaConfig(population=200, parent_rate=0.5, survival_rate=1.0)
-    population = scored(*range(200))
-    parents, survivors = select(population, cfg)
+    fitness = np.arange(200.0)
+    parents, survivors = select(fitness, cfg)
     assert len(parents) == 100
     assert len(survivors) == 100
-    assert parents[0].fitness == 199
+    assert fitness[parents[0]] == 199
+    assert np.array_equal(survivors, parents)
 
     floor_cfg = CgaConfig(population=200, parent_rate=0.5, survival_rate=0.0)
-    _, lone = select(population, floor_cfg)
+    _, lone = select(fitness, floor_cfg)
     assert len(lone) == 1
 
 
 def test_select_stable_ties():
     cfg = CgaConfig(population=6, parent_rate=0.5, survival_rate=1.0)
-    population = [
-        Chromosome(genes=(i / 10.0, 0.0), fitness=5.0, feasible=True)
-        for i in range(6)
-    ]
-    parents, _ = select(population, cfg)
-    assert [c.genes for c in parents] == [c.genes for c in population[:3]]
+    parents, _ = select(np.full(6, 5.0), cfg)
+    assert parents.tolist() == [0, 1, 2]
+    parents, _ = select(np.array([1.0, 5.0, 1.0, 5.0, 5.0, 1.0]), cfg)
+    assert parents.tolist() == [1, 3, 4]
 
 
 def test_select_prefers_finite_over_worst():
     cfg = CgaConfig(population=8, parent_rate=0.5, survival_rate=1.0)
-    population = scored(WORST_FITNESS, 1.0, WORST_FITNESS, 2.0, 3.0, WORST_FITNESS, 4.0, WORST_FITNESS)
-    parents, _ = select(population, cfg)
-    assert all(c.fitness > WORST_FITNESS for c in parents)
+    fitness = np.array(
+        [WORST_FITNESS, 1.0, WORST_FITNESS, 2.0, 3.0, WORST_FITNESS, 4.0, WORST_FITNESS]
+    )
+    parents, _ = select(fitness, cfg)
+    assert parents.tolist() == [6, 4, 3, 1]
 
 
 def test_softmax_properties():
@@ -134,26 +144,34 @@ def test_softmax_properties():
         softmax_probabilities([WORST_FITNESS, WORST_FITNESS])
 
 
+def test_softmax_normalizes_left_to_right():
+    # Python 3.12's builtin sum is compensated (like math.fsum); the weights
+    # must be normalized by the plain left-to-right sum on every version.
+    fitness = np.random.default_rng(3).uniform(0.0, 50.0, size=100)
+    lo, hi = fitness.min(), fitness.max()
+    weights = [math.exp((f - lo) / (hi - lo)) for f in fitness.tolist()]
+    norm = functools.reduce(operator.add, weights)
+    assert math.fsum(weights) != norm
+    assert softmax_probabilities(fitness).tolist() == [w / norm for w in weights]
+
+
 def test_pair_equal_fitness_is_symmetric():
     rng = np.random.default_rng(11)
-    parents = scored(7.0, 7.0)
-    counts = {(0, 1): 0, (1, 0): 0}
     trials = 10_000
-    for _ in range(trials):
-        mother, father = pair(parents, rng)
-        assert mother != father
-        counts[(mother, father)] += 1
+    mothers, fathers = pair(np.array([7.0, 7.0]), trials, rng)
+    assert np.all(mothers != fathers)
     # Bernoulli(1/2): 3 sigma of the frequency is 0.015
-    assert abs(counts[(0, 1)] / trials - 0.5) < 0.015
+    assert abs(np.count_nonzero(mothers == 0) / trials - 0.5) < 0.015
 
 
 def test_pair_softmax_closed_form():
     # normalized fitness {1, 0, 0, 0, 0}: the top parent is drawn as mother
     # with probability e / (e + 4)
     rng = np.random.default_rng(13)
-    parents = scored(10.0, 4.0, 4.0, 4.0, 4.0)
     trials = 100_000
-    hits = sum(1 for _ in range(trials) if pair(parents, rng)[0] == 0)
+    mothers, fathers = pair(np.array([10.0, 4.0, 4.0, 4.0, 4.0]), trials, rng)
+    assert np.all(mothers != fathers)
+    hits = np.count_nonzero(mothers == 0)
     p = math.e / (math.e + 4.0)
     sigma = math.sqrt(p * (1.0 - p) / trials)
     assert abs(hits / trials - p) < 3.0 * sigma
@@ -162,41 +180,109 @@ def test_pair_softmax_closed_form():
 def test_pair_needs_two_selectable():
     rng = np.random.default_rng(5)
     with pytest.raises(ValueError):
-        pair(scored(1.0, WORST_FITNESS, WORST_FITNESS), rng)
+        pair(np.array([1.0, WORST_FITNESS, WORST_FITNESS]), 3, rng)
+
+
+def test_pair_matches_sequential_inverse_cdf():
+    # one (n, 2) block: row i is pair i's mother draw, then its father draw,
+    # each the first index whose left-to-right cumulative weight exceeds u
+    fitness = np.array([3.0, WORST_FITNESS, 1.0, 2.5, 2.0, WORST_FITNESS])
+    mothers, fathers = pair(fitness, 500, np.random.default_rng(43))
+    u = np.random.default_rng(43).random((500, 2))
+
+    def draw(probs, x):
+        acc = 0.0
+        for i, p in enumerate(probs):
+            acc += p
+            if x < acc:
+                return i
+        return max(i for i, p in enumerate(probs) if p > 0.0)
+
+    probs = softmax_probabilities(fitness).tolist()
+    for i in range(500):
+        assert mothers[i] == draw(probs, u[i, 0])
+        conditional = list(probs)
+        conditional[mothers[i]] = 0.0
+        norm = functools.reduce(operator.add, conditional)
+        assert fathers[i] == draw([p / norm for p in conditional], u[i, 1])
+    assert set(mothers.tolist()) | set(fathers.tolist()) == {0, 2, 3, 4}
+
+
+def test_pair_father_cdf_normalizes_left_to_right():
+    # a father draw placed exactly on a cumulative weight tells the plain
+    # left-to-right normalizer from a compensated one (Python 3.12's sum)
+    fitness = np.random.default_rng(5).uniform(0.0, 50.0, size=100)
+    conditional = [0.0] + softmax_probabilities(fitness).tolist()[1:]
+    plain_norm = functools.reduce(operator.add, conditional)
+    assert math.fsum(conditional) != plain_norm
+    plain = np.cumsum([p / plain_norm for p in conditional])
+    compensated = np.cumsum([p / math.fsum(conditional) for p in conditional])
+    k = int(np.flatnonzero(plain != compensated)[0])
+    u = min(plain[k], compensated[k])
+
+    class Fixed:
+        def random(self, size):
+            return np.array([[0.0, u]])  # mother 0, excluded from the fathers
+
+    mothers, fathers = pair(fitness, 1, Fixed())
+    assert mothers.tolist() == [0]
+    assert fathers.tolist() == [k if plain[k] > u else k + 1]
+
+
+def test_pair_rounding_slack_falls_back_to_last_selectable():
+    class Top:
+        def random(self, size):
+            return np.full(size, 2.0)
+
+    # the cumulative weights may end just below 1; a draw above all of them
+    # (only rounding slack allows one) picks the last selectable parent,
+    # never a trailing worst-fitness one
+    mothers, fathers = pair(np.array([2.0, 1.0, 3.0, WORST_FITNESS]), 4, Top())
+    assert mothers.tolist() == [2] * 4
+    assert fathers.tolist() == [1] * 4
 
 
 def test_crossover_identical_parents():
     rng = np.random.default_rng(17)
-    parent = Chromosome(genes=(0.25, -0.75))
-    child = crossover(parent, parent, rng)
-    assert child.genes == parent.genes
+    parents = np.tile([0.25, -0.75], (50, 1))
+    child = crossover(parents, parents, rng)
+    assert np.array_equal(child, parents)
 
 
 def test_crossover_hull_containment():
     rng = np.random.default_rng(23)
-    for _ in range(500):
-        g = rng.uniform(-1.0, 1.0, size=4)
-        mother = Chromosome(genes=(float(g[0]), float(g[1])))
-        father = Chromosome(genes=(float(g[2]), float(g[3])))
-        child = crossover(mother, father, rng)
-        for i in range(2):
-            lo = min(mother.genes[i], father.genes[i])
-            hi = max(mother.genes[i], father.genes[i])
-            assert lo - 1e-12 <= child.genes[i] <= hi + 1e-12
+    mothers = rng.uniform(-1.0, 1.0, size=(500, 2))
+    fathers = rng.uniform(-1.0, 1.0, size=(500, 2))
+    child = crossover(mothers, fathers, rng)
+    lo = np.minimum(mothers, fathers)
+    hi = np.maximum(mothers, fathers)
+    assert np.all((lo - 1e-12 <= child) & (child <= hi + 1e-12))
 
 
 def test_crossover_mother_copy_rate():
     rng = np.random.default_rng(29)
-    mother = Chromosome(genes=(0.5, 0.5))
-    father = Chromosome(genes=(-0.5, -0.5))
     trials = 10_000
-    copies = 0
-    for _ in range(trials):
-        child = crossover(mother, father, rng)
-        copies += sum(1 for i in range(2) if child.genes[i] == mother.genes[i])
+    mothers = np.full((trials, 2), 0.5)
+    child = crossover(mothers, np.full((trials, 2), -0.5), rng)
+    copies = np.count_nonzero(child == mothers)
     # per-gene copy probability 1/2 (a blend hits the mother's gene exactly
     # only at gamma = 1, probability zero); 3 sigma over 2e4 genes is 0.011
     assert abs(copies / (2 * trials) - 0.5) < 0.011
+
+
+def test_crossover_consumes_coins_then_gammas():
+    mothers = np.array([[0.5, -0.5], [0.25, 0.75], [-1.0, 1.0]])
+    fathers = np.array([[-0.5, 0.5], [1.0, -1.0], [0.0, 0.0]])
+    rng = np.random.default_rng(47)
+    child = crossover(mothers, fathers, rng)
+    draws = np.random.default_rng(47).random((3, 4))
+    for i in range(3):
+        for j in range(2):
+            coin, gamma = draws[i, j], draws[i, 2 + j]
+            blend = gamma * mothers[i, j] + (1.0 - gamma) * fathers[i, j]
+            assert child[i, j] == (blend if coin < 0.5 else mothers[i, j])
+    # the stream moved on by exactly one (3, 4) block
+    assert rng.random() == np.random.default_rng(47).random(13)[-1]
 
 
 def test_mutate_zero_rate_is_identity():
@@ -204,18 +290,18 @@ def test_mutate_zero_rate_is_identity():
     rng = np.random.default_rng(31)
     population = initialize(cfg, rng)
     out = mutate(population, 0, cfg, rng)
-    assert [c.genes for c in out] == [c.genes for c in population]
+    assert np.array_equal(out, population)
 
 
 def test_mutate_spares_elite_and_hits_everyone_else():
     cfg = CgaConfig(population=50, mutation_rate=1.0)
     rng = np.random.default_rng(37)
-    population = [Chromosome(genes=(0.0, 0.0)) for _ in range(50)]
+    population = np.zeros((50, 2))
     out = mutate(population, 0, cfg, rng)
-    assert out[0].genes == (0.0, 0.0)
-    for chrom in out[1:]:
-        assert chrom.genes != (0.0, 0.0)
-        assert all(-1.0 <= g <= 1.0 for g in chrom.genes)
+    assert out[0].tolist() == [0.0, 0.0]
+    assert np.all(out[1:] != 0.0)
+    assert np.all((-1.0 <= out) & (out <= 1.0))
+    assert np.array_equal(population, np.zeros((50, 2)))
 
 
 def test_run_genetic_quadratic_convergence():
@@ -256,6 +342,10 @@ def test_run_deterministic_and_consistent():
     assert first.best_fitness == second.best_fitness
     assert first.fitness_history == second.fitness_history
     assert first.evaluations == 40 * 30
+    # plain floats: serialized with repr, numpy scalars would print as np.float64(...)
+    assert type(first.best_fitness) is float
+    assert all(type(g) is float for g in first.best_genes)
+    assert all(type(f) is float for f in first.fitness_history)
     # the reported fitness is exactly the rate of the reported budget
     assert first.best_budget is not None
     assert first.best_fitness == rate(first.best_budget)

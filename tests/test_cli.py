@@ -195,6 +195,20 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, "sweep", "--family", "dv", "--eps", "2.0")[0] == 1
 
 
+def test_negative_seed_exits_one(capsys, tmp_path):
+    for command in ("optimize", "sweep"):
+        code, _, err = run_cli(
+            capsys, command, "--family", "dv", "--eps", "1e-17", "--seed", "-3"
+        )
+        assert code == 1
+        assert "rng_seed" in err
+    cfg = tmp_path / "dv.ini"
+    cfg.write_text("[budget]\nfamily = dv\n\n[cga]\nrng_seed = -3\n")
+    code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert code == 1
+    assert "rng_seed" in err
+
+
 def test_io_errors_exit_two(capsys):
     code, _, err = run_cli(
         capsys,

@@ -15,6 +15,7 @@ from qkdopt.harness import (
     emit_results,
     load_config,
     loads_config,
+    optimize_level,
     run_sweep,
 )
 
@@ -160,6 +161,36 @@ def test_run_sweep_records_level_failures():
     assert first.rate_opt is None
     assert second.error is None
     assert second.rate_opt is not None
+
+
+def test_run_sweep_keeps_optimum_when_baselines_fail():
+    # at DV 1e-20 the asymmetric baseline puts eps_pe below the component
+    # floor; the optimizer and the oracle still have feasible splits there
+    spec = small_dv_spec(eps_levels=(1e-20,), include_oracle=True, oracle_points=20)
+    result = run_sweep(spec)
+    (record,) = result.records
+    assert "at least 1e-21" in record.error
+    assert record.rate_sym is None and record.rate_asym is None
+    assert record.budget_opt is not None
+    assert record.rate_opt is not None
+    assert record.rate_oracle is not None
+    assert len(record.fitness_history) == SMALL_CGA.iterations
+    row = emit_results(result, fmt="csv").strip().split("\n")[1].split(",")
+    assert row[0] == "1e-20"
+    assert all(row[1:5]) and row[5:7] == ["", ""] and row[7]
+    doc = json.loads(emit_results(result, fmt="json"))
+    assert doc["records"][0]["error"] == record.error
+    assert doc["records"][0]["rates_raw"]["opt"] == record.rate_opt
+
+
+def test_optimize_level_is_the_sweep_level():
+    spec = small_dv_spec(restarts=2, include_baselines=False)
+    records = run_sweep(spec).records
+    for idx, total in enumerate(spec.eps_levels):
+        best = optimize_level(spec, total, idx)
+        assert best.best_budget == records[idx].budget_opt
+        assert best.best_fitness == records[idx].rate_opt
+        assert best.fitness_history == records[idx].fitness_history
 
 
 def test_emit_csv_schema_and_clamping():

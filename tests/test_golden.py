@@ -22,8 +22,28 @@ from qkdopt.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def _sweep(family: str, fmt: str) -> list[str]:
-    return ["sweep", "--config", str(GOLDEN / f"sweep_{family}.ini"), "--format", fmt]
+def _sweep(family: str, fmt: str, *extra: str) -> list[str]:
+    ini = str(GOLDEN / f"sweep_{family}.ini")
+    return ["sweep", "--config", ini, *extra, "--format", fmt]
+
+
+#: ``qkdopt rate`` inputs per family: the total, and one explicit split.
+_RATE = {
+    "dv": ("1e-17", ["--eps-pe", "2e-18", "--eps-cor", "3e-19"]),
+    "cv": ("1e-9", ["--eps-pe", "1e-10", "--eps-cor", "2e-12"]),
+}
+_EXT = {"text": "txt", "csv": "csv", "json": "json"}
+
+
+def _rate_cases() -> dict[str, list[str]]:
+    cases = {}
+    for family, (total, explicit) in _RATE.items():
+        for split, extra in (("sym", []), ("split", explicit)):
+            for fmt, ext in _EXT.items():
+                cases[f"rate_{family}_{split}.{ext}"] = [
+                    "rate", "--family", family, "--eps", total, *extra, "--format", fmt,
+                ]
+    return cases
 
 
 #: Golden file name -> command line (without ``--out``).
@@ -40,6 +60,21 @@ CASES = {
     ],
     "oracle_dv.csv": ["oracle", "--family", "dv", "--eps", "1e-18", "--points", "20"],
     "oracle_cv.csv": ["oracle", "--family", "cv", "--eps", "1e-9", "--points", "20"],
+    "oracle_dv.json": [
+        "oracle", "--family", "dv", "--eps", "1e-18", "--points", "20", "--format", "json",
+    ],
+    "oracle_cv.json": [
+        "oracle", "--family", "cv", "--eps", "1e-9", "--points", "20", "--format", "json",
+    ],
+    "sweep_oracle_dv.csv": _sweep("dv", "csv", "--oracle"),
+    "sweep_oracle_dv.json": _sweep("dv", "json", "--oracle"),
+    "sweep_oracle_cv.csv": _sweep("cv", "csv", "--oracle"),
+    "sweep_oracle_cv.json": _sweep("cv", "json", "--oracle"),
+    "optimize_cv_paper_sign_xi.json": [
+        "optimize", "--family", "cv", "--eps", "1e-9", "--seed", "1", "--paper-sign-xi",
+        "--format", "json",
+    ],
+    **_rate_cases(),
 }
 
 

@@ -4,11 +4,9 @@ from .budget import (
     EPSILON_FLOOR,
     EpsilonBudget,
     Family,
-    GeneBounds,
     baseline_budgets,
     map_gene,
     reconstruct_sec,
-    unmap_gene,
 )
 from .cga import (
     WORST_FITNESS,
@@ -46,6 +44,6 @@ from .harness import (
     loads_config,
     run_sweep,
 )
-from .oracle import GridCell, GridSearchResult, GridSpec, grid_search
+from .oracle import GridSearchResult, GridSpec, grid_search
 
 __version__ = "0.1.0"

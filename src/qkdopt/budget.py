@@ -12,7 +12,12 @@ evenly between the smoothing and hashing failure probabilities,
 
 This module owns the budget bookkeeping: reconstruction of ``eps_sec`` from the
 two free components, the fixed baseline splits used for comparison, and the
-linear map between optimizer genes in ``[-1, 1]`` and component values.
+linear map from optimizer genes in ``[-1, 1]`` to component values.
+
+A budget holds one split (floats) or a batch of splits (equal-length 1-d
+arrays of each component, sharing one total and family).  The rate chains
+take either and return floats or arrays to match; :func:`libm` is their one
+route to the logarithms.
 """
 
 from __future__ import annotations
@@ -20,16 +25,19 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 __all__ = [
     "EPSILON_FLOOR",
     "Family",
     "EpsilonBudget",
-    "GeneBounds",
     "reconstruct_sec",
     "baseline_budgets",
     "map_gene",
-    "unmap_gene",
+    "libm",
+    "holds",
 ]
 
 #: Smallest admissible value for any epsilon component.  Components may sit
@@ -38,6 +46,8 @@ EPSILON_FLOOR = 1e-21
 
 #: Relative tolerance for the budget-closure identity.
 _CLOSURE_RTOL = 1e-12
+
+_COMPONENTS = ("eps_pe", "eps_cor", "eps_sec", "eps_s", "eps_h")
 
 
 class Family(enum.Enum):
@@ -59,30 +69,36 @@ class EpsilonBudget:
     Instances always satisfy the family closure identity
     ``pe_weight * eps_pe + eps_cor + eps_sec == total`` (to relative
     tolerance 1e-12) with every component in ``[EPSILON_FLOOR, total)``,
-    and ``eps_s == eps_h == eps_sec / 2`` exactly.
+    and ``eps_s == eps_h == eps_sec / 2`` exactly.  A batch holds each
+    component as a 1-d array of one common length and is checked once, for
+    all of its splits.
     """
 
     total: float
-    eps_pe: float
-    eps_cor: float
-    eps_sec: float
-    eps_s: float
-    eps_h: float
+    eps_pe: float | np.ndarray
+    eps_cor: float | np.ndarray
+    eps_sec: float | np.ndarray
+    eps_s: float | np.ndarray
+    eps_h: float | np.ndarray
     family: Family
 
     def __post_init__(self) -> None:
         if not (0.0 < self.total < 1.0):
             raise ValueError(f"total budget must lie in (0, 1), got {self.total}")
+        shapes = {getattr(getattr(self, name), "shape", ()) for name in _COMPONENTS}
+        if len(shapes) != 1 or len(shapes.pop()) > 1:
+            raise ValueError("components must be floats or 1-d arrays of one length")
         for name in ("eps_pe", "eps_cor", "eps_sec"):
             value = getattr(self, name)
-            if not (EPSILON_FLOOR <= value < self.total):
+            if not holds((EPSILON_FLOOR <= value) & (value < self.total)):
                 raise ValueError(
                     f"{name} = {value} outside [{EPSILON_FLOOR}, total = {self.total})"
                 )
-        if self.eps_s != self.eps_sec * 0.5 or self.eps_h != self.eps_sec * 0.5:
+        half = self.eps_sec * 0.5
+        if not holds((self.eps_s == half) & (self.eps_h == half)):
             raise ValueError("eps_s and eps_h must each equal eps_sec / 2")
         closure = self.family.pe_weight * self.eps_pe + self.eps_cor + self.eps_sec
-        if abs(closure - self.total) > _CLOSURE_RTOL * self.total:
+        if not holds(abs(closure - self.total) <= _CLOSURE_RTOL * self.total):
             raise ValueError(
                 f"budget does not close: weighted sum {closure} vs total {self.total}"
             )
@@ -93,20 +109,10 @@ class EpsilonBudget:
     ) -> "EpsilonBudget":
         """Build a budget from explicit components, deriving the matching total."""
         total = family.pe_weight * eps_pe + eps_cor + eps_sec
-        return cls(
-            total=total,
-            eps_pe=eps_pe,
-            eps_cor=eps_cor,
-            eps_sec=eps_sec,
-            eps_s=eps_sec * 0.5,
-            eps_h=eps_sec * 0.5,
-            family=family,
-        )
+        return cls(total, eps_pe, eps_cor, eps_sec, eps_sec * 0.5, eps_sec * 0.5, family)
 
 
-def reconstruct_sec(
-    total: float, eps_pe: float, eps_cor: float, family: Family
-) -> EpsilonBudget | None:
+def reconstruct_sec(total: float, eps_pe, eps_cor, family: Family):
     """Complete a budget from its two free components.
 
     ``eps_sec`` is whatever remains of ``total`` after charging ``eps_pe``
@@ -115,32 +121,36 @@ def reconstruct_sec(
     value here, not an error, because the optimizer must be able to score
     arbitrary candidate splits.
 
+    Equal-length 1-d arrays of the two components are completed row by row
+    and give ``(feasible, budget)``: the mask of rows whose remainder clears
+    the floor, and one batch budget of those rows (``None`` if there are
+    none).  A single split is the 0-d case of the same rule.
+
     Raises ``ValueError`` for genuine domain violations: ``total`` outside
     ``(0, 1)`` or either input below ``EPSILON_FLOOR``.
     """
     if not (0.0 < total < 1.0):
         raise ValueError(f"total budget must lie in (0, 1), got {total}")
-    if eps_pe < EPSILON_FLOOR or eps_cor < EPSILON_FLOOR:
+    if not holds((eps_pe >= EPSILON_FLOOR) & (eps_cor >= EPSILON_FLOOR)):
         raise ValueError(
             f"components must be at least {EPSILON_FLOOR}, "
             f"got eps_pe = {eps_pe}, eps_cor = {eps_cor}"
         )
     eps_sec = total - family.pe_weight * eps_pe - eps_cor
-    if eps_sec < EPSILON_FLOOR:
-        return None
-    if eps_sec >= total:
-        # Subtracting components below half an ulp of ``total`` rounds back to
-        # ``total`` itself; nudge down so the strict component bound holds.
-        eps_sec = math.nextafter(total, 0.0)
-    return EpsilonBudget(
-        total=total,
-        eps_pe=eps_pe,
-        eps_cor=eps_cor,
-        eps_sec=eps_sec,
-        eps_s=eps_sec * 0.5,
-        eps_h=eps_sec * 0.5,
-        family=family,
-    )
+    feasible = eps_sec >= EPSILON_FLOOR
+    # Subtracting components below half an ulp of ``total`` rounds back to
+    # ``total`` itself; nudge down so the strict component bound holds.
+    eps_sec = np.minimum(eps_sec, math.nextafter(total, 0.0))
+    if not isinstance(eps_sec, np.ndarray):
+        if not feasible:
+            return None
+        eps_sec = float(eps_sec)
+    elif feasible.any():
+        eps_pe, eps_cor, eps_sec = eps_pe[feasible], eps_cor[feasible], eps_sec[feasible]
+    else:
+        return feasible, None
+    budget = EpsilonBudget(total, eps_pe, eps_cor, eps_sec, eps_sec * 0.5, eps_sec * 0.5, family)
+    return (feasible, budget) if isinstance(feasible, np.ndarray) else budget
 
 
 # Fixed reference splits, expressed as (pe, cor) fractions of the total.
@@ -176,37 +186,37 @@ def baseline_budgets(total: float, family: Family) -> list[tuple[str, EpsilonBud
     return out
 
 
-@dataclass(frozen=True)
-class GeneBounds:
-    """Closed-below interval ``[lower, upper)`` an optimizer gene maps onto."""
+def map_gene(p, total: float):
+    """Map normalized genes ``p`` in ``[-1, 1]`` linearly onto
+    ``[EPSILON_FLOOR, total]``, element by element.
 
-    lower: float = EPSILON_FLOOR
-    upper: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.lower < self.upper):
-            raise ValueError(f"need 0 < lower < upper, got [{self.lower}, {self.upper})")
-
-    @classmethod
-    def for_total(cls, total: float) -> "GeneBounds":
-        """Bounds for a component of a budget with the given total."""
-        return cls(lower=EPSILON_FLOOR, upper=total)
-
-
-def map_gene(p: float, bounds: GeneBounds) -> float:
-    """Map a normalized gene ``p`` in ``[-1, 1]`` linearly onto ``bounds``.
-
-    ``p = -1`` lands exactly on ``bounds.lower`` and ``p = +1`` on
-    ``bounds.upper``; the upper endpoint is admissible here because the
-    feasibility of the resulting split is judged downstream.
+    ``p = -1`` lands exactly on the floor and ``p = +1`` on ``total``; the
+    upper endpoint is admissible here because the feasibility of the
+    resulting split is judged downstream.
     """
-    if not (-1.0 <= p <= 1.0):
-        raise ValueError(f"gene must lie in [-1, 1], got {p}")
-    return bounds.lower + 0.5 * (p + 1.0) * (bounds.upper - bounds.lower)
+    if not holds((-1.0 <= p) & (p <= 1.0)):
+        raise ValueError(f"genes must lie in [-1, 1], got {p}")
+    return EPSILON_FLOOR + 0.5 * (p + 1.0) * (total - EPSILON_FLOOR)
 
 
-def unmap_gene(x: float, bounds: GeneBounds) -> float:
-    """Inverse of :func:`map_gene`; maps ``[lower, upper]`` back onto ``[-1, 1]``."""
-    if not (bounds.lower <= x <= bounds.upper):
-        raise ValueError(f"value {x} outside [{bounds.lower}, {bounds.upper}]")
-    return 2.0 * (x - bounds.lower) / (bounds.upper - bounds.lower) - 1.0
+def libm(fn: Callable[..., float], x, *args: float):
+    """``fn(v, *args)`` for every element ``v`` of ``x``, one C-library call each.
+
+    The rate chains take their logarithms (and any function containing one)
+    through ``math`` here rather than through numpy, whose SIMD ``log`` may
+    round differently by CPU: a split's rate is then bit-identical whether it
+    is rated alone or in a batch.  A float gives a float, a 1-d array an
+    array.
+    """
+    if isinstance(x, np.ndarray) and x.ndim:
+        return np.array([fn(v, *args) for v in x.tolist()], dtype=float)
+    return fn(float(x), *args)
+
+
+def holds(cond) -> bool:
+    """Whether a comparison holds: for one value, or for every element.
+
+    The cheap path for a single split, where numpy's reductions would cost
+    more than the rate formula itself.
+    """
+    return bool(cond.all()) if isinstance(cond, np.ndarray) else bool(cond)

@@ -5,8 +5,10 @@ components (estimation and correctness shares); the secrecy share is whatever
 the total leaves over.  A population is a ``(P, 2)`` gene array scored by a
 length-``P`` fitness vector.  Selection is elitist and softmax-weighted,
 crossover blends genes convexly, and mutation adds clipped Gaussian noise.
-Infeasible splits are not errors: they score the worst-fitness marker
-``-inf`` and are simply never selected while anything feasible exists.
+Each generation is scored in one call: :func:`run` rates all of its feasible
+splits as one batch budget.  Infeasible splits are not errors: they score the
+worst-fitness marker ``-inf`` and are simply never selected while anything
+feasible exists.
 
 Determinism: every run consumes a single ``numpy`` generator in a fixed
 stream order — one uniform block for initialization, then per generation one
@@ -28,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .budget import EpsilonBudget, Family, GeneBounds, map_gene, reconstruct_sec
+from .budget import EpsilonBudget, Family, map_gene, reconstruct_sec
 
 __all__ = [
     "WORST_FITNESS",
@@ -225,18 +227,19 @@ def mutate(
 
 def run_genetic(
     config: CgaConfig,
-    fitness_fn: Callable[[tuple[float, float]], float],
+    fitness_fn: Callable[[np.ndarray], np.ndarray],
     rng: np.random.Generator | None = None,
 ) -> OptimizationResult:
     """Core generational loop over an arbitrary gene-space fitness.
 
-    ``fitness_fn`` receives each chromosome's genes as a tuple of floats,
-    must be deterministic, and may return :data:`WORST_FITNESS` (or NaN, read
-    as the same) for infeasible genes.  Each generation: evaluate, rank,
-    record the best, select parents and survivors, draw all pairs, breed
-    offspring to refill the population, then mutate everything except the
-    elite.  If fewer than two feasible parents exist the generation is
-    re-drawn uniformly around the sole best chromosome.
+    ``fitness_fn`` receives a generation's ``(population, 2)`` gene array,
+    must not modify it, must be deterministic, and returns one fitness per
+    row; :data:`WORST_FITNESS` (or NaN, read as the same) marks infeasible
+    genes.  Each generation: evaluate, rank, record the best, select parents
+    and survivors, draw all pairs, breed offspring to refill the population,
+    then mutate everything except the elite.  If fewer than two feasible
+    parents exist the generation is re-drawn uniformly around the sole best
+    chromosome.
     """
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
@@ -248,7 +251,11 @@ def run_genetic(
     best_fitness = WORST_FITNESS
 
     for _ in range(config.iterations):
-        fitness = np.array([fitness_fn(tuple(g)) for g in genes.tolist()], dtype=float)
+        fitness = np.array(fitness_fn(genes), dtype=float)
+        if fitness.shape != (len(genes),):
+            raise ValueError(
+                f"fitness_fn returned shape {fitness.shape} for {len(genes)} chromosomes"
+            )
         fitness[np.isnan(fitness)] = WORST_FITNESS
         parents, survivors = select(fitness, config)
         elite = parents[0]
@@ -281,34 +288,31 @@ def run(
     config: CgaConfig,
     total_eps: float,
     family: Family,
-    rate_fn: Callable[[EpsilonBudget], float],
+    rate_fn: Callable[[EpsilonBudget], float | np.ndarray],
     rng: np.random.Generator | None = None,
 ) -> OptimizationResult:
     """Optimize the split of ``total_eps`` against a key-rate function.
 
-    Genes map linearly onto ``[component floor, total_eps]``.  Splits whose
-    secrecy remainder falls below the floor, budgets on which ``rate_fn``
-    raises a domain error, and NaN rates all score :data:`WORST_FITNESS`, so
-    selection discards them without aborting the run.  The winning genes are
-    resolved back into a budget (``None`` if the search never found a
-    feasible split).
+    Genes map linearly onto ``[component floor, total_eps]``.  Each
+    generation makes one ``rate_fn`` call, on a batch budget holding the
+    feasible splits, which returns their rates (an array, or one number for
+    all).  Splits whose secrecy remainder falls below the floor and NaN
+    rates score :data:`WORST_FITNESS`, so selection discards them without
+    aborting the run; anything ``rate_fn`` raises propagates.  The winning
+    genes are resolved back into a budget (``None`` if the search never
+    found a feasible split).
     """
-    bounds = GeneBounds.for_total(total_eps)
 
-    def budget_of(genes: tuple[float, float]) -> EpsilonBudget | None:
-        eps_pe, eps_cor = map_gene(genes[0], bounds), map_gene(genes[1], bounds)
-        return reconstruct_sec(total_eps, eps_pe, eps_cor, family)
-
-    def fitness(genes: tuple[float, float]) -> float:
-        budget = budget_of(genes)
-        if budget is None:
-            return WORST_FITNESS
-        try:
-            return rate_fn(budget)
-        except (ValueError, ArithmeticError, OverflowError):
-            return WORST_FITNESS
+    def fitness(genes: np.ndarray) -> np.ndarray:
+        eps = map_gene(genes, total_eps)
+        feasible, budget = reconstruct_sec(total_eps, eps[:, 0], eps[:, 1], family)
+        scores = np.full(len(genes), WORST_FITNESS)
+        if budget is not None:
+            scores[feasible] = rate_fn(budget)
+        return scores
 
     result = run_genetic(config, fitness, rng=rng)
     if result.best_fitness == WORST_FITNESS:
         return result
-    return replace(result, best_budget=budget_of(result.best_genes))
+    eps_pe, eps_cor = (map_gene(g, total_eps) for g in result.best_genes)
+    return replace(result, best_budget=reconstruct_sec(total_eps, eps_pe, eps_cor, family))

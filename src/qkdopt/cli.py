@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -261,6 +262,9 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     _write_out(text, spec.output_path)
 
 
+_GRID_KEYS = ("eps_pe", "eps_cor", "eps_sec", "rate_bits_per_sec")
+
+
 def _cmd_oracle(args: argparse.Namespace) -> None:
     spec = _build_spec(args)
     total = _single_eps(args)
@@ -277,6 +281,11 @@ def _cmd_oracle(args: argparse.Namespace) -> None:
     if fmt != "json":
         raise _UsageError("oracle output format must be csv or json")
     best = grid.best_budget
+    cells = []
+    for row in grid.cells.tolist():  # NaN marks what an infeasible cell lacks
+        cell = dict(zip(_GRID_KEYS, (None if math.isnan(v) else v for v in row)))
+        cell["feasible"] = cell["rate_bits_per_sec"] is not None
+        cells.append(cell)
     doc = {
         "family": spec.family.value,
         "eps_total": total,
@@ -289,16 +298,7 @@ def _cmd_oracle(args: argparse.Namespace) -> None:
             "eps_sec": best.eps_sec,
         },
         "best_rate_bps": None if best is None else grid.best_fitness,
-        "cells": [
-            {
-                "eps_pe": cell.eps_pe,
-                "eps_cor": cell.eps_cor,
-                "eps_sec": cell.eps_sec,
-                "feasible": cell.feasible,
-                "rate_bits_per_sec": cell.rate_bits_per_sec,
-            }
-            for cell in grid.cells
-        ],
+        "cells": cells,
     }
     _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
 

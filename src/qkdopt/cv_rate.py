@@ -6,7 +6,7 @@ noise ``v_el``.  Channel loss and excess noise are estimated from a fraction
 ``pe_ratio`` of the block; the surviving ``n`` signals pay the finite-size
 penalty of the privacy-amplification and error-correction steps.
 
-Model conventions (fixed here, swappable only through ``estimator_fn``):
+Model conventions:
 
 * Detector loss and electronic noise are trusted: they enter the mutual
   information between the honest parties but the eavesdropper's Holevo bound
@@ -17,15 +17,21 @@ Model conventions (fixed here, swappable only through ``estimator_fn``):
 * The worst-case excess noise is the upper confidence limit
   ``xi_hat + w * sigma_xi`` (pessimistic for the honest parties).  The
   subtractive variant is kept behind a flag for comparison runs.
+
+Only the worst-case channel, its Holevo bound and the finite-size term depend
+on the budget; one :func:`cv_key_rate` call computes the rest once and rates a
+single split or a whole batch (see :mod:`qkdopt.budget`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from .budget import EpsilonBudget, Family
+import numpy as np
+
+from .budget import EpsilonBudget, Family, holds, libm
 
 __all__ = [
     "CvProtocolParams",
@@ -115,12 +121,13 @@ class WorstCaseChannel(NamedTuple):
 
     ``degenerate`` is set when the lower transmissivity limit collapsed to
     (or below) the clamping floor, i.e. estimation failed to exclude a dead
-    channel; callers must then refuse to claim any key.
+    channel; callers must then refuse to claim any key.  Each field is an
+    array when the confidence level is.
     """
 
-    t: float
-    xi: float
-    degenerate: bool
+    t: float | np.ndarray
+    xi: float | np.ndarray
+    degenerate: bool | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -128,15 +135,17 @@ class CvRateBreakdown:
     """Intermediate quantities of one key-rate evaluation.
 
     ``rate_per_use = (n * r_pe_bits - finite_term_bits) / N`` and
-    ``rate_bits_per_sec = clock_hz * rate_per_use`` always hold.
+    ``rate_bits_per_sec = clock_hz * rate_per_use`` always hold.  Every field
+    but ``mutual_info_bits`` depends on the budget: floats for one split,
+    arrays for a batch.
     """
 
     mutual_info_bits: float
-    holevo_bits: float
-    r_pe_bits: float
-    finite_term_bits: float
-    rate_per_use: float
-    rate_bits_per_sec: float
+    holevo_bits: float | np.ndarray
+    r_pe_bits: float | np.ndarray
+    finite_term_bits: float | np.ndarray
+    rate_per_use: float | np.ndarray
+    rate_bits_per_sec: float | np.ndarray
 
 
 def transmissivity(length_km: float, attenuation_db_per_km: float) -> float:
@@ -150,15 +159,16 @@ def transmissivity(length_km: float, attenuation_db_per_km: float) -> float:
     return 10.0 ** (-attenuation_db_per_km * length_km / 10.0)
 
 
-def pe_confidence_width(eps_pe: float) -> float:
+def pe_confidence_width(eps_pe):
     """Number of standard deviations covering all but ``eps_pe`` of a Gaussian tail.
 
-    ``w = sqrt(2 * ln(1 / eps_pe))``; the estimation failure probability
-    ``eps_pe`` may be 1, in which case the interval has zero width.
+    ``w = sqrt(2 * ln(1 / eps_pe))``, element by element; the estimation
+    failure probability ``eps_pe`` may be 1, in which case the interval has
+    zero width.
     """
-    if not (0.0 < eps_pe <= 1.0):
+    if not holds((0.0 < eps_pe) & (eps_pe <= 1.0)):
         raise ValueError(f"eps_pe must lie in (0, 1], got {eps_pe}")
-    return math.sqrt(2.0 * math.log(1.0 / eps_pe))
+    return np.sqrt(2.0 * libm(math.log, 1.0 / eps_pe))
 
 
 def ml_estimator_model(
@@ -196,7 +206,7 @@ def ml_estimator_model(
 
 
 def worst_case_estimators(
-    est: EstimatorModel, eps_pe: float, subtractive_xi: bool = False
+    est: EstimatorModel, eps_pe, subtractive_xi: bool = False
 ) -> WorstCaseChannel:
     """Pessimistic channel parameters at confidence level ``1 - eps_pe``.
 
@@ -213,9 +223,9 @@ def worst_case_estimators(
     w = pe_confidence_width(eps_pe)
     t_wc = est.t_hat - w * est.sigma_t
     degenerate = t_wc < _T_FLOOR
-    t_wc = min(max(t_wc, _T_FLOOR), 1.0)
+    t_wc = np.minimum(np.maximum(t_wc, _T_FLOOR), 1.0)
     if subtractive_xi:
-        xi_wc = max(est.xi_hat - w * est.sigma_xi, 0.0)
+        xi_wc = np.maximum(est.xi_hat - w * est.sigma_xi, 0.0)
     else:
         xi_wc = est.xi_hat + w * est.sigma_xi
     return WorstCaseChannel(t=t_wc, xi=xi_wc, degenerate=degenerate)
@@ -245,15 +255,19 @@ def mutual_information(params: CvProtocolParams, t: float, xi: float) -> float:
     return 0.5 * math.log2(b_m / (b_m - eta * t * (mu - 1.0)))
 
 
-def bosonic_entropy(nu: float) -> float:
+def bosonic_entropy(nu):
     """Entropy (bits) of a thermal state with symplectic eigenvalue ``nu``.
 
-    ``h(nu) = ((nu+1)/2) log2((nu+1)/2) - ((nu-1)/2) log2((nu-1)/2)``.
-    Eigenvalues within 1e-9 below 1 are clamped to 1 (vacuum); anything
-    smaller is unphysical and raises ``ValueError``.
+    ``h(nu) = ((nu+1)/2) log2((nu+1)/2) - ((nu-1)/2) log2((nu-1)/2)``,
+    element by element.  Eigenvalues within 1e-9 below 1 are clamped to 1
+    (vacuum); anything smaller is unphysical and raises ``ValueError``.
     """
-    if nu < 1.0 - _NU_TOL:
+    if not holds(nu >= 1.0 - _NU_TOL):
         raise ValueError(f"symplectic eigenvalue {nu} below 1: unphysical state")
+    return libm(_bosonic_entropy, nu)
+
+
+def _bosonic_entropy(nu: float) -> float:
     if nu <= 1.0:
         return 0.0
     up = 0.5 * (nu + 1.0)
@@ -261,7 +275,7 @@ def bosonic_entropy(nu: float) -> float:
     return up * math.log2(up) - dn * math.log2(dn)
 
 
-def holevo_bound(params: CvProtocolParams, t: float, xi: float) -> float:
+def holevo_bound(params: CvProtocolParams, t, xi):
     """Eavesdropper information bound for an ideal homodyne at the channel output.
 
     The two-mode state shared before measurement has covariance blocks
@@ -272,29 +286,30 @@ def holevo_bound(params: CvProtocolParams, t: float, xi: float) -> float:
     and the conditional eigenvalue after a quadrature measurement is
     ``nu_c = sqrt(mu * (mu - c^2 / b))``, giving
 
-        ``chi = h(nu_+) + h(nu_-) - h(nu_c)``.
+        ``chi = h(nu_+) + h(nu_-) - h(nu_c)``,
+
+    element by element over arrays of ``t`` and ``xi``.
 
     :param t: transmissivity of the pessimistic channel, in (0, 1]
     :param xi: excess noise of the pessimistic channel, >= 0
     """
-    if not (0.0 < t <= 1.0):
+    if not holds((0.0 < t) & (t <= 1.0)):
         raise ValueError(f"transmissivity must lie in (0, 1], got {t}")
-    if xi < 0.0:
+    if not holds(xi >= 0.0):
         raise ValueError(f"excess noise must be non-negative, got {xi}")
     mu = params.signal_variance
     b = t * mu + 1.0 - t + t * xi
     c2 = t * (mu * mu - 1.0)
     delta = mu * mu + b * b - 2.0 * c2
-    det_gamma = (mu * b - c2) ** 2
-    disc = max(delta * delta - 4.0 * det_gamma, 0.0)
-    root = math.sqrt(disc)
-    nu_plus = math.sqrt(max((delta + root) * 0.5, 0.0))
-    nu_minus = math.sqrt(max((delta - root) * 0.5, 0.0))
-    nu_cond = math.sqrt(max(mu * (mu * b - c2) / b, 0.0))
+    det_gamma = libm(math.pow, mu * b - c2, 2.0)
+    root = np.sqrt(np.maximum(delta * delta - 4.0 * det_gamma, 0.0))
+    nu_plus = np.sqrt(np.maximum((delta + root) * 0.5, 0.0))
+    nu_minus = np.sqrt(np.maximum((delta - root) * 0.5, 0.0))
+    nu_cond = np.sqrt(np.maximum(mu * (mu * b - c2) / b, 0.0))
     return bosonic_entropy(nu_plus) + bosonic_entropy(nu_minus) - bosonic_entropy(nu_cond)
 
 
-def finite_size_term(n: int, budget: EpsilonBudget, discretization: int) -> float:
+def finite_size_term(n: int, budget: EpsilonBudget, discretization: int):
     """Total finite-size deduction ``F`` (bits) for a key block of ``n`` signals.
 
     ``F = sqrt(n) * log2(n) * sqrt(2 * ln(2 / eps_pe))
@@ -302,7 +317,8 @@ def finite_size_term(n: int, budget: EpsilonBudget, discretization: int) -> floa
     - log2(eps_sec^2 * eps_cor / 2)``
 
     combining the entropy-estimation penalty, the leftover-hash cost at
-    ``D`` bits per sample, and the correctness/secrecy log terms.
+    ``D`` bits per sample, and the correctness/secrecy log terms; one value
+    per split of a batch budget.
 
     :param n: number of key-generation signals, >= 2
     :param discretization: bits per quadrature sample ``D``, >= 1
@@ -312,25 +328,23 @@ def finite_size_term(n: int, budget: EpsilonBudget, discretization: int) -> floa
     if discretization < 1:
         raise ValueError(f"discretization must be positive, got {discretization}")
     eps_pe, eps_sec, eps_cor = budget.eps_pe, budget.eps_sec, budget.eps_cor
-    if eps_pe <= 0.0 or eps_sec <= 0.0 or eps_cor <= 0.0:
+    if not holds((eps_pe > 0.0) & (eps_sec > 0.0) & (eps_cor > 0.0)):
         raise ValueError("all budget components must be positive")
     sqrt_n = math.sqrt(n)
-    ent_term = sqrt_n * math.log2(n) * math.sqrt(2.0 * math.log(2.0 / eps_pe))
+    ent_term = sqrt_n * math.log2(n) * np.sqrt(2.0 * libm(math.log, 2.0 / eps_pe))
     hash_term = (
         4.0
         * sqrt_n
         * math.log2(math.sqrt(2.0**discretization) + 2.0)
-        * math.sqrt(math.log2(8.0 / (eps_sec * eps_sec)))
+        * np.sqrt(libm(math.log2, 8.0 / (eps_sec * eps_sec)))
     )
-    log_term = math.log2(eps_sec * eps_sec * eps_cor / 2.0)
+    log_term = libm(math.log2, eps_sec * eps_sec * eps_cor / 2.0)
     return ent_term + hash_term - log_term
 
 
 def cv_key_rate(
     params: CvProtocolParams,
     budget: EpsilonBudget,
-    estimator_fn: Callable[[CvProtocolParams, float, float, int], EstimatorModel]
-    | None = None,
     subtractive_xi: bool = False,
 ) -> CvRateBreakdown:
     """Composable secret-key rate of the coherent-state protocol.
@@ -345,11 +359,10 @@ def cv_key_rate(
 
     A degenerate worst-case channel (transmissivity interval reaching zero)
     yields no claimable key: ``R_pe`` is forced to 0 so the rate comes out
-    strictly negative at ``-F / N``.
+    strictly negative at ``-F / N``.  A batch budget gives one rate per
+    split, each equal to the rate of that split alone.
 
     :param budget: feasible budget with ``family == Family.CV``
-    :param estimator_fn: alternative estimator-spread model with the same
-        signature as :func:`ml_estimator_model` (the default)
     :param subtractive_xi: use the optimistic noise bound (comparison only)
     """
     if budget.family is not Family.CV:
@@ -361,23 +374,23 @@ def cv_key_rate(
             f"block split degenerate: m = {m} estimation and n = {n} key signals"
         )
     t_true = transmissivity(params.length_km, params.attenuation_db_per_km)
-    xi_true = params.excess_noise
-    build = estimator_fn if estimator_fn is not None else ml_estimator_model
-    est = build(params, t_true, xi_true, m)
-    wc = worst_case_estimators(est, budget.eps_pe, subtractive_xi=subtractive_xi)
+    est = ml_estimator_model(params, t_true, params.excess_noise, m)
     info = mutual_information(params, est.t_hat, est.xi_hat)
+
+    wc = worst_case_estimators(est, budget.eps_pe, subtractive_xi=subtractive_xi)
     chi = holevo_bound(params, wc.t, wc.xi)
-    if wc.degenerate:
-        r_pe = 0.0
-    else:
-        r_pe = params.recon_efficiency * info - chi
+    r_pe = np.where(wc.degenerate, 0.0, params.recon_efficiency * info - chi)
     fs = finite_size_term(n, budget, params.discretization)
     rate_per_use = (n * r_pe - fs) / params.block_size
+    varying = (chi, r_pe, fs, rate_per_use, params.clock_hz * rate_per_use)
+    if not isinstance(budget.eps_pe, np.ndarray):  # one split: floats, printed by repr
+        varying = tuple(map(float, varying))
+    chi, r_pe, fs, rate_per_use, rate_bits_per_sec = varying
     return CvRateBreakdown(
         mutual_info_bits=info,
         holevo_bits=chi,
         r_pe_bits=r_pe,
         finite_term_bits=fs,
         rate_per_use=rate_per_use,
-        rate_bits_per_sec=params.clock_hz * rate_per_use,
+        rate_bits_per_sec=rate_bits_per_sec,
     )

@@ -9,6 +9,10 @@ a fraction ``pe_ratio`` of which is consumed to estimate the error rate.
 All block counts refer to sifted-and-detected events: ``N`` transmitted
 qubits yield about ``N * p_sift * Q1`` usable bits, split between parameter
 estimation (``m``) and key generation (``n``).
+
+Only the worst-case error rate and the log and AEP terms depend on the
+budget; one :func:`dv_key_rate` call computes the rest once and rates a single
+split or a whole batch (see :mod:`qkdopt.budget`).
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .budget import EpsilonBudget, Family
+import numpy as np
+
+from .budget import EpsilonBudget, Family, holds, libm
 from .cv_rate import transmissivity
 
 __all__ = [
@@ -100,7 +106,9 @@ class DetectionStats(NamedTuple):
 class DvRateBreakdown:
     """Intermediate quantities of one key-rate evaluation.
 
-    ``rate_per_use = kappa * secret_fraction`` and
+    ``qber_wc``, ``secret_fraction``, ``rate_per_use`` and
+    ``rate_bits_per_sec`` depend on the budget: floats for one split, arrays
+    for a batch.  ``rate_per_use = kappa * secret_fraction`` and
     ``rate_bits_per_sec = c_dt * clock_hz * rate_per_use`` always hold, and
     ``qber_wc >= qber_est``.
     """
@@ -109,12 +117,12 @@ class DvRateBreakdown:
     p_sift: float
     q1: float
     qber_est: float
-    qber_wc: float
+    qber_wc: float | np.ndarray
     kappa: float
-    secret_fraction: float
+    secret_fraction: float | np.ndarray
     c_dt: float
-    rate_per_use: float
-    rate_bits_per_sec: float
+    rate_per_use: float | np.ndarray
+    rate_bits_per_sec: float | np.ndarray
 
 
 def detection_stats(params: DvProtocolParams) -> DetectionStats:
@@ -151,10 +159,11 @@ def estimated_qber(params: DvProtocolParams, q1: float, eta_tot: float) -> float
     return min(errors / q1, 0.5)
 
 
-def worst_case_qber(qber_est: float, m: int, eps_pe: float) -> float:
+def worst_case_qber(qber_est: float, m: int, eps_pe):
     """Upper confidence limit on the error rate after comparing ``m`` bits.
 
-    ``E_wc = E + sqrt((2 / m) * ln((m + 1) / eps_pe))``, capped at 1/2.
+    ``E_wc = E + sqrt((2 / m) * ln((m + 1) / eps_pe))``, capped at 1/2,
+    element by element over an array of ``eps_pe``.
 
     :param qber_est: estimated error rate, in [0, 0.5]
     :param m: number of disclosed estimation bits, >= 1
@@ -164,27 +173,31 @@ def worst_case_qber(qber_est: float, m: int, eps_pe: float) -> float:
         raise ValueError(f"qber_est must lie in [0, 0.5], got {qber_est}")
     if m < 1:
         raise ValueError(f"need at least one estimation bit, got m = {m}")
-    if not (0.0 < eps_pe < 1.0):
+    if not holds((0.0 < eps_pe) & (eps_pe < 1.0)):
         raise ValueError(f"eps_pe must lie in (0, 1), got {eps_pe}")
-    dev = math.sqrt((2.0 / m) * math.log((m + 1) / eps_pe))
-    return min(qber_est + dev, 0.5)
+    dev = np.sqrt((2.0 / m) * libm(math.log, (m + 1) / eps_pe))
+    return np.minimum(qber_est + dev, 0.5)
 
 
-def aep_term(eps_s: float) -> float:
+def aep_term(eps_s):
     """Entropy-rate convergence penalty ``7 * sqrt(log2(2 / eps_s))``.
 
     Vanishes at the boundary value ``eps_s = 2`` (included for that
     mathematical check; real budgets keep ``eps_s`` far below 1).
     """
-    if not (0.0 < eps_s <= 2.0):
+    if not holds((0.0 < eps_s) & (eps_s <= 2.0)):
         raise ValueError(f"eps_s must lie in (0, 2], got {eps_s}")
-    return 7.0 * math.sqrt(math.log2(2.0 / eps_s))
+    return 7.0 * np.sqrt(libm(math.log2, 2.0 / eps_s))
 
 
-def binary_entropy(p: float) -> float:
-    """Binary Shannon entropy in bits; ``h(0) = h(1) = 0``."""
-    if not (0.0 <= p <= 1.0):
+def binary_entropy(p):
+    """Binary Shannon entropy in bits, element by element; ``h(0) = h(1) = 0``."""
+    if not holds((0.0 <= p) & (p <= 1.0)):
         raise ValueError(f"probability must lie in [0, 1], got {p}")
+    return libm(_binary_entropy, p)
+
+
+def _binary_entropy(p: float) -> float:
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
@@ -203,6 +216,8 @@ def dv_key_rate(params: DvProtocolParams, budget: EpsilonBudget) -> DvRateBreakd
     the throughput prefactor ``kappa = (1 - pe_ratio) * p_sift * Q1``
     converts it into bits per transmitted qubit, and the dead-time factor
     ``c_dt = 1 / (1 + Q1 * t_dt * clock)`` deflates the clock for bits/s.
+    A batch budget gives one rate per split, each equal to the rate of that
+    split alone.
 
     Raises ``ValueError`` when the detected block degenerates
     (``n < 2`` or ``m < 1``).
@@ -220,9 +235,12 @@ def dv_key_rate(params: DvProtocolParams, budget: EpsilonBudget) -> DvRateBreakd
             f"detected block degenerate: n = {n} key and m = {m} estimation bits"
         )
     qber = estimated_qber(params, stats.q1, stats.eta_tot)
-    qber_wc = worst_case_qber(qber, m, budget.eps_pe)
     leak = params.recon_efficiency * binary_entropy(qber)
-    log_term = (1.0 + math.log2(budget.eps_cor * budget.eps_h * budget.eps_h)) / n
+    kappa = (1.0 - params.pe_ratio) * stats.p_sift * stats.q1
+    c_dt = 1.0 / (1.0 + stats.q1 * params.dead_time_s * params.clock_hz)
+
+    qber_wc = worst_case_qber(qber, m, budget.eps_pe)
+    log_term = (1.0 + libm(math.log2, budget.eps_cor * budget.eps_h * budget.eps_h)) / n
     secret_fraction = (
         1.0
         - binary_entropy(qber_wc)
@@ -230,9 +248,11 @@ def dv_key_rate(params: DvProtocolParams, budget: EpsilonBudget) -> DvRateBreakd
         + log_term
         - aep_term(budget.eps_s) / math.sqrt(n)
     )
-    kappa = (1.0 - params.pe_ratio) * stats.p_sift * stats.q1
-    c_dt = 1.0 / (1.0 + stats.q1 * params.dead_time_s * params.clock_hz)
     rate_per_use = kappa * secret_fraction
+    varying = (qber_wc, secret_fraction, rate_per_use, c_dt * params.clock_hz * rate_per_use)
+    if not isinstance(budget.eps_pe, np.ndarray):  # one split: floats, printed by repr
+        varying = tuple(map(float, varying))
+    qber_wc, secret_fraction, rate_per_use, rate_bits_per_sec = varying
     return DvRateBreakdown(
         eta_tot=stats.eta_tot,
         p_sift=stats.p_sift,
@@ -243,5 +263,5 @@ def dv_key_rate(params: DvProtocolParams, budget: EpsilonBudget) -> DvRateBreakd
         secret_fraction=secret_fraction,
         c_dt=c_dt,
         rate_per_use=rate_per_use,
-        rate_bits_per_sec=c_dt * params.clock_hz * rate_per_use,
+        rate_bits_per_sec=rate_bits_per_sec,
     )

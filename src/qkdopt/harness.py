@@ -110,7 +110,8 @@ class SweepSpec:
             raise ConfigError("restarts must be at least 1")
 
     def rate_fn(self) -> Callable[[EpsilonBudget], float]:
-        """Budget-to-bits/s closure for this spec's protocol."""
+        """Budget-to-bits/s closure for this spec's protocol: a float for one
+        split, an array for a batch budget."""
         if self.family is Family.CV:
             return lambda budget: cv_key_rate(
                 self.params, budget, subtractive_xi=self.paper_sign_xi

@@ -1,17 +1,16 @@
 """Brute-force grid search over budget splits, used to validate the optimizer.
 
-Exhaustively rates every point of a two-dimensional grid over the free
-components ``(eps_pe, eps_cor)`` and keeps the best feasible cell.  Slow and
-dumb on purpose: the genetic search is trusted only because it matches this.
+Rates every point of a two-dimensional log grid over the free components
+``(eps_pe, eps_cor)`` in one call of the rate function, on one batch budget
+of the feasible cells, and keeps the best.  Exhaustive and deterministic: the
+genetic search is trusted only because it matches this.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -19,152 +18,94 @@ from .budget import EPSILON_FLOOR, EpsilonBudget, Family, reconstruct_sec
 
 __all__ = [
     "GridSpec",
-    "GridCell",
     "GridSearchResult",
     "grid_search",
     "grid_csv_text",
-    "write_grid_csv",
 ]
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Shape of the search grid on each axis.
+    """Number of points on each axis.
 
-    ``log`` scale (the default) spaces points geometrically between the
-    component floor and the total budget, which matches how the rate models
-    respond to the components; ``linear`` is available for diagnostics.
+    Points are spaced geometrically between the component floor and the
+    total budget, which matches how the rate models respond to the
+    components.
     """
 
     points_per_axis: int = 200
-    scale: str = "log"
-    lower: float = EPSILON_FLOOR
 
     def __post_init__(self) -> None:
         if self.points_per_axis < 2:
             raise ValueError("points_per_axis must be at least 2")
-        if self.scale not in ("log", "linear"):
-            raise ValueError(f"scale must be 'log' or 'linear', got {self.scale!r}")
-        if self.lower < EPSILON_FLOOR:
-            raise ValueError(f"lower bound cannot undercut the floor {EPSILON_FLOOR}")
 
     def axis(self, upper: float) -> np.ndarray:
-        if upper <= self.lower:
-            raise ValueError(f"upper bound {upper} must exceed lower bound {self.lower}")
-        if self.scale == "log":
-            return np.logspace(
-                math.log10(self.lower), math.log10(upper), self.points_per_axis
-            )
-        return np.linspace(self.lower, upper, self.points_per_axis)
-
-
-@dataclass(frozen=True)
-class GridCell:
-    """One rated grid point; ``eps_sec``/``rate`` are ``None`` when infeasible."""
-
-    eps_pe: float
-    eps_cor: float
-    eps_sec: float | None
-    feasible: bool
-    rate_bits_per_sec: float | None
+        if upper <= EPSILON_FLOOR:
+            raise ValueError(f"upper bound {upper} must exceed the floor {EPSILON_FLOOR}")
+        return np.logspace(
+            math.log10(EPSILON_FLOOR), math.log10(upper), self.points_per_axis
+        )
 
 
 @dataclass(frozen=True)
 class GridSearchResult:
     """Best feasible cell plus the full rated grid.
 
-    When no cell is feasible, ``best_budget`` is ``None`` and
-    ``best_fitness`` is ``-inf``; ``feasible_count`` makes the empty
+    ``cells`` is a ``(K, 4)`` array of ``eps_pe, eps_cor, eps_sec, rate``
+    rows in ``eps_pe``-major order, with NaN in the last two columns of an
+    infeasible cell.  When no cell is feasible, ``best_budget`` is ``None``
+    and ``best_fitness`` is ``-inf``; ``feasible_count`` makes the empty
     feasible set explicit.
     """
 
     best_budget: EpsilonBudget | None
     best_fitness: float
     feasible_count: int
-    cells: list[GridCell] = field(repr=False)
-
-
-def _better(
-    rate: float, pe: float, cor: float, best: tuple[float, float, float] | None
-) -> bool:
-    """Strict improvement, with ties resolved toward smaller components.
-
-    The comparison depends only on the candidate values, never on visiting
-    order, so shuffled evaluation returns the identical winner.
-    """
-    if best is None:
-        return True
-    b_rate, b_pe, b_cor = best
-    if rate != b_rate:
-        return rate > b_rate
-    return (pe, cor) < (b_pe, b_cor)
+    cells: np.ndarray = field(repr=False)
 
 
 def grid_search(
     spec: GridSpec,
     total_eps: float,
     family: Family,
-    rate_fn: Callable[[EpsilonBudget], float],
+    rate_fn: Callable[[EpsilonBudget], float | np.ndarray],
 ) -> GridSearchResult:
     """Rate every grid point and return the best feasible split.
 
-    Budget reconstruction failures mark a cell infeasible, as do domain
-    errors raised by ``rate_fn``; neither aborts the scan.
+    A cell is infeasible when its secrecy remainder falls below the floor or
+    its rate is NaN; anything ``rate_fn`` raises propagates.  The best cell
+    has the largest rate, then the smallest ``eps_pe``, then the smallest
+    ``eps_cor``, so the winner does not depend on evaluation order.
     """
     axis = spec.axis(total_eps)
-    cells: list[GridCell] = []
-    best_key: tuple[float, float, float] | None = None
-    best_budget: EpsilonBudget | None = None
-    feasible_count = 0
-    for pe in axis:
-        for cor in axis:
-            budget = reconstruct_sec(total_eps, float(pe), float(cor), family)
-            if budget is None:
-                cells.append(GridCell(float(pe), float(cor), None, False, None))
-                continue
-            try:
-                rate = rate_fn(budget)
-            except (ValueError, ArithmeticError, OverflowError):
-                cells.append(GridCell(float(pe), float(cor), None, False, None))
-                continue
-            if math.isnan(rate):
-                cells.append(GridCell(float(pe), float(cor), None, False, None))
-                continue
-            feasible_count += 1
-            cells.append(
-                GridCell(float(pe), float(cor), budget.eps_sec, True, float(rate))
-            )
-            if _better(rate, float(pe), float(cor), best_key):
-                best_key = (float(rate), float(pe), float(cor))
-                best_budget = budget
-    best_fitness = best_key[0] if best_key is not None else float("-inf")
+    cells = np.full((axis.size**2, 4), np.nan)
+    cells[:, 0] = np.repeat(axis, axis.size)
+    cells[:, 1] = np.tile(axis, axis.size)
+    feasible, budget = reconstruct_sec(total_eps, cells[:, 0], cells[:, 1], family)
+    if budget is not None:
+        cells[feasible, 2] = budget.eps_sec
+        cells[feasible, 3] = rate_fn(budget)
+    rated = np.flatnonzero(~np.isnan(cells[:, 3]))
+    cells[np.isnan(cells[:, 3]), 2] = np.nan
+    if rated.size == 0:
+        return GridSearchResult(None, float("-inf"), 0, cells)
+    pe, cor, _, rate = cells[rated].T
+    best = rated[np.lexsort((cor, pe, -rate))[0]]
+    best_pe, best_cor, _, best_rate = cells[best].tolist()
     return GridSearchResult(
-        best_budget=best_budget,
-        best_fitness=best_fitness,
-        feasible_count=feasible_count,
+        best_budget=reconstruct_sec(total_eps, best_pe, best_cor, family),
+        best_fitness=best_rate,
+        feasible_count=int(rated.size),
         cells=cells,
     )
 
 
-def grid_csv_text(cells: Iterable[GridCell]) -> str:
-    """Render rated grid cells as CSV for offline landscape inspection."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["eps_pe", "eps_cor", "eps_sec", "feasible", "rate_bits_per_sec"])
-    for cell in cells:
-        writer.writerow(
-            [
-                repr(cell.eps_pe),
-                repr(cell.eps_cor),
-                "" if cell.eps_sec is None else repr(cell.eps_sec),
-                "true" if cell.feasible else "false",
-                "" if cell.rate_bits_per_sec is None else repr(cell.rate_bits_per_sec),
-            ]
-        )
-    return buf.getvalue()
-
-
-def write_grid_csv(cells: Iterable[GridCell], path: str) -> None:
-    """Write :func:`grid_csv_text` output to ``path``."""
-    with open(path, "w", newline="") as fh:
-        fh.write(grid_csv_text(cells))
+def grid_csv_text(cells: np.ndarray) -> str:
+    """Render a rated grid as CSV for offline landscape inspection."""
+    lines = ["eps_pe,eps_cor,eps_sec,feasible,rate_bits_per_sec\n"]
+    for pe, cor, sec, rate in cells.tolist():
+        if math.isnan(rate):
+            lines.append(f"{pe!r},{cor!r},,false,\n")
+        else:
+            lines.append(f"{pe!r},{cor!r},{sec!r},true,{rate!r}\n")
+    return "".join(lines)

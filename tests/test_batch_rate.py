@@ -1,0 +1,134 @@
+"""Property tests: rating a batch budget equals rating each of its splits alone.
+
+One ``dv_key_rate``/``cv_key_rate`` call on a batch must give, element by
+element and bit for bit (``==``, not a tolerance), the breakdown of the
+single-split call on the same components, and a single split must come back
+as plain ``float`` fields.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import fields
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qkdopt.budget import Family, reconstruct_sec
+from qkdopt.cv_rate import CvProtocolParams, cv_key_rate
+from qkdopt.dv_rate import DvProtocolParams, dv_key_rate
+
+PROPERTY = settings(max_examples=150, deadline=None, database=None)
+
+
+def dv_case():
+    params = st.builds(
+        DvProtocolParams,
+        length_km=st.floats(0.0, 150.0),
+        intrinsic_error=st.floats(0.0, 0.05),
+    )
+    rate = st.just(lambda params, budget: dv_key_rate(params, budget))
+    return st.tuples(st.just(Family.DV), params, rate, st.floats(-18.0, -3.0))
+
+
+def cv_case():
+    params = st.builds(
+        CvProtocolParams,
+        length_km=st.floats(0.0, 30.0),
+        excess_noise=st.floats(0.0, 0.08),
+    )
+    rate = st.booleans().map(
+        lambda paper_sign_xi: lambda params, budget: cv_key_rate(
+            params, budget, subtractive_xi=paper_sign_xi
+        )
+    )
+    return st.tuples(st.just(Family.CV), params, rate, st.floats(-13.0, -3.0))
+
+
+#: Log10 of the three shares of the total; normalized, each is at least 1/201.
+SHARES = st.lists(
+    st.tuples(st.floats(-2.0, 0.0), st.floats(-2.0, 0.0), st.floats(-2.0, 0.0)),
+    min_size=1,
+    max_size=12,
+)
+
+
+def batch_and_singles(case, shares):
+    family, params, rate, log_total = case
+    total = 10.0**log_total
+    pe, cor = [], []
+    for share in shares:
+        a, b, c = (10.0**s for s in share)
+        norm = a + b + c
+        pe.append(total * a / norm / family.pe_weight)
+        cor.append(total * b / norm)
+    feasible, batch = reconstruct_sec(total, np.array(pe), np.array(cor), family)
+    singles = [reconstruct_sec(total, p, c, family) for p, c in zip(pe, cor)]
+    assert feasible.tolist() == [s is not None for s in singles]
+    return params, rate, batch, [s for s in singles if s is not None]
+
+
+def rate_or_error(rate, params, budget):
+    try:
+        return rate(params, budget)
+    except ValueError as err:
+        return err
+
+
+@PROPERTY
+@given(st.one_of(dv_case(), cv_case()), SHARES)
+def test_batch_rate_equals_single_split_rates(case, shares):
+    params, rate, batch, singles = batch_and_singles(case, shares)
+    if batch is None:
+        assert singles == []
+        return
+    one_by_one = [rate_or_error(rate, params, budget) for budget in singles]
+    if any(isinstance(r, ValueError) for r in one_by_one):
+        # a model domain error raises for the whole batch, never per split
+        with pytest.raises(ValueError):
+            rate(params, batch)
+        return
+    whole = rate(params, batch)
+    for field in fields(whole):
+        got = getattr(whole, field.name)
+        want = [getattr(r, field.name) for r in one_by_one]
+        if np.ndim(got) == 0:  # budget-independent: computed once per call
+            assert type(got) is float and all(w == got for w in want), field.name
+        else:
+            assert got.shape == (len(singles),), field.name
+            assert got.tolist() == want, field.name
+
+
+@PROPERTY
+@given(st.one_of(dv_case(), cv_case()), SHARES)
+def test_single_split_fields_are_plain_floats(case, shares):
+    params, rate, _, singles = batch_and_singles(case, shares)
+    for budget in singles[:3]:
+        out = rate_or_error(rate, params, budget)
+        if isinstance(out, ValueError):
+            continue
+        for field in fields(out):
+            value = getattr(out, field.name)
+            assert type(value) is float, (field.name, type(value))
+            assert not math.isnan(value), field.name
+
+
+@pytest.mark.parametrize("family", [Family.DV, Family.CV])
+def test_large_batch_equals_single_splits(family):
+    # a numpy logarithm in place of the C library's differs in the last bit
+    # for about one argument in 10^4; this many splits makes that visible
+    rng = np.random.default_rng(2024)
+    total = 1e-12 if family is Family.DV else 1e-9
+    pe, cor = 10.0 ** rng.uniform(-21.0, math.log10(total), size=(2, 12_000))
+    params = DvProtocolParams() if family is Family.DV else CvProtocolParams()
+    rate = dv_key_rate if family is Family.DV else cv_key_rate
+    feasible, batch = reconstruct_sec(total, pe, cor, family)
+    assert feasible.sum() > 4_000
+    whole = rate(params, batch)
+    varying = [f.name for f in fields(whole) if np.ndim(getattr(whole, f.name)) == 1]
+    columns = zip(*(getattr(whole, name).tolist() for name in varying))
+    for p, c, row in zip(pe[feasible].tolist(), cor[feasible].tolist(), columns):
+        single = rate(params, reconstruct_sec(total, p, c, family))
+        assert tuple(getattr(single, name) for name in varying) == row

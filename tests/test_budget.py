@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,10 @@ from qkdopt.budget import (
     EPSILON_FLOOR,
     EpsilonBudget,
     Family,
-    GeneBounds,
     baseline_budgets,
+    libm,
     map_gene,
     reconstruct_sec,
-    unmap_gene,
 )
 
 
@@ -85,23 +86,66 @@ def test_from_components_derives_total():
 
 
 def test_map_gene_endpoints_and_midpoint():
-    bounds = GeneBounds.for_total(1e-5)
-    assert map_gene(-1.0, bounds) == pytest.approx(1e-21, rel=1e-12)
-    assert map_gene(1.0, bounds) == pytest.approx(1e-5, rel=1e-12)
-    assert map_gene(0.0, bounds) == pytest.approx((1e-21 + 1e-5) / 2, rel=1e-12)
+    assert map_gene(-1.0, 1e-5) == pytest.approx(1e-21, rel=1e-12)
+    assert map_gene(1.0, 1e-5) == pytest.approx(1e-5, rel=1e-12)
+    assert map_gene(0.0, 1e-5) == pytest.approx((1e-21 + 1e-5) / 2, rel=1e-12)
     with pytest.raises(ValueError):
-        map_gene(1.0000001, bounds)
+        map_gene(1.0000001, 1e-5)
     with pytest.raises(ValueError):
-        map_gene(-1.1, bounds)
+        map_gene(np.array([0.0, -1.1]), 1e-5)
 
 
 def test_map_gene_round_trip():
-    bounds = GeneBounds.for_total(1e-8)
-    rng = np.random.default_rng(42)
-    for p in rng.uniform(-1.0, 1.0, size=500):
-        x = map_gene(float(p), bounds)
-        assert EPSILON_FLOOR <= x <= 1e-8
-        assert unmap_gene(x, bounds) == pytest.approx(p, abs=1e-12)
+    genes = np.random.default_rng(42).uniform(-1.0, 1.0, size=500)
+    x = map_gene(genes, 1e-8)
+    assert np.all((EPSILON_FLOOR <= x) & (x <= 1e-8))
+    # the affine inverse recovers the genes, and each element is the scalar map
+    back = 2.0 * (x - EPSILON_FLOOR) / (1e-8 - EPSILON_FLOOR) - 1.0
+    assert np.allclose(back, genes, rtol=0.0, atol=1e-12)
+    assert x.tolist() == [map_gene(p, 1e-8) for p in genes.tolist()]
+
+
+def test_reconstruct_batch_matches_single_splits():
+    total = 1e-9
+    pe = np.array([1e-21, 1e-10, 3e-10, 3.4e-10, 2e-10])
+    cor = np.array([1e-21, 2e-10, 1e-21, 1e-21, 5e-10])
+    feasible, budget = reconstruct_sec(total, pe, cor, Family.CV)
+    singles = [reconstruct_sec(total, p, c, Family.CV) for p, c in zip(pe.tolist(), cor.tolist())]
+    assert feasible.tolist() == [b is not None for b in singles] == [True, True, True, False, False]
+    kept = [b for b in singles if b is not None]
+    for name in ("eps_pe", "eps_cor", "eps_sec", "eps_s", "eps_h"):
+        assert getattr(budget, name).tolist() == [getattr(b, name) for b in kept]
+    assert budget.total == total and budget.family is Family.CV
+    # the nextafter nudge is the same rule in both forms
+    feasible, budget = reconstruct_sec(1e-4, np.full(2, EPSILON_FLOOR), np.full(2, EPSILON_FLOOR), Family.CV)
+    single = reconstruct_sec(1e-4, EPSILON_FLOOR, EPSILON_FLOOR, Family.CV)
+    assert budget.eps_sec.tolist() == [single.eps_sec] * 2
+    feasible, budget = reconstruct_sec(1e-9, np.full(3, 4e-10), np.full(3, 1e-21), Family.CV)
+    assert not feasible.any() and budget is None
+    with pytest.raises(ValueError, match="at least"):
+        reconstruct_sec(1e-9, np.array([1e-10, 1e-22]), np.full(2, 1e-12), Family.CV)
+
+
+def test_batch_budget_validated_as_a_whole():
+    sec = np.array([6e-6, 7e-6])
+    good = dict(total=1e-5, eps_pe=np.array([1e-6, 1e-6]), eps_cor=np.array([1e-6, 0.0]),
+                eps_sec=sec, eps_s=sec * 0.5, eps_h=sec * 0.5, family=Family.CV)
+    with pytest.raises(ValueError, match="eps_cor"):
+        EpsilonBudget(**good)  # second row below the floor
+    with pytest.raises(ValueError, match="1-d arrays of one length"):
+        EpsilonBudget(**{**good, "eps_cor": 1e-6})
+    with pytest.raises(ValueError, match="close"):
+        EpsilonBudget(**{**good, "eps_cor": np.array([1e-6, 1e-6])})  # second row overshoots
+
+
+def test_libm_calls_math_per_element():
+    # numpy's SIMD logarithms round about one argument in 10^4 differently
+    x = 10.0 ** np.random.default_rng(3).uniform(-300.0, 0.0, size=100_000)
+    for fn in (math.log, math.log2):
+        assert libm(fn, x).tolist() == [fn(v) for v in x.tolist()]
+    assert libm(math.pow, x, 2.0).tolist() == [v**2 for v in x.tolist()]
+    assert type(libm(math.log, np.float64(2.0))) is float
+    assert libm(math.log, np.array([])).shape == (0,)
 
 
 def test_baselines_cv():

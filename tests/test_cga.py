@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qkdopt import cga
-from qkdopt.budget import Family, GeneBounds, map_gene, reconstruct_sec
+from qkdopt.budget import Family, map_gene, reconstruct_sec
 from qkdopt.cga import (
     WORST_FITNESS,
     CgaConfig,
@@ -19,6 +19,7 @@ from qkdopt.cga import (
     select,
     softmax_probabilities,
 )
+from qkdopt.cv_rate import CvProtocolParams, cv_key_rate
 from qkdopt.dv_rate import DvProtocolParams, dv_key_rate
 
 
@@ -80,27 +81,49 @@ def test_run_fitness_matches_direct_rate(monkeypatch):
     total = 1e-17
     cfg = fixed_population(monkeypatch, (-0.9, -0.95), (-0.9, -0.95))
     result = run(cfg, total, Family.DV, rate)
-    bounds = GeneBounds.for_total(total)
-    budget = reconstruct_sec(
-        total, map_gene(-0.9, bounds), map_gene(-0.95, bounds), Family.DV
-    )
+    budget = reconstruct_sec(total, map_gene(-0.9, total), map_gene(-0.95, total), Family.DV)
     assert result.best_budget == budget
     assert result.best_fitness == rate(budget)
     assert result.fitness_history == [rate(budget)]
     assert type(result.best_fitness) is float
 
 
-def test_run_absorbs_rate_errors_and_nan(monkeypatch):
-    def broken(budget):
-        raise ValueError("no rate here")
+def test_run_scores_nan_rates_worst(monkeypatch):
+    def nan_rows(budget):
+        return np.full(len(budget.eps_pe), float("nan"))
 
     cfg = fixed_population(monkeypatch, (-0.5, -0.5), (-0.4, -0.6))
-    for fn in (broken, lambda b: float("nan")):
+    for fn in (nan_rows, lambda b: float("nan")):
         result = run(cfg, 1e-9, Family.CV, fn)
         assert result.best_fitness == WORST_FITNESS
         assert result.best_budget is None
         assert result.fitness_history == [WORST_FITNESS]
         assert result.reseeds == 1
+
+
+def test_run_raises_for_a_rate_function_of_the_wrong_family():
+    cfg = CgaConfig(population=20, iterations=5, rng_seed=1)
+    with pytest.raises(ValueError, match="family must be DV"):
+        run(cfg, 1e-9, Family.CV, dv_rate_fn())
+    params = CvProtocolParams()
+    with pytest.raises(ValueError, match="family must be CV"):
+        run(cfg, 1e-17, Family.DV, lambda b: cv_key_rate(params, b).rate_bits_per_sec)
+
+
+def test_run_rates_each_generation_in_one_call():
+    calls = []
+    rate = dv_rate_fn()
+
+    def counting(budget):
+        calls.append(np.size(budget.eps_pe))
+        return rate(budget)
+
+    cfg = CgaConfig(population=30, iterations=12, rng_seed=5)
+    result = run(cfg, 1e-17, Family.DV, counting)
+    assert result.reseeds == 0
+    assert len(calls) == 12
+    # only feasible rows reach the rate function
+    assert all(0 < n <= 30 for n in calls) and sum(calls) < 30 * 12
 
 
 def test_select_counts():
@@ -307,7 +330,7 @@ def test_mutate_spares_elite_and_hits_everyone_else():
 def test_run_genetic_quadratic_convergence():
     # separable concave landscape with its peak inside the gene square
     def quad(genes):
-        return -((genes[0] - 0.3) ** 2) - (genes[1] - 0.7) ** 2
+        return -((genes[:, 0] - 0.3) ** 2) - (genes[:, 1] - 0.7) ** 2
 
     for seed in range(10):
         result = run_genetic(CgaConfig(rng_seed=seed), quad)
@@ -317,14 +340,14 @@ def test_run_genetic_quadratic_convergence():
 
 def test_run_genetic_constant_landscape():
     cfg = CgaConfig(population=20, iterations=15, rng_seed=41)
-    result = run_genetic(cfg, lambda genes: 3.25)
+    result = run_genetic(cfg, lambda genes: np.full(len(genes), 3.25))
     assert result.fitness_history == [3.25] * 15
     assert result.best_fitness == 3.25
 
 
 def test_run_genetic_history_non_decreasing():
     def bumpy(genes):
-        return math.sin(7.0 * genes[0]) + math.cos(5.0 * genes[1])
+        return np.sin(7.0 * genes[:, 0]) + np.cos(5.0 * genes[:, 1])
 
     for seed in (1, 2, 3):
         cfg = CgaConfig(population=30, iterations=40, rng_seed=seed)
@@ -353,7 +376,7 @@ def test_run_deterministic_and_consistent():
 
 def test_run_all_infeasible_returns_marker():
     def hopeless(budget):
-        raise ValueError("always infeasible")
+        return np.full(len(budget.eps_pe), float("nan"))
 
     cfg = CgaConfig(population=10, iterations=5, rng_seed=7)
     result = run(cfg, 1e-17, Family.DV, hopeless)

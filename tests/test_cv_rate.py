@@ -238,18 +238,22 @@ def test_cv_key_rate_frozen_pipeline():
 
 
 def test_cv_key_rate_pure_loss_sanity():
-    params = table_params(
-        length_km=0.0, det_efficiency=1.0, electronic_noise=0.0, excess_noise=0.0
-    )
-
-    def exact(prm, t_hat, xi_hat, m):
-        return EstimatorModel(t_hat=t_hat, xi_hat=xi_hat, sigma_t=0.0, sigma_xi=0.0, m=m)
-
-    out = cv_key_rate(params, cv_budget(1e-9, 2e-10, 2e-10), estimator_fn=exact)
-    assert out.holevo_bits == pytest.approx(0.0, abs=1e-9)
-    assert out.r_pe_bits == pytest.approx(
-        params.recon_efficiency * out.mutual_info_bits, abs=1e-9
-    )
+    # no loss, no noise: only the estimator spreads leave the eavesdropper
+    # anything, so chi falls toward 0 and R_pe rises toward beta.I with the block
+    budget = cv_budget(1e-9, 2e-10, 2e-10)
+    holevo = []
+    for block in (10**6, 10**8, 10**10, 10**12):
+        params = table_params(
+            length_km=0.0, det_efficiency=1.0, electronic_noise=0.0,
+            excess_noise=0.0, block_size=block,
+        )
+        out = cv_key_rate(params, budget)
+        ideal = params.recon_efficiency * out.mutual_info_bits
+        assert out.mutual_info_bits == pytest.approx(0.5 * math.log2(25.0), rel=1e-12)
+        assert out.r_pe_bits == pytest.approx(ideal - out.holevo_bits, abs=1e-12)
+        holevo.append(out.holevo_bits)
+    assert all(b < a for a, b in zip(holevo, holevo[1:]))
+    assert 0.0 < holevo[-1] < 3e-3
 
 
 def test_cv_key_rate_asymptotic_consistency():
@@ -270,13 +274,13 @@ def test_cv_key_rate_asymptotic_consistency():
 
 
 def test_cv_key_rate_degenerate_channel():
-    params = table_params()
+    # 100 km and m = 2 estimation signals: the transmissivity interval
+    # reaches zero, so no key is claimed whatever the channel
+    params = table_params(length_km=100.0, block_size=20, pe_ratio=0.1)
     budget = cv_budget(1e-9, 2e-10, 2e-10)
-
-    def hopeless(prm, t_hat, xi_hat, m):
-        return EstimatorModel(t_hat=t_hat, xi_hat=xi_hat, sigma_t=50.0, sigma_xi=0.0, m=m)
-
-    out = cv_key_rate(params, budget, estimator_fn=hopeless)
+    est = ml_estimator_model(params, transmissivity(100.0, 0.2), params.excess_noise, 2)
+    assert worst_case_estimators(est, budget.eps_pe).degenerate
+    out = cv_key_rate(params, budget)
     assert out.r_pe_bits == 0.0
     assert out.rate_per_use == pytest.approx(
         -out.finite_term_bits / params.block_size, rel=1e-12

@@ -38,7 +38,6 @@ from .harness import (
     SweepRecord,
     SweepResult,
     SweepSpec,
-    dump_config,
     emit_results,
     load_config,
     loads_config,

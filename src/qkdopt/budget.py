@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -38,6 +38,7 @@ __all__ = [
     "map_gene",
     "libm",
     "holds",
+    "nonfinite_fields",
 ]
 
 #: Smallest admissible value for any epsilon component.  Components may sit
@@ -220,3 +221,16 @@ def holds(cond) -> bool:
     more than the rate formula itself.
     """
     return bool(cond.all()) if isinstance(cond, np.ndarray) else bool(cond)
+
+
+def nonfinite_fields(obj) -> list[str]:
+    """One message per float field of dataclass ``obj`` that is NaN or infinite.
+
+    Range checks written as comparisons pass NaN (``nan <= 0.0`` is False)
+    and an unbounded side passes infinity, so a config object runs this first.
+    """
+    return [
+        f"{f.name} must be finite, got {value!r}"
+        for f in fields(obj)
+        if isinstance(value := getattr(obj, f.name), float) and not math.isfinite(value)
+    ]

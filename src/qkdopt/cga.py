@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .budget import EpsilonBudget, Family, map_gene, reconstruct_sec
+from .budget import EpsilonBudget, Family, map_gene, nonfinite_fields, reconstruct_sec
 
 __all__ = [
     "WORST_FITNESS",
@@ -74,6 +74,9 @@ class CgaConfig:
     rng_seed: int | None = None
 
     def __post_init__(self) -> None:
+        bad = nonfinite_fields(self)
+        if bad:
+            raise ValueError("; ".join(bad))
         if self.population < 2:
             raise ValueError("population must hold at least two chromosomes")
         if self.iterations < 1:

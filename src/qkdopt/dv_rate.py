@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budget import EpsilonBudget, Family, holds, libm
+from .budget import EpsilonBudget, Family, holds, libm, nonfinite_fields
 from .cv_rate import transmissivity
 
 __all__ = [
@@ -89,7 +89,7 @@ class DvProtocolParams:
                 "qber_override must lie in [0, 0.5] when set",
             ),
         ]
-        bad = [msg for ok, msg in checks if not ok]
+        bad = nonfinite_fields(self) or [msg for ok, msg in checks if not ok]
         if bad:
             raise ValueError("; ".join(bad))
 

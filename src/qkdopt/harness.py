@@ -15,8 +15,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields
-from typing import Any, Callable
+from dataclasses import dataclass, field
+from typing import Any, Callable, get_type_hints
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "default_eps_levels",
     "load_config",
     "loads_config",
-    "dump_config",
     "run_sweep",
     "optimize_level",
     "emit_results",
@@ -123,10 +122,9 @@ class SweepSpec:
 class SweepRecord:
     """Outcome at one total-budget level; raw (unclamped) rates in bits/s.
 
-    ``error`` holds the message of a failed computation.  When only the
-    baseline splits failed (a total too small for them), the optimizer's
-    budget, rate and history and the oracle are kept and the baseline rates
-    are ``None``; when the whole level failed, only ``eps_total`` is set.
+    ``error`` holds the message of the baseline splits when the total is too
+    small for them; the optimizer's budget, rate and history and the oracle
+    are kept and the baseline rates are ``None``.
     """
 
     eps_total: float
@@ -154,17 +152,15 @@ def _level_rng(seed: int | None, level: int, restart: int) -> np.random.Generato
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run the optimizer (and comparisons) at every requested eps level.
 
-    A level that raises a domain error — for instance a block that
-    degenerates at the configured sizes — is recorded with its message and
-    the sweep moves on.
+    A model that cannot run — for instance a block that degenerates at the
+    configured sizes — raises its domain error and stops the sweep; only a
+    baseline split too small for its total is recorded in a level's
+    ``error`` (see :class:`SweepRecord`).
     """
     rate = spec.rate_fn()
-    records: list[SweepRecord] = []
-    for idx, total in enumerate(spec.eps_levels):
-        try:
-            records.append(_run_level(spec, rate, idx, total))
-        except (ValueError, ArithmeticError, OverflowError) as err:
-            records.append(SweepRecord(eps_total=total, error=str(err)))
+    records = [
+        _run_level(spec, rate, idx, total) for idx, total in enumerate(spec.eps_levels)
+    ]
     return SweepResult(spec=spec, records=records)
 
 
@@ -225,14 +221,14 @@ def _clamped(rate: float | None) -> str:
     return repr(max(rate, 0.0))
 
 
-def emit_results(result: SweepResult, fmt: str = "csv", path: str | None = None) -> str:
-    """Serialize a sweep; returns the text and optionally writes it to ``path``.
+def emit_results(result: SweepResult, fmt: str = "csv") -> str:
+    """Serialize a sweep to CSV or JSON text.
 
     CSV holds one row per level with the fixed column set
     :data:`CSV_COLUMNS`; reported rates are clamped at zero and cells for
     disabled or failed computations are left empty.  JSON mirrors the CSV
     content and additionally carries raw rates, the winning budget, the
-    fitness history and any per-level error.
+    fitness history and any baseline error.
     """
     if fmt == "csv":
         text = _emit_csv(result)
@@ -240,9 +236,6 @@ def emit_results(result: SweepResult, fmt: str = "csv", path: str | None = None)
         text = _emit_json(result)
     else:
         raise ValueError(f"unknown output format {fmt!r} (expected 'csv' or 'json')")
-    if path is not None:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
     return text
 
 
@@ -318,32 +311,12 @@ def _emit_json(result: SweepResult) -> str:
 # INI-style text with four sections.  [budget] names the protocol family;
 # [protocol] holds the family's physical parameters (any subset — the rest
 # take the family defaults); [cga] the optimizer hyperparameters; [sweep]
-# the level list and output switches.  Unknown sections or keys are errors.
+# the level list and output switches.  The keys of a section are the fields
+# of the dataclass it builds, read as the fields' annotated types.  Unknown
+# sections or keys are errors.
 
-_PROTOCOL_FIELDS = {
-    Family.CV: {f.name for f in fields(CvProtocolParams)},
-    Family.DV: {f.name for f in fields(DvProtocolParams)},
-}
-_CGA_FIELDS = {f.name for f in fields(CgaConfig)}
-_SWEEP_KEYS = {
-    "eps_levels",
-    "include_baselines",
-    "include_oracle",
-    "oracle_points",
-    "restarts",
-    "output_path",
-}
-_PROTOCOL_EXTRA = {"paper_sign_xi"}
-_INT_FIELDS = {
-    "block_size",
-    "discretization",
-    "population",
-    "iterations",
-    "rng_seed",
-    "oracle_points",
-    "restarts",
-}
-_BOOL_FIELDS = {"include_baselines", "include_oracle", "paper_sign_xi"}
+#: The SweepSpec fields that are not [sweep] keys.
+_NOT_SWEEP_KEYS = ("family", "params", "cga", "paper_sign_xi")
 
 
 def load_config(path: str) -> SweepSpec:
@@ -389,143 +362,76 @@ def loads_config(text: str) -> SweepSpec:
     if family is None:
         raise ConfigError("; ".join(problems))
 
-    params, paper_sign_xi = _parse_protocol(parser, family, problems)
-    cga = _parse_cga(parser, problems)
-    sweep_kwargs = _parse_sweep(parser, problems)
+    spec_types = get_type_hints(SweepSpec)
+    cls = CvProtocolParams if family is Family.CV else DvProtocolParams
+    protocol_types = get_type_hints(cls)
+    protocol_types["paper_sign_xi"] = spec_types["paper_sign_xi"]
+    protocol = _read_section(parser, "protocol", protocol_types, problems)
+    paper_sign_xi = protocol.pop("paper_sign_xi", False)
+    if paper_sign_xi and family is Family.DV:
+        problems.append("paper_sign_xi applies only to the CV family")
+    params = _build("protocol", cls, protocol, problems)
+    cga_kwargs = _read_section(parser, "cga", get_type_hints(CgaConfig), problems)
+    cga = _build("cga", CgaConfig, cga_kwargs, problems)
+    sweep_types = {k: t for k, t in spec_types.items() if k not in _NOT_SWEEP_KEYS}
+    sweep = _read_section(parser, "sweep", sweep_types, problems)
 
     if problems:
         raise ConfigError("; ".join(problems))
     try:
         return SweepSpec(
-            family=family,
-            params=params,
-            cga=cga,
-            paper_sign_xi=paper_sign_xi,
-            **sweep_kwargs,
+            family=family, params=params, cga=cga, paper_sign_xi=paper_sign_xi, **sweep
         )
-    except (ConfigError, ValueError) as err:
+    except ValueError as err:
         raise ConfigError(str(err)) from err
 
 
-def _convert(key: str, raw: str) -> Any:
-    if key in _BOOL_FIELDS:
+def _read_section(
+    parser: configparser.ConfigParser,
+    section: str,
+    types: dict[str, Any],
+    problems: list[str],
+) -> dict[str, Any]:
+    """The keys of ``section`` converted by ``types``, a field-to-type map;
+    unknown keys and unreadable values go to ``problems``."""
+    values: dict[str, Any] = {}
+    if not parser.has_section(section):
+        return values
+    for key, raw in parser[section].items():
+        if key not in types:
+            problems.append(f"unknown key '{key}' in section [{section}]")
+            continue
+        try:
+            values[key] = _convert(types[key], raw)
+        except ValueError as err:
+            problems.append(f"bad value for {section}.{key}: {err}")
+    return values
+
+
+def _convert(tp: Any, raw: str) -> Any:
+    """``raw`` read as a value of the annotated field type ``tp``."""
+    if tp is bool:
         lowered = raw.strip().lower()
         if lowered in ("true", "yes", "on", "1"):
             return True
         if lowered in ("false", "no", "off", "0"):
             return False
         raise ValueError(f"expected a boolean, got '{raw}'")
-    if key in _INT_FIELDS:
+    if tp == tuple[float, ...]:
+        return tuple(float(tok) for tok in raw.replace(",", " ").split())
+    if tp in (int, int | None):
         return int(raw)
-    return float(raw)
+    if tp in (float, float | None):
+        return float(raw)
+    if tp == str | None:
+        return raw.strip()
+    raise TypeError(f"no INI reading for a field of type {tp}")
 
 
-def _parse_protocol(parser, family, problems):
-    cls = CvProtocolParams if family is Family.CV else DvProtocolParams
-    allowed = _PROTOCOL_FIELDS[family] | _PROTOCOL_EXTRA
-    kwargs: dict[str, Any] = {}
-    paper_sign_xi = False
-    if parser.has_section("protocol"):
-        for key, raw in parser["protocol"].items():
-            if key not in allowed:
-                problems.append(f"unknown key '{key}' in section [protocol]")
-                continue
-            try:
-                value = _convert(key, raw)
-            except ValueError as err:
-                problems.append(f"bad value for protocol.{key}: {err}")
-                continue
-            if key == "paper_sign_xi":
-                paper_sign_xi = value
-            else:
-                kwargs[key] = value
-    if paper_sign_xi and family is Family.DV:
-        problems.append("paper_sign_xi applies only to the CV family")
+def _build(section: str, cls: type, kwargs: dict[str, Any], problems: list[str]) -> Any:
+    """``cls(**kwargs)``, or the defaults with the violated bound in ``problems``."""
     try:
-        params = cls(**kwargs)
+        return cls(**kwargs)
     except ValueError as err:
-        problems.append(f"[protocol] {err}")
-        params = cls()
-    return params, paper_sign_xi
-
-
-def _parse_cga(parser, problems):
-    kwargs: dict[str, Any] = {}
-    if parser.has_section("cga"):
-        for key, raw in parser["cga"].items():
-            if key not in _CGA_FIELDS:
-                problems.append(f"unknown key '{key}' in section [cga]")
-                continue
-            try:
-                kwargs[key] = _convert(key, raw)
-            except ValueError as err:
-                problems.append(f"bad value for cga.{key}: {err}")
-    try:
-        return CgaConfig(**kwargs)
-    except ValueError as err:
-        problems.append(f"[cga] {err}")
-        return CgaConfig()
-
-
-def _parse_sweep(parser, problems):
-    kwargs: dict[str, Any] = {}
-    if not parser.has_section("sweep"):
-        return kwargs
-    for key, raw in parser["sweep"].items():
-        if key not in _SWEEP_KEYS:
-            problems.append(f"unknown key '{key}' in section [sweep]")
-            continue
-        if key == "eps_levels":
-            try:
-                levels = tuple(
-                    float(tok) for tok in raw.replace(",", " ").split() if tok
-                )
-            except ValueError as err:
-                problems.append(f"bad value for sweep.eps_levels: {err}")
-                continue
-            kwargs["eps_levels"] = levels
-        elif key == "output_path":
-            kwargs["output_path"] = raw.strip()
-        else:
-            try:
-                kwargs[key] = _convert(key, raw)
-            except ValueError as err:
-                problems.append(f"bad value for sweep.{key}: {err}")
-    return kwargs
-
-
-def dump_config(spec: SweepSpec) -> str:
-    """Render a spec back to INI text; ``loads_config`` round-trips it."""
-    lines = ["[budget]", f"family = {spec.family.value}", "", "[protocol]"]
-    for f in fields(type(spec.params)):
-        value = getattr(spec.params, f.name)
-        if value is None:
-            continue
-        lines.append(f"{f.name} = {_format_value(value)}")
-    if spec.family is Family.CV:
-        lines.append(f"paper_sign_xi = {_format_value(spec.paper_sign_xi)}")
-    lines.append("")
-    lines.append("[cga]")
-    for f in fields(CgaConfig):
-        value = getattr(spec.cga, f.name)
-        if value is None:
-            continue
-        lines.append(f"{f.name} = {_format_value(value)}")
-    lines.append("")
-    lines.append("[sweep]")
-    lines.append("eps_levels = " + " ".join(repr(lv) for lv in spec.eps_levels))
-    lines.append(f"include_baselines = {_format_value(spec.include_baselines)}")
-    lines.append(f"include_oracle = {_format_value(spec.include_oracle)}")
-    lines.append(f"oracle_points = {spec.oracle_points}")
-    lines.append(f"restarts = {spec.restarts}")
-    if spec.output_path is not None:
-        lines.append(f"output_path = {spec.output_path}")
-    return "\n".join(lines) + "\n"
-
-
-def _format_value(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        problems.append(f"[{section}] {err}")
+        return cls()

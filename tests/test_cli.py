@@ -209,6 +209,30 @@ def test_negative_seed_exits_one(capsys, tmp_path):
     assert "rng_seed" in err
 
 
+@pytest.mark.parametrize(
+    "family, section, cause",
+    [
+        # a model that cannot run at its parameters
+        ("dv", "[protocol]\nblock_size = 100", "detected block degenerate"),
+        ("cv", "[protocol]\nsignal_variance = 1", "require modulation"),
+        # a number no range check would otherwise catch
+        ("dv", "[cga]\nmutation_sigma = nan", "[cga] mutation_sigma must be finite"),
+        ("dv", "[protocol]\nclock_hz = inf", "[protocol] clock_hz must be finite"),
+        ("cv", "[protocol]\nsignal_variance = inf", "signal_variance must be finite"),
+    ],
+)
+def test_config_that_cannot_run_exits_one(capsys, tmp_path, family, section, cause):
+    # once, not as an error column in every level's record
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[budget]\nfamily = {family}\n\n{section}\n")
+    code, out, err = run_cli(
+        capsys, "sweep", "--config", str(cfg), "--seed", "11", "--eps", "1e-10,1e-9"
+    )
+    assert code == 1
+    assert out == ""
+    assert cause in err and err.count("\n") == 1
+
+
 def test_io_errors_exit_two(capsys):
     code, _, err = run_cli(
         capsys,

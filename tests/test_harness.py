@@ -1,4 +1,7 @@
 import json
+import math
+from dataclasses import fields
+from typing import get_type_hints
 
 import pytest
 
@@ -11,7 +14,6 @@ from qkdopt.harness import (
     ConfigError,
     SweepSpec,
     default_eps_levels,
-    dump_config,
     emit_results,
     load_config,
     loads_config,
@@ -52,21 +54,207 @@ def test_default_levels_are_decade_grids():
     assert dv[0] == 1e-17 and dv[-1] == 1e-5 and len(dv) == 13
 
 
-def test_config_round_trip_both_families():
-    cv_spec = SweepSpec(
-        family=Family.CV,
-        params=CvProtocolParams(length_km=7.5, excess_noise=0.02),
-        cga=CgaConfig(population=50, iterations=25, rng_seed=3),
-        eps_levels=(1e-12, 1e-11),
-        include_oracle=True,
-        oracle_points=64,
-        restarts=2,
-        paper_sign_xi=True,
-        output_path="out.csv",
-    )
-    assert loads_config(dump_config(cv_spec)) == cv_spec
-    dv_spec = small_dv_spec(params=DvProtocolParams(qber_override=0.05))
-    assert loads_config(dump_config(dv_spec)) == dv_spec
+CV_EVERY_KEY_INI = """
+[budget]
+family = cv
+
+[protocol]
+length_km = 7
+attenuation_db_per_km = 0.18
+det_efficiency = 0.7
+excess_noise = 0.02
+electronic_noise = 0.05
+signal_variance = 12.5
+block_size = 250000
+recon_efficiency = 0.9
+discretization = 5
+pe_ratio = 0.4
+clock_hz = 5e8
+paper_sign_xi = yes
+
+[cga]
+population = 50
+iterations = 25
+mutation_rate = 0.3
+parent_rate = 0.6
+survival_rate = 0.75
+mutation_sigma = 0.1
+rng_seed = 3
+
+[sweep]
+eps_levels = 1e-12, 1e-11
+include_baselines = off
+include_oracle = true
+oracle_points = 64
+restarts = 2
+output_path =  out.csv
+"""
+
+DV_EVERY_KEY_INI = """
+[budget]
+family = DV
+
+[protocol]
+length_km = 50
+attenuation_db_per_km = 0.25
+det_efficiency = 0.6
+x_basis_prob = 0.7
+block_size = 1000000
+dark_count_prob = 1e-4
+recon_efficiency = 1.1
+pe_ratio = 0.2
+clock_hz = 1e9
+dead_time_s = 1e-6
+intrinsic_error = 0.01
+qber_override = 0.03
+
+[cga]
+population = 30
+iterations = 40
+mutation_rate = 0.25
+parent_rate = 0.8
+survival_rate = 0.5
+mutation_sigma = 0.3
+rng_seed = 0
+
+[sweep]
+eps_levels = 1e-18 1e-17 1e-16
+include_baselines = no
+include_oracle = 1
+oracle_points = 16
+restarts = 3
+output_path = dv.json
+"""
+
+EVERY_KEY_SPECS = {
+    "cv": (
+        CV_EVERY_KEY_INI,
+        SweepSpec(
+            family=Family.CV,
+            params=CvProtocolParams(
+                length_km=7.0,
+                attenuation_db_per_km=0.18,
+                det_efficiency=0.7,
+                excess_noise=0.02,
+                electronic_noise=0.05,
+                signal_variance=12.5,
+                block_size=250_000,
+                recon_efficiency=0.9,
+                discretization=5,
+                pe_ratio=0.4,
+                clock_hz=5e8,
+            ),
+            cga=CgaConfig(
+                population=50,
+                iterations=25,
+                mutation_rate=0.3,
+                parent_rate=0.6,
+                survival_rate=0.75,
+                mutation_sigma=0.1,
+                rng_seed=3,
+            ),
+            eps_levels=(1e-12, 1e-11),
+            include_baselines=False,
+            include_oracle=True,
+            oracle_points=64,
+            restarts=2,
+            paper_sign_xi=True,
+            output_path="out.csv",
+        ),
+    ),
+    "dv": (
+        DV_EVERY_KEY_INI,
+        SweepSpec(
+            family=Family.DV,
+            params=DvProtocolParams(
+                length_km=50.0,
+                attenuation_db_per_km=0.25,
+                det_efficiency=0.6,
+                x_basis_prob=0.7,
+                block_size=1_000_000,
+                dark_count_prob=1e-4,
+                recon_efficiency=1.1,
+                pe_ratio=0.2,
+                clock_hz=1e9,
+                dead_time_s=1e-6,
+                intrinsic_error=0.01,
+                qber_override=0.03,
+            ),
+            cga=CgaConfig(
+                population=30,
+                iterations=40,
+                mutation_rate=0.25,
+                parent_rate=0.8,
+                survival_rate=0.5,
+                mutation_sigma=0.3,
+                rng_seed=0,
+            ),
+            eps_levels=(1e-18, 1e-17, 1e-16),
+            include_baselines=False,
+            include_oracle=True,
+            oracle_points=16,
+            restarts=3,
+            output_path="dv.json",
+        ),
+    ),
+}
+
+
+def _fields_with_types(obj):
+    hints = get_type_hints(type(obj))
+    return [(f.name, hints[f.name], getattr(obj, f.name)) for f in fields(obj)]
+
+
+@pytest.mark.parametrize("family", sorted(EVERY_KEY_SPECS))
+def test_config_sets_every_field_with_its_type(family):
+    text, expected = EVERY_KEY_SPECS[family]
+    spec = loads_config(text)
+    assert spec == expected
+    # every field of every section is set, each away from its default
+    defaults = SweepSpec(family=spec.family, params=type(spec.params)())
+    not_keys = {"family", "params", "cga"}
+    if spec.family is Family.DV:
+        not_keys.add("paper_sign_xi")  # a CV-only key
+    pairs = ((spec.params, defaults.params), (spec.cga, defaults.cga), (spec, defaults))
+    for obj, default in pairs:
+        for name, _, value in _fields_with_types(obj):
+            if obj is not spec or name not in not_keys:
+                assert value != getattr(default, name), name
+    # each value has exactly its field's annotated type, and none is None
+    exact = {bool: bool, int: int, int | None: int, float: float, float | None: float}
+    for obj in (spec.params, spec.cga, spec):
+        for name, tp, value in _fields_with_types(obj):
+            assert value is not None, name
+            if tp in exact:
+                assert type(value) is exact[tp], (name, type(value))
+    assert type(spec.output_path) is str
+    assert all(type(lv) is float for lv in spec.eps_levels)
+
+
+def _float_fields(cls):
+    hints = get_type_hints(cls)
+    return [f.name for f in fields(cls) if hints[f.name] in (float, float | None)]
+
+
+FLOAT_FIELDS = [
+    (cls, name)
+    for cls in (CvProtocolParams, DvProtocolParams, CgaConfig)
+    for name in _float_fields(cls)
+]
+
+
+def test_float_field_list_covers_the_config_classes():
+    assert len(FLOAT_FIELDS) == 9 + 11 + 4  # CV, DV and CGA float fields
+    assert (CgaConfig, "mutation_sigma") in FLOAT_FIELDS
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "cls, name", FLOAT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS]
+)
+def test_config_objects_reject_non_finite_floats(cls, name, value):
+    with pytest.raises(ValueError, match=name):
+        cls(**{name: value})
 
 
 def test_config_rejects_bad_pe_ratio_by_name():
@@ -248,13 +436,6 @@ def test_emit_rejects_unknown_format():
     result = run_sweep(small_dv_spec(eps_levels=(1e-17,)))
     with pytest.raises(ValueError):
         emit_results(result, fmt="yaml")
-
-
-def test_emit_writes_file(tmp_path):
-    out = tmp_path / "sweep.csv"
-    result = run_sweep(small_dv_spec(eps_levels=(1e-17,)))
-    text = emit_results(result, fmt="csv", path=str(out))
-    assert out.read_text() == text
 
 
 def test_sweep_is_byte_deterministic():

@@ -15,7 +15,8 @@ two free components, the fixed baseline splits used for comparison, and the
 linear map from optimizer genes in ``[-1, 1]`` to component values.
 
 A budget holds one split (floats) or a batch of splits (equal-length 1-d
-arrays of each component, sharing one total and family).  The rate chains
+arrays of each component, sharing one family; the total is one float for
+all of them or an array with one total per split).  The rate chains
 take either and return floats or arrays to match; :func:`libm` is their one
 route to the logarithms.
 """
@@ -72,10 +73,11 @@ class EpsilonBudget:
     tolerance 1e-12) with every component in ``[EPSILON_FLOOR, total)``,
     and ``eps_s == eps_h == eps_sec / 2`` exactly.  A batch holds each
     component as a 1-d array of one common length and is checked once, for
-    all of its splits.
+    all of its splits, each against its own total when ``total`` is an array
+    of that length too.
     """
 
-    total: float
+    total: float | np.ndarray
     eps_pe: float | np.ndarray
     eps_cor: float | np.ndarray
     eps_sec: float | np.ndarray
@@ -84,11 +86,13 @@ class EpsilonBudget:
     family: Family
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.total < 1.0):
+        if not holds((0.0 < self.total) & (self.total < 1.0)):
             raise ValueError(f"total budget must lie in (0, 1), got {self.total}")
         shapes = {getattr(getattr(self, name), "shape", ()) for name in _COMPONENTS}
-        if len(shapes) != 1 or len(shapes.pop()) > 1:
+        if len(shapes) != 1 or len(shape := shapes.pop()) > 1:
             raise ValueError("components must be floats or 1-d arrays of one length")
+        if np.ndim(self.total) and np.shape(self.total) != shape:
+            raise ValueError("an array of totals must hold one total per split")
         for name in ("eps_pe", "eps_cor", "eps_sec"):
             value = getattr(self, name)
             if not holds((EPSILON_FLOOR <= value) & (value < self.total)):
@@ -113,7 +117,7 @@ class EpsilonBudget:
         return cls(total, eps_pe, eps_cor, eps_sec, eps_sec * 0.5, eps_sec * 0.5, family)
 
 
-def reconstruct_sec(total: float, eps_pe, eps_cor, family: Family):
+def reconstruct_sec(total, eps_pe, eps_cor, family: Family):
     """Complete a budget from its two free components.
 
     ``eps_sec`` is whatever remains of ``total`` after charging ``eps_pe``
@@ -125,12 +129,13 @@ def reconstruct_sec(total: float, eps_pe, eps_cor, family: Family):
     Equal-length 1-d arrays of the two components are completed row by row
     and give ``(feasible, budget)``: the mask of rows whose remainder clears
     the floor, and one batch budget of those rows (``None`` if there are
-    none).  A single split is the 0-d case of the same rule.
+    none).  ``total`` may then be an array of the same length, one total per
+    row.  A single split is the 0-d case of the same rule.
 
     Raises ``ValueError`` for genuine domain violations: ``total`` outside
     ``(0, 1)`` or either input below ``EPSILON_FLOOR``.
     """
-    if not (0.0 < total < 1.0):
+    if not holds((0.0 < total) & (total < 1.0)):
         raise ValueError(f"total budget must lie in (0, 1), got {total}")
     if not holds((eps_pe >= EPSILON_FLOOR) & (eps_cor >= EPSILON_FLOOR)):
         raise ValueError(
@@ -141,13 +146,15 @@ def reconstruct_sec(total: float, eps_pe, eps_cor, family: Family):
     feasible = eps_sec >= EPSILON_FLOOR
     # Subtracting components below half an ulp of ``total`` rounds back to
     # ``total`` itself; nudge down so the strict component bound holds.
-    eps_sec = np.minimum(eps_sec, math.nextafter(total, 0.0))
+    eps_sec = np.minimum(eps_sec, np.nextafter(total, 0.0))
     if not isinstance(eps_sec, np.ndarray):
         if not feasible:
             return None
         eps_sec = float(eps_sec)
     elif feasible.any():
         eps_pe, eps_cor, eps_sec = eps_pe[feasible], eps_cor[feasible], eps_sec[feasible]
+        if isinstance(total, np.ndarray):
+            total = total[feasible]
     else:
         return feasible, None
     budget = EpsilonBudget(total, eps_pe, eps_cor, eps_sec, eps_sec * 0.5, eps_sec * 0.5, family)
@@ -187,9 +194,12 @@ def baseline_budgets(total: float, family: Family) -> list[tuple[str, EpsilonBud
     return out
 
 
-def map_gene(p, total: float):
+def map_gene(p, total):
     """Map normalized genes ``p`` in ``[-1, 1]`` linearly onto
     ``[EPSILON_FLOOR, total]``, element by element.
+
+    ``total`` is one float, or an array that broadcasts against ``p``: the
+    per-row totals of an ``(N, 2)`` gene array are an ``(N, 1)`` column.
 
     ``p = -1`` lands exactly on the floor and ``p = +1`` on ``total``; the
     upper endpoint is admissible here because the feasibility of the

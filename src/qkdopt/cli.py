@@ -33,6 +33,7 @@ from .harness import (
     emit_results,
     load_config,
     optimize_level,
+    parse_eps_levels,
     run_sweep,
 )
 from .oracle import GridSpec, grid_csv_text, grid_search
@@ -161,7 +162,7 @@ def _build_spec(args: argparse.Namespace) -> SweepSpec:
 
 def _parse_eps_list(raw: str) -> tuple[float, ...]:
     try:
-        return tuple(float(tok) for tok in raw.replace(",", " ").split() if tok)
+        return parse_eps_levels(raw)
     except ValueError as err:
         raise _UsageError(f"bad --eps value: {err}") from err
 

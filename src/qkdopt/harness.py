@@ -21,7 +21,7 @@ from typing import Any, Callable, get_type_hints
 import numpy as np
 
 from .budget import EpsilonBudget, Family, baseline_budgets
-from .cga import CgaConfig, OptimizationResult, run as run_cga
+from .cga import CgaConfig, OptimizationResult, run_lockstep
 from .cv_rate import CvProtocolParams, cv_key_rate
 from .dv_rate import DvProtocolParams, dv_key_rate
 from .oracle import GridSpec, grid_search
@@ -34,6 +34,7 @@ __all__ = [
     "default_eps_levels",
     "load_config",
     "loads_config",
+    "parse_eps_levels",
     "run_sweep",
     "optimize_level",
     "emit_results",
@@ -152,14 +153,16 @@ def _level_rng(seed: int | None, level: int, restart: int) -> np.random.Generato
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run the optimizer (and comparisons) at every requested eps level.
 
-    A model that cannot run — for instance a block that degenerates at the
-    configured sizes — raises its domain error and stops the sweep; only a
-    baseline split too small for its total is recorded in a level's
-    ``error`` (see :class:`SweepRecord`).
+    Every (level, restart) optimizer run of the sweep advances in one
+    lockstep (see :func:`optimize_level`).  A model that cannot run — for
+    instance a block that degenerates at the configured sizes — raises its
+    domain error and stops the sweep; only a baseline split too small for
+    its total is recorded in a level's ``error`` (see :class:`SweepRecord`).
     """
     rate = spec.rate_fn()
+    best = _optimize_levels(spec, list(enumerate(spec.eps_levels)))
     records = [
-        _run_level(spec, rate, idx, total) for idx, total in enumerate(spec.eps_levels)
+        _run_level(spec, rate, total, opt) for total, opt in zip(spec.eps_levels, best)
     ]
     return SweepResult(spec=spec, records=records)
 
@@ -168,26 +171,39 @@ def optimize_level(spec: SweepSpec, total: float, level: int) -> OptimizationRes
     """Best of ``spec.restarts`` optimizer runs at one total budget.
 
     Restart ``r`` at level index ``level`` draws from its own generator,
-    derived from ``(spec.cga.rng_seed, level, r)``; the first restart with
-    the highest fitness wins.
+    derived from ``(spec.cga.rng_seed, level, r)``; the restarts advance in
+    lockstep, and the first restart with the highest fitness wins.
     """
-    rate = spec.rate_fn()
-    best = None
-    for restart in range(spec.restarts):
-        rng = _level_rng(spec.cga.rng_seed, level, restart)
-        result = run_cga(spec.cga, total, spec.family, rate, rng=rng)
-        if best is None or result.best_fitness > best.best_fitness:
-            best = result
-    return best
+    return _optimize_levels(spec, [(level, total)])[0]
+
+
+def _optimize_levels(
+    spec: SweepSpec, levels: list[tuple[int, float]]
+) -> list[OptimizationResult]:
+    """:func:`optimize_level` at each ``(level index, total)``, every run of
+    every level in one :func:`run_lockstep` call."""
+    restarts = range(spec.restarts)
+    results = run_lockstep(
+        spec.cga,
+        [total for _, total in levels for _ in restarts],
+        spec.family,
+        spec.rate_fn(),
+        [_level_rng(spec.cga.rng_seed, idx, r) for idx, _ in levels for r in restarts],
+    )
+    return [
+        max(results[k : k + spec.restarts], key=lambda result: result.best_fitness)
+        for k in range(0, len(results), spec.restarts)
+    ]
 
 
 def _run_level(
     spec: SweepSpec,
     rate: Callable[[EpsilonBudget], float],
-    idx: int,
     total: float,
+    best: OptimizationResult,
 ) -> SweepRecord:
-    best = optimize_level(spec, total, idx)
+    """The record of one level: ``best`` from the optimizer, plus the
+    baseline and oracle rates."""
     rate_opt = best.best_fitness if best.best_budget is not None else None
     rate_sym = rate_asym = error = None
     if spec.include_baselines:
@@ -266,6 +282,11 @@ def _raw(rate: float | None) -> float | None:
     return rate
 
 
+def _raw_clamped(rate: float | None) -> float | None:
+    raw = _raw(rate)
+    return None if raw is None else max(raw, 0.0)
+
+
 def _emit_json(result: SweepResult) -> str:
     records = []
     for rec in result.records:
@@ -287,12 +308,10 @@ def _emit_json(result: SweepResult) -> str:
                     "oracle": _raw(rec.rate_oracle),
                 },
                 "rates_clamped": {
-                    "opt": None if rec.rate_opt is None else max(rec.rate_opt, 0.0),
-                    "sym": None if rec.rate_sym is None else max(rec.rate_sym, 0.0),
-                    "asym": None if rec.rate_asym is None else max(rec.rate_asym, 0.0),
-                    "oracle": None
-                    if rec.rate_oracle is None
-                    else max(rec.rate_oracle, 0.0),
+                    "opt": _raw_clamped(rec.rate_opt),
+                    "sym": _raw_clamped(rec.rate_sym),
+                    "asym": _raw_clamped(rec.rate_asym),
+                    "oracle": _raw_clamped(rec.rate_oracle),
                 },
                 "fitness_history": rec.fitness_history,
                 "error": rec.error,
@@ -418,7 +437,7 @@ def _convert(tp: Any, raw: str) -> Any:
             return False
         raise ValueError(f"expected a boolean, got '{raw}'")
     if tp == tuple[float, ...]:
-        return tuple(float(tok) for tok in raw.replace(",", " ").split())
+        return parse_eps_levels(raw)
     if tp in (int, int | None):
         return int(raw)
     if tp in (float, float | None):
@@ -426,6 +445,12 @@ def _convert(tp: Any, raw: str) -> Any:
     if tp == str | None:
         return raw.strip()
     raise TypeError(f"no INI reading for a field of type {tp}")
+
+
+def parse_eps_levels(raw: str) -> tuple[float, ...]:
+    """A level list, ``[sweep] eps_levels`` or ``--eps``: floats separated by
+    commas and/or whitespace."""
+    return tuple(float(tok) for tok in raw.replace(",", " ").split())
 
 
 def _build(section: str, cls: type, kwargs: dict[str, Any], problems: list[str]) -> Any:

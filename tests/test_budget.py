@@ -138,6 +138,56 @@ def test_batch_budget_validated_as_a_whole():
         EpsilonBudget(**{**good, "eps_cor": np.array([1e-6, 1e-6])})  # second row overshoots
 
 
+def test_reconstruct_per_row_totals_match_float_calls():
+    # one total per row, as a stack of runs at several levels has: the mask
+    # and every component equal the float calls row by row, floor rows too
+    rng = np.random.default_rng(8)
+    for family in Family:
+        totals = np.repeat([3e-21, 1e-18, 1e-9, 1e-5], 50)
+        genes = rng.uniform(-1.0, 1.0, size=(len(totals), 2))
+        genes[::7] = -1.0
+        eps = map_gene(genes, totals[:, None])
+        feasible, budget = reconstruct_sec(totals, eps[:, 0], eps[:, 1], family)
+        singles = [
+            reconstruct_sec(t, p, c, family)
+            for t, p, c in zip(totals.tolist(), eps[:, 0].tolist(), eps[:, 1].tolist())
+        ]
+        assert feasible.tolist() == [b is not None for b in singles]
+        assert 0 < feasible.sum() < len(totals)
+        kept = [b for b in singles if b is not None]
+        for name in ("total", "eps_pe", "eps_cor", "eps_sec", "eps_s", "eps_h"):
+            assert getattr(budget, name).tolist() == [getattr(b, name) for b in kept]
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        reconstruct_sec(np.array([1e-9, 1.5]), np.full(2, 1e-12), np.full(2, 1e-12), Family.DV)
+
+
+def test_batch_budget_closes_each_row_against_its_own_total():
+    sec = np.array([6e-6, 6e-9])
+    rows = dict(eps_pe=np.array([1e-6, 1e-9]), eps_cor=np.array([1e-6, 1e-9]),
+                eps_sec=sec, eps_s=sec * 0.5, eps_h=sec * 0.5, family=Family.CV)
+    budget = EpsilonBudget(total=np.array([1e-5, 1e-8]), **rows)
+    assert budget.total.tolist() == [1e-5, 1e-8]
+    with pytest.raises(ValueError, match="close"):
+        EpsilonBudget(total=np.array([1e-5, 1e-5]), **rows)  # second row is 1e-8
+    with pytest.raises(ValueError, match="close"):
+        EpsilonBudget(total=np.array([1e-5, 2e-8]), **rows)
+    with pytest.raises(ValueError, match="one total per split"):
+        EpsilonBudget(total=np.array([1e-5, 1e-8, 1e-8]), **rows)
+
+
+def test_map_gene_per_row_totals_match_float_form():
+    genes = np.random.default_rng(9).uniform(-1.0, 1.0, size=(300, 2))
+    genes[0] = (-1.0, 1.0)
+    totals = np.repeat([3e-21, 1e-17, 1e-9], 100)
+    eps = map_gene(genes, totals[:, None])
+    assert eps.tolist() == [
+        [map_gene(p, t) for p in row] for row, t in zip(genes.tolist(), totals.tolist())
+    ]
+    # a stack of runs: (R, P, 2) genes against (R, 1, 1) totals
+    stacked = map_gene(genes.reshape(3, 100, 2), np.array([3e-21, 1e-17, 1e-9])[:, None, None])
+    assert stacked.reshape(-1, 2).tolist() == eps.tolist()
+
+
 def test_libm_calls_math_per_element():
     # numpy's SIMD logarithms round about one argument in 10^4 differently
     x = 10.0 ** np.random.default_rng(3).uniform(-300.0, 0.0, size=100_000)

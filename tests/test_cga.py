@@ -16,6 +16,7 @@ from qkdopt.cga import (
     pair,
     run,
     run_genetic,
+    run_lockstep,
     select,
     softmax_probabilities,
 )
@@ -32,6 +33,20 @@ def fixed_population(monkeypatch, *genes):
     """Make every (re-)initialization of a run draw exactly ``genes``."""
     monkeypatch.setattr(cga, "initialize", lambda config, rng: np.array(genes, dtype=float))
     return CgaConfig(population=len(genes), iterations=1, parent_rate=1.0, rng_seed=0)
+
+
+def pair_one(fitness, n_pairs, rng):
+    """``pair`` for one run: a stack of one pool and one generator."""
+    mothers, fathers = pair(np.asarray(fitness, dtype=float)[None], n_pairs, [rng])
+    return mothers[0], fathers[0]
+
+
+def crossover_one(mothers, fathers, rng):
+    return crossover(mothers[None], fathers[None], [rng])[0]
+
+
+def mutate_one(genes, elite_index, config, rng):
+    return mutate(genes[None], elite_index, config, [rng])[0]
 
 
 def test_config_validation():
@@ -126,25 +141,75 @@ def test_run_rates_each_generation_in_one_call():
     assert all(0 < n <= 30 for n in calls) and sum(calls) < 30 * 12
 
 
+#: A stack of DV runs: (total, seed).  3e-21 leaves a feasible split only
+#: at the floor corner, so its run re-seeds; 2e-15 is rated NaN throughout;
+#: the two 1e-18 runs share a total but not a generator.
+_STACK = ((1e-18, 3), (3e-21, 4), (1e-12, 5), (2e-15, 6), (1e-18, 7), (1e-6, 8))
+_NAN_TOTAL = 2e-15
+
+
+def _nan_at_one_level(rate):
+    def rate_fn(budget):
+        return np.where(budget.total == _NAN_TOTAL, np.nan, rate(budget))
+
+    return rate_fn
+
+
+def test_lockstep_runs_equal_their_runs_alone():
+    cfg = CgaConfig(population=24, iterations=15)
+    calls = []
+    rate = _nan_at_one_level(dv_rate_fn())
+
+    def counting(budget):
+        calls.append(np.size(budget.eps_pe))
+        return rate(budget)
+
+    totals = [total for total, _ in _STACK]
+    rngs = [np.random.default_rng(seed) for _, seed in _STACK]
+    stacked = run_lockstep(cfg, totals, Family.DV, counting, rngs)
+    assert len(calls) == cfg.iterations  # one rate call per generation for all runs
+    alone = [
+        run(cfg, total, Family.DV, rate, rng=np.random.default_rng(seed))
+        for total, seed in _STACK
+    ]
+    for (total, _), got, want in zip(_STACK, stacked, alone):
+        assert got.best_genes == want.best_genes, total
+        assert got.best_fitness == want.best_fitness, total
+        assert got.best_budget == want.best_budget, total
+        assert got.fitness_history == want.fitness_history, total
+        assert got.reseeds == want.reseeds, total
+        assert got.evaluations == want.evaluations, total
+    by_total = dict(zip(totals, stacked))
+    assert by_total[3e-21].reseeds > 0 and by_total[_NAN_TOTAL].reseeds == cfg.iterations
+    assert by_total[_NAN_TOTAL].best_budget is None
+    assert by_total[1e-6].reseeds == 0 and by_total[1e-6].best_budget is not None
+    assert stacked[0].best_genes != stacked[4].best_genes
+
+
+def test_lockstep_of_one_is_run():
+    cfg = CgaConfig(population=20, iterations=10, rng_seed=3)
+    rate = dv_rate_fn()
+    (stacked,) = run_lockstep(cfg, [1e-17], Family.DV, rate, [np.random.default_rng(3)])
+    assert stacked == run(cfg, 1e-17, Family.DV, rate)
+
+
 def test_select_counts():
     cfg = CgaConfig(population=200, parent_rate=0.5, survival_rate=1.0)
     fitness = np.arange(200.0)
-    parents, survivors = select(fitness, cfg)
+    parents = select(fitness, cfg)
     assert len(parents) == 100
-    assert len(survivors) == 100
     assert fitness[parents[0]] == 199
-    assert np.array_equal(survivors, parents)
-
-    floor_cfg = CgaConfig(population=200, parent_rate=0.5, survival_rate=0.0)
-    _, lone = select(fitness, floor_cfg)
-    assert len(lone) == 1
+    # the survivors are the pool's first n_survivors: all of it here, and
+    # never none
+    assert cfg.n_survivors == 100
+    assert CgaConfig(population=200, parent_rate=0.5, survival_rate=0.0).n_survivors == 1
 
 
 def test_select_stable_ties():
     cfg = CgaConfig(population=6, parent_rate=0.5, survival_rate=1.0)
-    parents, _ = select(np.full(6, 5.0), cfg)
+    parents = select(np.full(6, 5.0), cfg)
     assert parents.tolist() == [0, 1, 2]
-    parents, _ = select(np.array([1.0, 5.0, 1.0, 5.0, 5.0, 1.0]), cfg)
+    parents = select(np.array([1.0, 5.0, 1.0, 5.0, 5.0, 1.0]), cfg)
     assert parents.tolist() == [1, 3, 4]
 
 
@@ -153,7 +218,7 @@ def test_select_prefers_finite_over_worst():
     fitness = np.array(
         [WORST_FITNESS, 1.0, WORST_FITNESS, 2.0, 3.0, WORST_FITNESS, 4.0, WORST_FITNESS]
     )
-    parents, _ = select(fitness, cfg)
+    parents = select(fitness, cfg)
     assert parents.tolist() == [6, 4, 3, 1]
 
 
@@ -181,7 +246,7 @@ def test_softmax_normalizes_left_to_right():
 def test_pair_equal_fitness_is_symmetric():
     rng = np.random.default_rng(11)
     trials = 10_000
-    mothers, fathers = pair(np.array([7.0, 7.0]), trials, rng)
+    mothers, fathers = pair_one(np.array([7.0, 7.0]), trials, rng)
     assert np.all(mothers != fathers)
     # Bernoulli(1/2): 3 sigma of the frequency is 0.015
     assert abs(np.count_nonzero(mothers == 0) / trials - 0.5) < 0.015
@@ -192,7 +257,7 @@ def test_pair_softmax_closed_form():
     # with probability e / (e + 4)
     rng = np.random.default_rng(13)
     trials = 100_000
-    mothers, fathers = pair(np.array([10.0, 4.0, 4.0, 4.0, 4.0]), trials, rng)
+    mothers, fathers = pair_one(np.array([10.0, 4.0, 4.0, 4.0, 4.0]), trials, rng)
     assert np.all(mothers != fathers)
     hits = np.count_nonzero(mothers == 0)
     p = math.e / (math.e + 4.0)
@@ -203,14 +268,14 @@ def test_pair_softmax_closed_form():
 def test_pair_needs_two_selectable():
     rng = np.random.default_rng(5)
     with pytest.raises(ValueError):
-        pair(np.array([1.0, WORST_FITNESS, WORST_FITNESS]), 3, rng)
+        pair_one(np.array([1.0, WORST_FITNESS, WORST_FITNESS]), 3, rng)
 
 
 def test_pair_matches_sequential_inverse_cdf():
     # one (n, 2) block: row i is pair i's mother draw, then its father draw,
     # each the first index whose left-to-right cumulative weight exceeds u
     fitness = np.array([3.0, WORST_FITNESS, 1.0, 2.5, 2.0, WORST_FITNESS])
-    mothers, fathers = pair(fitness, 500, np.random.default_rng(43))
+    mothers, fathers = pair_one(fitness, 500, np.random.default_rng(43))
     u = np.random.default_rng(43).random((500, 2))
 
     def draw(probs, x):
@@ -247,7 +312,7 @@ def test_pair_father_cdf_normalizes_left_to_right():
         def random(self, size):
             return np.array([[0.0, u]])  # mother 0, excluded from the fathers
 
-    mothers, fathers = pair(fitness, 1, Fixed())
+    mothers, fathers = pair_one(fitness, 1, Fixed())
     assert mothers.tolist() == [0]
     assert fathers.tolist() == [k if plain[k] > u else k + 1]
 
@@ -260,7 +325,7 @@ def test_pair_rounding_slack_falls_back_to_last_selectable():
     # the cumulative weights may end just below 1; a draw above all of them
     # (only rounding slack allows one) picks the last selectable parent,
     # never a trailing worst-fitness one
-    mothers, fathers = pair(np.array([2.0, 1.0, 3.0, WORST_FITNESS]), 4, Top())
+    mothers, fathers = pair_one(np.array([2.0, 1.0, 3.0, WORST_FITNESS]), 4, Top())
     assert mothers.tolist() == [2] * 4
     assert fathers.tolist() == [1] * 4
 
@@ -268,7 +333,7 @@ def test_pair_rounding_slack_falls_back_to_last_selectable():
 def test_crossover_identical_parents():
     rng = np.random.default_rng(17)
     parents = np.tile([0.25, -0.75], (50, 1))
-    child = crossover(parents, parents, rng)
+    child = crossover_one(parents, parents, rng)
     assert np.array_equal(child, parents)
 
 
@@ -276,7 +341,7 @@ def test_crossover_hull_containment():
     rng = np.random.default_rng(23)
     mothers = rng.uniform(-1.0, 1.0, size=(500, 2))
     fathers = rng.uniform(-1.0, 1.0, size=(500, 2))
-    child = crossover(mothers, fathers, rng)
+    child = crossover_one(mothers, fathers, rng)
     lo = np.minimum(mothers, fathers)
     hi = np.maximum(mothers, fathers)
     assert np.all((lo - 1e-12 <= child) & (child <= hi + 1e-12))
@@ -286,7 +351,7 @@ def test_crossover_mother_copy_rate():
     rng = np.random.default_rng(29)
     trials = 10_000
     mothers = np.full((trials, 2), 0.5)
-    child = crossover(mothers, np.full((trials, 2), -0.5), rng)
+    child = crossover_one(mothers, np.full((trials, 2), -0.5), rng)
     copies = np.count_nonzero(child == mothers)
     # per-gene copy probability 1/2 (a blend hits the mother's gene exactly
     # only at gamma = 1, probability zero); 3 sigma over 2e4 genes is 0.011
@@ -297,7 +362,7 @@ def test_crossover_consumes_coins_then_gammas():
     mothers = np.array([[0.5, -0.5], [0.25, 0.75], [-1.0, 1.0]])
     fathers = np.array([[-0.5, 0.5], [1.0, -1.0], [0.0, 0.0]])
     rng = np.random.default_rng(47)
-    child = crossover(mothers, fathers, rng)
+    child = crossover_one(mothers, fathers, rng)
     draws = np.random.default_rng(47).random((3, 4))
     for i in range(3):
         for j in range(2):
@@ -312,7 +377,7 @@ def test_mutate_zero_rate_is_identity():
     cfg = CgaConfig(population=10, mutation_rate=0.0)
     rng = np.random.default_rng(31)
     population = initialize(cfg, rng)
-    out = mutate(population, 0, cfg, rng)
+    out = mutate_one(population, 0, cfg, rng)
     assert np.array_equal(out, population)
 
 
@@ -320,7 +385,7 @@ def test_mutate_spares_elite_and_hits_everyone_else():
     cfg = CgaConfig(population=50, mutation_rate=1.0)
     rng = np.random.default_rng(37)
     population = np.zeros((50, 2))
-    out = mutate(population, 0, cfg, rng)
+    out = mutate_one(population, 0, cfg, rng)
     assert out[0].tolist() == [0.0, 0.0]
     assert np.all(out[1:] != 0.0)
     assert np.all((-1.0 <= out) & (out <= 1.0))

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from qkdopt import cli
 from qkdopt.cli import main
+from qkdopt.harness import SweepResult
 
 SMALL_CGA_INI = "[cga]\npopulation = 24\niterations = 15\nrng_seed = 11\n"
 
@@ -126,6 +128,24 @@ def test_optimize_needs_single_eps(capsys):
     )
     assert code == 1
     assert "one" in err
+
+
+def test_eps_flag_reads_levels_like_the_config(capsys, tmp_path, monkeypatch):
+    specs = []
+
+    def record(spec):
+        specs.append(spec)
+        return SweepResult(spec=spec, records=[])
+
+    monkeypatch.setattr(cli, "run_sweep", record)
+    cfg = tmp_path / "levels.ini"
+    cfg.write_text("[budget]\nfamily = dv\n\n[sweep]\neps_levels = 1e-9, 1e-8\n")
+    assert run_cli(capsys, "sweep", "--family", "dv", "--eps", "1e-9, 1e-8")[0] == 0
+    assert run_cli(capsys, "sweep", "--config", str(cfg))[0] == 0
+    assert specs[0].eps_levels == specs[1].eps_levels == (1e-9, 1e-8)
+    code, out, err = run_cli(capsys, "sweep", "--family", "dv", "--eps", "1e-9,x")
+    assert code == 1 and out == ""
+    assert err.startswith("error: bad --eps value: ")
 
 
 def test_sweep_writes_deterministic_csv(capsys, tmp_path):

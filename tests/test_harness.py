@@ -3,10 +3,11 @@ import math
 from dataclasses import fields
 from typing import get_type_hints
 
+import numpy as np
 import pytest
 
 from qkdopt.budget import Family
-from qkdopt.cga import CgaConfig
+from qkdopt.cga import CgaConfig, run
 from qkdopt.cv_rate import CvProtocolParams
 from qkdopt.dv_rate import DvProtocolParams
 from qkdopt.harness import (
@@ -379,6 +380,53 @@ def test_optimize_level_is_the_sweep_level():
         assert best.best_budget == records[idx].budget_opt
         assert best.best_fitness == records[idx].rate_opt
         assert best.fitness_history == records[idx].fitness_history
+
+
+def test_sweep_runs_equal_their_runs_alone(monkeypatch):
+    # every (level, restart) run advances in one lockstep; each must end as
+    # the same run made alone from its (seed, level, restart) generator
+    spec = small_dv_spec(eps_levels=(3e-21, 1e-18, 1e-12), restarts=2, include_baselines=False)
+    rate = spec.rate_fn()
+    calls = []
+
+    def counting(budget):
+        calls.append(np.size(budget.eps_pe))
+        return rate(budget)
+
+    monkeypatch.setattr(SweepSpec, "rate_fn", lambda self: counting)
+    records = run_sweep(spec).records
+    assert len(calls) == SMALL_CGA.iterations
+    for idx, (total, record) in enumerate(zip(spec.eps_levels, records)):
+        first, second = (
+            run(SMALL_CGA, total, Family.DV, rate, rng=np.random.default_rng([7, idx, r]))
+            for r in range(2)
+        )
+        best = second if second.best_fitness > first.best_fitness else first
+        assert record.budget_opt == best.best_budget
+        assert record.rate_opt == (None if best.best_budget is None else best.best_fitness)
+        assert record.fitness_history == best.fitness_history
+    # the level at the floor finds no feasible split; the others do
+    assert records[0].rate_opt is None and None not in [r.rate_opt for r in records[1:]]
+
+
+def test_emit_json_writes_a_nan_rate_as_null(monkeypatch):
+    # a NaN baseline rate must not reach the JSON text as the bare token NaN
+    rate = small_dv_spec().rate_fn()
+
+    def nan_for_one_split(budget):
+        return float("nan") if np.ndim(budget.eps_pe) == 0 else rate(budget)
+
+    monkeypatch.setattr(SweepSpec, "rate_fn", lambda self: nan_for_one_split)
+    result = run_sweep(small_dv_spec(eps_levels=(1e-17,)))
+    assert math.isnan(result.records[0].rate_sym)
+
+    def reject(token):
+        raise ValueError(f"invalid JSON constant {token}")
+
+    doc = json.loads(emit_results(result, fmt="json"), parse_constant=reject)
+    (rec,) = doc["records"]
+    assert rec["rates_raw"]["sym"] is None and rec["rates_clamped"]["sym"] is None
+    assert rec["rates_clamped"]["opt"] == max(rec["rates_raw"]["opt"], 0.0)
 
 
 def test_emit_csv_schema_and_clamping():

@@ -179,13 +179,12 @@ def _draw_index(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     exceeds ``u``.  Per run, ``probs`` has one row per draw or a single
     shared row."""
     hit = u[..., None] < np.cumsum(probs, axis=-1)
-    index, landed = hit.argmax(axis=-1), hit[..., -1]
-    if landed.all():
-        return index
+    index = hit.argmax(axis=-1)
     # u landed in the rounding slack at the top of the CDF: last positive index
-    positive = probs > 0.0
-    last_positive = probs.shape[-1] - 1 - positive[..., ::-1].argmax(axis=-1)
-    return np.where(landed, index, last_positive)
+    slack = ~hit[..., -1]
+    missed = np.broadcast_to(probs, hit.shape)[slack]
+    index[slack] = probs.shape[-1] - 1 - (missed[:, ::-1] > 0.0).argmax(axis=-1)
+    return index
 
 
 def pair(
@@ -310,9 +309,6 @@ def _lockstep(
         # the pool is ranked best-first: a worst-fitness second parent means
         # fewer than two feasible
         stuck = pool_fitness[:, 1] == WORST_FITNESS
-        if not stuck.any():
-            genes = _breed(pool, pool_fitness, config, rngs)
-            continue
         bred = np.flatnonzero(~stuck)
         next_genes = np.empty_like(genes)
         if bred.size:
@@ -377,10 +373,8 @@ def run_lockstep(
     :data:`WORST_FITNESS`, so selection discards them without aborting a
     run; anything ``rate_fn`` raises propagates.
     """
-    # one float when every run has the same total, as one level's restarts do
-    shared = len(set(totals)) == 1
-    gene_totals = totals[0] if shared else np.array(totals, dtype=float)[:, None, None]
-    row_totals = totals[0] if shared else np.repeat(totals, config.population)
+    gene_totals = np.array(totals, dtype=float)[:, None, None]
+    row_totals = np.repeat(gene_totals.ravel(), config.population)
 
     def fitness(genes: np.ndarray) -> np.ndarray:
         eps = map_gene(genes, gene_totals).reshape(-1, 2)

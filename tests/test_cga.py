@@ -205,6 +205,25 @@ def test_select_counts():
     assert CgaConfig(population=200, parent_rate=0.5, survival_rate=0.0).n_survivors == 1
 
 
+def test_breed_keeps_the_ranked_survivors():
+    # two runs, each pool ranked best-first
+    pool = np.random.default_rng(11).uniform(-0.5, 0.5, size=(2, 4, 2))
+    pool_fitness = np.array([[4.0, 3.0, 2.0, 1.0], [9.0, 8.0, 7.0, 6.0]])
+    for survival_rate, n_survivors in ((0.5, 2), (0.0, 1)):
+        cfg = CgaConfig(
+            population=8, parent_rate=0.5, survival_rate=survival_rate, mutation_rate=0.0
+        )
+        rngs = [np.random.default_rng(s) for s in (1, 2)]
+        genes = cga._breed(pool, pool_fitness, cfg, rngs)
+        assert genes.shape == (2, 8, 2)
+        assert np.array_equal(genes[:, :n_survivors], pool[:, :n_survivors])
+    # mutating every gene still spares each run's elite, the pool's best
+    cfg = CgaConfig(population=8, parent_rate=0.5, survival_rate=0.5, mutation_rate=1.0)
+    genes = cga._breed(pool, pool_fitness, cfg, [np.random.default_rng(s) for s in (1, 2)])
+    assert np.array_equal(genes[:, 0], pool[:, 0])
+    assert not np.isclose(genes[:, 1], pool[:, 1]).any()
+
+
 def test_select_stable_ties():
     cfg = CgaConfig(population=6, parent_rate=0.5, survival_rate=1.0)
     parents = select(np.full(6, 5.0), cfg)

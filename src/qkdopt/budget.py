@@ -24,6 +24,7 @@ route to the logarithms.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -38,6 +39,7 @@ __all__ = [
     "baseline_budgets",
     "map_gene",
     "libm",
+    "per_distinct",
     "holds",
     "nonfinite_fields",
 ]
@@ -213,15 +215,32 @@ def map_gene(p, total):
 def libm(fn: Callable[..., float], x, *args: float):
     """``fn(v, *args)`` for every element ``v`` of ``x``, one C-library call each.
 
-    The rate chains take their logarithms (and any function containing one)
-    through ``math`` here rather than through numpy, whose SIMD ``log`` may
-    round differently by CPU: a split's rate is then bit-identical whether it
-    is rated alone or in a batch.  A float gives a float, a 1-d array an
-    array.
+    The rate chains take their logarithms (and any function containing one),
+    and the CGA its softmax exponentials, through ``math`` here rather than
+    through numpy, whose SIMD ``log`` and ``exp`` may round differently by
+    CPU: a split's rate is then bit-identical whether it is rated alone or in
+    a batch.  ``map`` and ``np.fromiter`` drive the calls from C, with no
+    Python loop around them.  A float gives a float, a 1-d array an array.
     """
     if isinstance(x, np.ndarray) and x.ndim:
-        return np.array([fn(v, *args) for v in x.tolist()], dtype=float)
+        values = map(fn, x.tolist(), *map(itertools.repeat, args))
+        return np.fromiter(values, dtype=float, count=x.size)
     return fn(float(x), *args)
+
+
+def per_distinct(chain: Callable[[np.ndarray], tuple], x) -> tuple:
+    """``chain`` rated once per distinct value of ``x``, gathered back to its shape.
+
+    ``chain`` takes the sorted distinct values as a 1-d array and returns a
+    tuple of arrays, one entry per value.  Each is returned indexed by the
+    position of every element of ``x`` among those values: a batch whose
+    splits repeat a component (a grid row, say) pays for that component's
+    chain once per value, and each element's result is the one it would get
+    alone.  A float gives 0-d arrays.
+    """
+    values, inverse = np.unique(x, return_inverse=True)
+    inverse = inverse.reshape(np.shape(x))
+    return tuple(out[inverse] for out in chain(values))
 
 
 def holds(cond) -> bool:

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .budget import EpsilonBudget, Family, map_gene, nonfinite_fields, reconstruct_sec
+from .budget import EpsilonBudget, Family, libm, map_gene, nonfinite_fields, reconstruct_sec
 
 __all__ = [
     "WORST_FITNESS",
@@ -170,7 +170,7 @@ def softmax_probabilities(fitness: np.ndarray) -> np.ndarray:
     scaled = (fitness - lo) / np.where(span == 0.0, 1.0, span)  # constant pool: all 0
     weights = np.zeros(fitness.shape)
     # math.exp, not np.exp: numpy's SIMD exp may round differently by CPU
-    weights[finite] = [math.exp(x) for x in scaled[finite].tolist()]
+    weights[finite] = libm(math.exp, scaled[finite])
     return weights / np.cumsum(weights, axis=-1)[..., -1:]
 
 

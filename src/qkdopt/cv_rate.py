@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budget import EpsilonBudget, Family, holds, libm, nonfinite_fields
+from .budget import EpsilonBudget, Family, holds, libm, nonfinite_fields, per_distinct
 
 __all__ = [
     "CvProtocolParams",
@@ -264,15 +264,12 @@ def bosonic_entropy(nu):
     """
     if not holds(nu >= 1.0 - _NU_TOL):
         raise ValueError(f"symplectic eigenvalue {nu} below 1: unphysical state")
-    return libm(_bosonic_entropy, nu)
-
-
-def _bosonic_entropy(nu: float) -> float:
-    if nu <= 1.0:
-        return 0.0
+    mixed = nu > 1.0
+    nu = np.where(mixed, nu, 3.0)  # keep the vacuum out of log2's domain error
     up = 0.5 * (nu + 1.0)
     dn = 0.5 * (nu - 1.0)
-    return up * math.log2(up) - dn * math.log2(dn)
+    h = np.where(mixed, up * libm(math.log2, up) - dn * libm(math.log2, dn), 0.0)
+    return h if h.ndim else float(h)
 
 
 def holevo_bound(params: CvProtocolParams, t, xi):
@@ -330,11 +327,20 @@ def finite_size_term(n: int, budget: EpsilonBudget, discretization: int):
     eps_pe, eps_sec, eps_cor = budget.eps_pe, budget.eps_sec, budget.eps_cor
     if not holds((eps_pe > 0.0) & (eps_sec > 0.0) & (eps_cor > 0.0)):
         raise ValueError("all budget components must be positive")
-    sqrt_n = math.sqrt(n)
-    ent_term = sqrt_n * math.log2(n) * np.sqrt(2.0 * libm(math.log, 2.0 / eps_pe))
+    return _finite_size_term(n, _entropy_estimation_term(n, eps_pe), budget, discretization)
+
+
+def _entropy_estimation_term(n: int, eps_pe):
+    """The ``eps_pe``-only part of ``F``: ``sqrt(n) * log2(n) * sqrt(2 * ln(2 / eps_pe))``."""
+    return math.sqrt(n) * math.log2(n) * np.sqrt(2.0 * libm(math.log, 2.0 / eps_pe))
+
+
+def _finite_size_term(n: int, ent_term, budget: EpsilonBudget, discretization: int):
+    """``F`` from its entropy-estimation part ``ent_term``, unchecked."""
+    eps_sec, eps_cor = budget.eps_sec, budget.eps_cor
     hash_term = (
         4.0
-        * sqrt_n
+        * math.sqrt(n)
         * math.log2(math.sqrt(2.0**discretization) + 2.0)
         * np.sqrt(libm(math.log2, 8.0 / (eps_sec * eps_sec)))
     )
@@ -360,7 +366,10 @@ def cv_key_rate(
     A degenerate worst-case channel (transmissivity interval reaching zero)
     yields no claimable key: ``R_pe`` is forced to 0 so the rate comes out
     strictly negative at ``-F / N``.  A batch budget gives one rate per
-    split, each equal to the rate of that split alone.
+    split, each equal to the rate of that split alone; the worst-case
+    channel, its Holevo bound and the entropy-estimation part of ``F``,
+    which depend on ``eps_pe`` only, are rated once per distinct ``eps_pe``
+    of the batch.
 
     :param budget: feasible budget with ``family == Family.CV``
     :param subtractive_xi: use the optimistic noise bound (comparison only)
@@ -377,10 +386,14 @@ def cv_key_rate(
     est = ml_estimator_model(params, t_true, params.excess_noise, m)
     info = mutual_information(params, est.t_hat, est.xi_hat)
 
-    wc = worst_case_estimators(est, budget.eps_pe, subtractive_xi=subtractive_xi)
-    chi = holevo_bound(params, wc.t, wc.xi)
-    r_pe = np.where(wc.degenerate, 0.0, params.recon_efficiency * info - chi)
-    fs = finite_size_term(n, budget, params.discretization)
+    def pe_chain(eps_pe):
+        wc = worst_case_estimators(est, eps_pe, subtractive_xi=subtractive_xi)
+        chi = holevo_bound(params, wc.t, wc.xi)
+        r_pe = np.where(wc.degenerate, 0.0, params.recon_efficiency * info - chi)
+        return chi, r_pe, _entropy_estimation_term(n, eps_pe)
+
+    chi, r_pe, ent_term = per_distinct(pe_chain, budget.eps_pe)
+    fs = _finite_size_term(n, ent_term, budget, params.discretization)
     rate_per_use = (n * r_pe - fs) / params.block_size
     varying = (chi, r_pe, fs, rate_per_use, params.clock_hz * rate_per_use)
     if not isinstance(budget.eps_pe, np.ndarray):  # one split: floats, printed by repr

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budget import EpsilonBudget, Family, holds, libm, nonfinite_fields
+from .budget import EpsilonBudget, Family, holds, libm, nonfinite_fields, per_distinct
 from .cv_rate import transmissivity
 
 __all__ = [
@@ -191,16 +191,16 @@ def aep_term(eps_s):
 
 
 def binary_entropy(p):
-    """Binary Shannon entropy in bits, element by element; ``h(0) = h(1) = 0``."""
+    """Binary Shannon entropy in bits, element by element; ``h(0) = h(1) = 0``.
+
+    ``h(p) = -p * log2(p) - (1 - p) * log2(1 - p)``; a float gives a float.
+    """
     if not holds((0.0 <= p) & (p <= 1.0)):
         raise ValueError(f"probability must lie in [0, 1], got {p}")
-    return libm(_binary_entropy, p)
-
-
-def _binary_entropy(p: float) -> float:
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+    inner = (0.0 < p) & (p < 1.0)
+    p = np.where(inner, p, 0.5)  # keep the endpoints out of log2's domain error
+    h = np.where(inner, -p * libm(math.log2, p) - (1.0 - p) * libm(math.log2, 1.0 - p), 0.0)
+    return h if h.ndim else float(h)
 
 
 def dv_key_rate(params: DvProtocolParams, budget: EpsilonBudget) -> DvRateBreakdown:
@@ -217,7 +217,8 @@ def dv_key_rate(params: DvProtocolParams, budget: EpsilonBudget) -> DvRateBreakd
     converts it into bits per transmitted qubit, and the dead-time factor
     ``c_dt = 1 / (1 + Q1 * t_dt * clock)`` deflates the clock for bits/s.
     A batch budget gives one rate per split, each equal to the rate of that
-    split alone.
+    split alone; ``E_wc`` and ``h(E_wc)``, which depend on ``eps_pe`` only,
+    are rated once per distinct ``eps_pe`` of the batch.
 
     Raises ``ValueError`` when the detected block degenerates
     (``n < 2`` or ``m < 1``).
@@ -239,11 +240,15 @@ def dv_key_rate(params: DvProtocolParams, budget: EpsilonBudget) -> DvRateBreakd
     kappa = (1.0 - params.pe_ratio) * stats.p_sift * stats.q1
     c_dt = 1.0 / (1.0 + stats.q1 * params.dead_time_s * params.clock_hz)
 
-    qber_wc = worst_case_qber(qber, m, budget.eps_pe)
+    def pe_chain(eps_pe):
+        qber_wc = worst_case_qber(qber, m, eps_pe)
+        return qber_wc, binary_entropy(qber_wc)
+
+    qber_wc, h_wc = per_distinct(pe_chain, budget.eps_pe)
     log_term = (1.0 + libm(math.log2, budget.eps_cor * budget.eps_h * budget.eps_h)) / n
     secret_fraction = (
         1.0
-        - binary_entropy(qber_wc)
+        - h_wc
         - leak
         + log_term
         - aep_term(budget.eps_s) / math.sqrt(n)

@@ -232,9 +232,8 @@ def _run_level(
 
 
 def _clamped(rate: float | None) -> str:
-    if rate is None:
-        return ""
-    return repr(max(rate, 0.0))
+    clamped = _raw_clamped(rate)
+    return "" if clamped is None else repr(clamped)
 
 
 def emit_results(result: SweepResult, fmt: str = "csv") -> str:
@@ -242,7 +241,8 @@ def emit_results(result: SweepResult, fmt: str = "csv") -> str:
 
     CSV holds one row per level with the fixed column set
     :data:`CSV_COLUMNS`; reported rates are clamped at zero and cells for
-    disabled or failed computations are left empty.  JSON mirrors the CSV
+    disabled or failed computations, or for rates that are not finite, are
+    left empty.  JSON mirrors the CSV
     content and additionally carries raw rates, the winning budget, the
     fitness history and any baseline error.
     """

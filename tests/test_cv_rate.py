@@ -122,6 +122,29 @@ def test_bosonic_entropy():
         bosonic_entropy(0.9)
 
 
+def scalar_bosonic_entropy(nu: float) -> float:
+    if nu <= 1.0:
+        return 0.0
+    up = 0.5 * (nu + 1.0)
+    dn = 0.5 * (nu - 1.0)
+    return up * math.log2(up) - dn * math.log2(dn)
+
+
+def test_bosonic_entropy_of_an_array_is_the_scalar_formula_per_element():
+    rng = np.random.default_rng(12)
+    edges = [1.0, 1.0 - 1e-10, 1.0 + 2.0**-52, 3.0]
+    nu = np.concatenate([edges, 1.0 + 10.0 ** rng.uniform(-15.0, 4.0, 1000)])
+    rng.shuffle(nu)
+    assert bosonic_entropy(nu).tolist() == [scalar_bosonic_entropy(v) for v in nu.tolist()]
+    for v in edges:
+        assert type(bosonic_entropy(v)) is float
+        assert bosonic_entropy(v) == scalar_bosonic_entropy(v)
+    assert bosonic_entropy(1.0 - 1e-10) == 0.0  # clamped to the vacuum
+    for below in (1.0 - 2e-9, np.array([2.0, 1.0 - 2e-9])):
+        with pytest.raises(ValueError, match="unphysical"):
+            bosonic_entropy(below)
+
+
 def test_holevo_pure_state_limits():
     params = table_params()
     assert holevo_bound(params, 1.0, 0.0) == pytest.approx(0.0, abs=1e-9)

@@ -115,6 +115,26 @@ def test_binary_entropy():
         binary_entropy(1.01)
 
 
+def scalar_binary_entropy(p: float) -> float:
+    if p == 0.0 or p == 1.0:
+        return 0.0
+    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
+def test_binary_entropy_of_an_array_is_the_scalar_formula_per_element():
+    rng = np.random.default_rng(11)
+    p = np.concatenate(
+        [[0.0, 1.0, 0.5, 5e-324], rng.uniform(0.0, 1.0, 500), 10.0 ** rng.uniform(-300, 0, 500)]
+    )
+    rng.shuffle(p)
+    assert binary_entropy(p).tolist() == [scalar_binary_entropy(v) for v in p.tolist()]
+    for v in (0.0, 1.0, 0.3):
+        assert type(binary_entropy(v)) is float
+        assert binary_entropy(v) == scalar_binary_entropy(v)
+    with pytest.raises(ValueError):
+        binary_entropy(np.array([0.2, -1e-300]))
+
+
 def test_binary_entropy_symmetry_grid():
     for p in np.linspace(0.0, 1.0, 1000):
         assert abs(binary_entropy(float(p)) - binary_entropy(float(1.0 - p))) < 1e-14

@@ -429,6 +429,22 @@ def test_emit_json_writes_a_nan_rate_as_null(monkeypatch):
     assert rec["rates_clamped"]["opt"] == max(rec["rates_raw"]["opt"], 0.0)
 
 
+def test_emit_csv_leaves_a_nan_rate_empty(monkeypatch):
+    # the CSV shares the JSON's rule: a rate that is not finite has no cell
+    rate = small_dv_spec().rate_fn()
+
+    def nan_for_one_split(budget):
+        return float("nan") if np.ndim(budget.eps_pe) == 0 else rate(budget)
+
+    monkeypatch.setattr(SweepSpec, "rate_fn", lambda self: nan_for_one_split)
+    result = run_sweep(small_dv_spec(eps_levels=(1e-17,)))
+    assert math.isnan(result.records[0].rate_sym) and math.isnan(result.records[0].rate_asym)
+    header, row = emit_results(result, fmt="csv").splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["rate_sym_bps"] == "" and cells["rate_asym_bps"] == ""
+    assert cells["rate_opt_bps"] == repr(max(result.records[0].rate_opt, 0.0))
+
+
 def test_emit_csv_schema_and_clamping():
     # CV at 1e-12 is deep in negative-rate territory: raw rates are negative,
     # reported rates must clamp to zero

@@ -13,7 +13,6 @@ from .cga import (
     CgaConfig,
     OptimizationResult,
     run,
-    run_genetic,
 )
 from .cv_rate import (
     CvProtocolParams,

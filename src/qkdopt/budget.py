@@ -16,9 +16,12 @@ linear map from optimizer genes in ``[-1, 1]`` to component values.
 
 A budget holds one split (floats) or a batch of splits (equal-length 1-d
 arrays of each component, sharing one family; the total is one float for
-all of them or an array with one total per split).  The rate chains
-take either and return floats or arrays to match; :func:`libm` is their one
-route to the logarithms.
+all of them or an array with one total per split).  The functions here and
+the rate chains compute over 1-d arrays only, reading a float as a batch of
+one; floats come back in one place per public result: the budget that
+:func:`reconstruct_sec` returns for float inputs, and a rate chain's
+breakdown of a budget of floats.  :func:`libm` is the chains' one route to
+the logarithms.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ __all__ = [
     "map_gene",
     "libm",
     "per_distinct",
-    "holds",
     "nonfinite_fields",
 ]
 
@@ -51,7 +53,7 @@ EPSILON_FLOOR = 1e-21
 #: Relative tolerance for the budget-closure identity.
 _CLOSURE_RTOL = 1e-12
 
-_COMPONENTS = ("eps_pe", "eps_cor", "eps_sec", "eps_s", "eps_h")
+_COMPONENTS = ("eps_pe", "eps_cor", "eps_sec")
 
 
 class Family(enum.Enum):
@@ -72,51 +74,48 @@ class EpsilonBudget:
 
     Instances always satisfy the family closure identity
     ``pe_weight * eps_pe + eps_cor + eps_sec == total`` (to relative
-    tolerance 1e-12) with every component in ``[EPSILON_FLOOR, total)``,
-    and ``eps_s == eps_h == eps_sec / 2`` exactly.  A batch holds each
-    component as a 1-d array of one common length and is checked once, for
-    all of its splits, each against its own total when ``total`` is an array
-    of that length too.
+    tolerance 1e-12) with every component in ``[EPSILON_FLOOR, total)``.
+    The secrecy share splits evenly, ``eps_s == eps_h == eps_sec / 2``.  A
+    batch holds each component as a 1-d array of one common length and is
+    checked once, for all of its splits, each against its own total when
+    ``total`` is an array of that length too.
     """
 
     total: float | np.ndarray
     eps_pe: float | np.ndarray
     eps_cor: float | np.ndarray
     eps_sec: float | np.ndarray
-    eps_s: float | np.ndarray
-    eps_h: float | np.ndarray
     family: Family
 
     def __post_init__(self) -> None:
-        if not holds((0.0 < self.total) & (self.total < 1.0)):
-            raise ValueError(f"total budget must lie in (0, 1), got {self.total}")
         shapes = {getattr(getattr(self, name), "shape", ()) for name in _COMPONENTS}
         if len(shapes) != 1 or len(shape := shapes.pop()) > 1:
             raise ValueError("components must be floats or 1-d arrays of one length")
-        if np.ndim(self.total) and np.shape(self.total) != shape:
+        if getattr(self.total, "shape", ()) not in ((), shape):
             raise ValueError("an array of totals must hold one total per split")
-        for name in ("eps_pe", "eps_cor", "eps_sec"):
-            value = getattr(self, name)
-            if not holds((EPSILON_FLOOR <= value) & (value < self.total)):
-                raise ValueError(
-                    f"{name} = {value} outside [{EPSILON_FLOOR}, total = {self.total})"
-                )
-        half = self.eps_sec * 0.5
-        if not holds((self.eps_s == half) & (self.eps_h == half)):
-            raise ValueError("eps_s and eps_h must each equal eps_sec / 2")
-        closure = self.family.pe_weight * self.eps_pe + self.eps_cor + self.eps_sec
-        if not holds(abs(closure - self.total) <= _CLOSURE_RTOL * self.total):
+        total = np.atleast_1d(self.total)
+        _check_totals(total)
+        parts = np.array([getattr(self, n) for n in _COMPONENTS]).reshape(3, -1)
+        inside = ((EPSILON_FLOOR <= parts) & (parts < total)).all(axis=1)
+        if not inside.all():
+            name = _COMPONENTS[inside.argmin()]
+            raise ValueError(
+                f"{name} = {getattr(self, name)} outside [{EPSILON_FLOOR}, total = {self.total})"
+            )
+        eps_pe, eps_cor, eps_sec = parts
+        closure = self.family.pe_weight * eps_pe + eps_cor + eps_sec
+        if not (abs(closure - total) <= _CLOSURE_RTOL * total).all():
             raise ValueError(
                 f"budget does not close: weighted sum {closure} vs total {self.total}"
             )
 
-    @classmethod
-    def from_components(
-        cls, eps_pe: float, eps_cor: float, eps_sec: float, family: Family
-    ) -> "EpsilonBudget":
-        """Build a budget from explicit components, deriving the matching total."""
-        total = family.pe_weight * eps_pe + eps_cor + eps_sec
-        return cls(total, eps_pe, eps_cor, eps_sec, eps_sec * 0.5, eps_sec * 0.5, family)
+    #: Smoothing and hashing failure probabilities, half the secrecy share each.
+    eps_s = eps_h = property(lambda self: self.eps_sec / 2)
+
+
+def _check_totals(total: np.ndarray) -> None:
+    if not ((0.0 < total) & (total < 1.0)).all():
+        raise ValueError(f"total budget must lie in (0, 1), got {total}")
 
 
 def reconstruct_sec(total, eps_pe, eps_cor, family: Family):
@@ -130,37 +129,30 @@ def reconstruct_sec(total, eps_pe, eps_cor, family: Family):
 
     Equal-length 1-d arrays of the two components are completed row by row
     and give ``(feasible, budget)``: the mask of rows whose remainder clears
-    the floor, and one batch budget of those rows (``None`` if there are
-    none).  ``total`` may then be an array of the same length, one total per
-    row.  A single split is the 0-d case of the same rule.
+    the floor, and one batch budget of those rows, each with its own total
+    (``None`` if there are none).  ``total`` may be one float or an array of
+    the same length.  Float components are completed as a one-row batch and
+    give a budget of floats (or ``None``).
 
     Raises ``ValueError`` for genuine domain violations: ``total`` outside
     ``(0, 1)`` or either input below ``EPSILON_FLOOR``.
     """
-    if not holds((0.0 < total) & (total < 1.0)):
-        raise ValueError(f"total budget must lie in (0, 1), got {total}")
-    if not holds((eps_pe >= EPSILON_FLOOR) & (eps_cor >= EPSILON_FLOOR)):
+    rows_total, rows_pe, rows_cor = np.atleast_1d(total, eps_pe, eps_cor)
+    _check_totals(rows_total)
+    if not ((rows_pe >= EPSILON_FLOOR) & (rows_cor >= EPSILON_FLOOR)).all():
         raise ValueError(
             f"components must be at least {EPSILON_FLOOR}, "
             f"got eps_pe = {eps_pe}, eps_cor = {eps_cor}"
         )
-    eps_sec = total - family.pe_weight * eps_pe - eps_cor
+    eps_sec = rows_total - family.pe_weight * rows_pe - rows_cor
     feasible = eps_sec >= EPSILON_FLOOR
     # Subtracting components below half an ulp of ``total`` rounds back to
     # ``total`` itself; nudge down so the strict component bound holds.
-    eps_sec = np.minimum(eps_sec, np.nextafter(total, 0.0))
-    if not isinstance(eps_sec, np.ndarray):
-        if not feasible:
-            return None
-        eps_sec = float(eps_sec)
-    elif feasible.any():
-        eps_pe, eps_cor, eps_sec = eps_pe[feasible], eps_cor[feasible], eps_sec[feasible]
-        if isinstance(total, np.ndarray):
-            total = total[feasible]
-    else:
-        return feasible, None
-    budget = EpsilonBudget(total, eps_pe, eps_cor, eps_sec, eps_sec * 0.5, eps_sec * 0.5, family)
-    return (feasible, budget) if isinstance(feasible, np.ndarray) else budget
+    eps_sec = np.minimum(eps_sec, np.nextafter(rows_total, 0.0))
+    rows = (np.broadcast_to(rows_total, feasible.shape), rows_pe, rows_cor, eps_sec)
+    if isinstance(eps_pe, float):  # one split: a budget of floats
+        return EpsilonBudget(*(v.item() for v in rows), family) if feasible[0] else None
+    return feasible, EpsilonBudget(*(v[feasible] for v in rows), family) if feasible.any() else None
 
 
 # Fixed reference splits, expressed as (pe, cor) fractions of the total.
@@ -201,13 +193,15 @@ def map_gene(p, total):
     ``[EPSILON_FLOOR, total]``, element by element.
 
     ``total`` is one float, or an array that broadcasts against ``p``: the
-    per-row totals of an ``(N, 2)`` gene array are an ``(N, 1)`` column.
+    per-row totals of an ``(N, 2)`` gene array are an ``(N, 1)`` column.  A
+    float ``p`` is read as a one-row array.
 
     ``p = -1`` lands exactly on the floor and ``p = +1`` on ``total``; the
     upper endpoint is admissible here because the feasibility of the
     resulting split is judged downstream.
     """
-    if not holds((-1.0 <= p) & (p <= 1.0)):
+    p = np.atleast_1d(p)
+    if not ((-1.0 <= p) & (p <= 1.0)).all():
         raise ValueError(f"genes must lie in [-1, 1], got {p}")
     return EPSILON_FLOOR + 0.5 * (p + 1.0) * (total - EPSILON_FLOOR)
 
@@ -220,36 +214,30 @@ def libm(fn: Callable[..., float], x, *args: float):
     through numpy, whose SIMD ``log`` and ``exp`` may round differently by
     CPU: a split's rate is then bit-identical whether it is rated alone or in
     a batch.  ``map`` and ``np.fromiter`` drive the calls from C, with no
-    Python loop around them.  A float gives a float, a 1-d array an array.
+    Python loop around them.  A float is read as a one-row array.
     """
-    if isinstance(x, np.ndarray) and x.ndim:
-        values = map(fn, x.tolist(), *map(itertools.repeat, args))
-        return np.fromiter(values, dtype=float, count=x.size)
-    return fn(float(x), *args)
+    x = np.atleast_1d(x)
+    values = map(fn, x.tolist(), *map(itertools.repeat, args))
+    return np.fromiter(values, float, x.size)  # positional: numpy parses keywords slowly
 
 
-def per_distinct(chain: Callable[[np.ndarray], tuple], x) -> tuple:
-    """``chain`` rated once per distinct value of ``x``, gathered back to its shape.
+def per_distinct(chain: Callable[[np.ndarray], tuple], x) -> list[np.ndarray]:
+    """``chain`` rated once per distinct value of ``x``, gathered back per element.
 
     ``chain`` takes the sorted distinct values as a 1-d array and returns a
     tuple of arrays, one entry per value.  Each is returned indexed by the
     position of every element of ``x`` among those values: a batch whose
     splits repeat a component (a grid row, say) pays for that component's
     chain once per value, and each element's result is the one it would get
-    alone.  A float gives 0-d arrays.
+    alone.  A float is read as a one-row array.
     """
-    values, inverse = np.unique(x, return_inverse=True)
-    inverse = inverse.reshape(np.shape(x))
-    return tuple(out[inverse] for out in chain(values))
-
-
-def holds(cond) -> bool:
-    """Whether a comparison holds: for one value, or for every element.
-
-    The cheap path for a single split, where numpy's reductions would cost
-    more than the rate formula itself.
-    """
-    return bool(cond.all()) if isinstance(cond, np.ndarray) else bool(cond)
+    x = np.atleast_1d(x)
+    order = x.argsort()  # np.unique, without its overhead on a few rows
+    ranked = x[order]
+    first = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    inverse = np.empty(x.size, np.intp)
+    inverse[order] = first.cumsum() - 1
+    return [out[inverse] for out in chain(ranked[first])]
 
 
 def nonfinite_fields(obj) -> list[str]:

@@ -45,7 +45,6 @@ __all__ = [
     "crossover",
     "mutate",
     "run",
-    "run_genetic",
     "run_lockstep",
 ]
 
@@ -335,27 +334,6 @@ def _lockstep(
     ]
 
 
-def _rng(config: CgaConfig, rng: np.random.Generator | None) -> np.random.Generator:
-    return np.random.default_rng(config.rng_seed) if rng is None else rng
-
-
-def run_genetic(
-    config: CgaConfig,
-    fitness_fn: Callable[[np.ndarray], np.ndarray],
-    rng: np.random.Generator | None = None,
-) -> OptimizationResult:
-    """One generational run over an arbitrary gene-space fitness.
-
-    ``fitness_fn`` receives a generation's ``(population, 2)`` gene array,
-    must not modify it, must be deterministic, and returns one fitness per
-    row; :data:`WORST_FITNESS` (or NaN, read as the same) marks infeasible
-    genes.  The loop is the lockstep loop of a single run; see
-    :func:`run_lockstep`.
-    """
-    (result,) = _lockstep(config, lambda genes: [fitness_fn(genes[0])], [_rng(config, rng)])
-    return result
-
-
 def run_lockstep(
     config: CgaConfig,
     totals: list[float],
@@ -387,7 +365,7 @@ def run_lockstep(
     results = _lockstep(config, fitness, rngs)
     for i, (total, result) in enumerate(zip(totals, results)):
         if result.best_fitness != WORST_FITNESS:
-            eps_pe, eps_cor = (map_gene(g, total) for g in result.best_genes)
+            eps_pe, eps_cor = map_gene(np.array(result.best_genes), total).tolist()
             budget = reconstruct_sec(total, eps_pe, eps_cor, family)
             results[i] = replace(result, best_budget=budget)
     return results
@@ -408,4 +386,5 @@ def run(
     winning genes are resolved back into a budget (``None`` if the search
     never found a feasible split).
     """
-    return run_lockstep(config, [total_eps], family, rate_fn, [_rng(config, rng)])[0]
+    rng = np.random.default_rng(config.rng_seed) if rng is None else rng
+    return run_lockstep(config, [total_eps], family, rate_fn, [rng])[0]

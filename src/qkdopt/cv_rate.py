@@ -20,7 +20,7 @@ Model conventions:
 
 Only the worst-case channel, its Holevo bound and the finite-size term depend
 on the budget; one :func:`cv_key_rate` call computes the rest once and rates a
-single split or a whole batch (see :mod:`qkdopt.budget`).
+whole batch over 1-d arrays, a single split as a batch of one (see :mod:`qkdopt.budget`).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budget import EpsilonBudget, Family, holds, libm, nonfinite_fields, per_distinct
+from .budget import EpsilonBudget, Family, libm, nonfinite_fields, per_distinct
 
 __all__ = [
     "CvProtocolParams",
@@ -45,7 +45,6 @@ __all__ = [
     "mutual_information",
     "bosonic_entropy",
     "holevo_bound",
-    "finite_size_term",
     "cv_key_rate",
 ]
 
@@ -121,13 +120,13 @@ class WorstCaseChannel(NamedTuple):
 
     ``degenerate`` is set when the lower transmissivity limit collapsed to
     (or below) the clamping floor, i.e. estimation failed to exclude a dead
-    channel; callers must then refuse to claim any key.  Each field is an
-    array when the confidence level is.
+    channel; callers must then refuse to claim any key.  One entry per
+    confidence level.
     """
 
-    t: float | np.ndarray
-    xi: float | np.ndarray
-    degenerate: bool | np.ndarray
+    t: np.ndarray
+    xi: np.ndarray
+    degenerate: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -136,8 +135,8 @@ class CvRateBreakdown:
 
     ``rate_per_use = (n * r_pe_bits - finite_term_bits) / N`` and
     ``rate_bits_per_sec = clock_hz * rate_per_use`` always hold.  Every field
-    but ``mutual_info_bits`` depends on the budget: floats for one split,
-    arrays for a batch.
+    but ``mutual_info_bits`` depends on the budget: arrays for a batch,
+    floats for a budget of floats.
     """
 
     mutual_info_bits: float
@@ -166,7 +165,8 @@ def pe_confidence_width(eps_pe):
     failure probability ``eps_pe`` may be 1, in which case the interval has
     zero width.
     """
-    if not holds((0.0 < eps_pe) & (eps_pe <= 1.0)):
+    eps_pe = np.atleast_1d(eps_pe)
+    if not ((0.0 < eps_pe) & (eps_pe <= 1.0)).all():
         raise ValueError(f"eps_pe must lie in (0, 1], got {eps_pe}")
     return np.sqrt(2.0 * libm(math.log, 1.0 / eps_pe))
 
@@ -262,14 +262,14 @@ def bosonic_entropy(nu):
     element by element.  Eigenvalues within 1e-9 below 1 are clamped to 1
     (vacuum); anything smaller is unphysical and raises ``ValueError``.
     """
-    if not holds(nu >= 1.0 - _NU_TOL):
+    nu = np.atleast_1d(nu)
+    if not (nu >= 1.0 - _NU_TOL).all():
         raise ValueError(f"symplectic eigenvalue {nu} below 1: unphysical state")
     mixed = nu > 1.0
     nu = np.where(mixed, nu, 3.0)  # keep the vacuum out of log2's domain error
     up = 0.5 * (nu + 1.0)
     dn = 0.5 * (nu - 1.0)
-    h = np.where(mixed, up * libm(math.log2, up) - dn * libm(math.log2, dn), 0.0)
-    return h if h.ndim else float(h)
+    return np.where(mixed, up * libm(math.log2, up) - dn * libm(math.log2, dn), 0.0)
 
 
 def holevo_bound(params: CvProtocolParams, t, xi):
@@ -285,14 +285,15 @@ def holevo_bound(params: CvProtocolParams, t, xi):
 
         ``chi = h(nu_+) + h(nu_-) - h(nu_c)``,
 
-    element by element over arrays of ``t`` and ``xi``.
+    element by element over 1-d arrays of ``t`` and ``xi``.
 
     :param t: transmissivity of the pessimistic channel, in (0, 1]
     :param xi: excess noise of the pessimistic channel, >= 0
     """
-    if not holds((0.0 < t) & (t <= 1.0)):
+    t, xi = np.atleast_1d(t, xi)
+    if not ((0.0 < t) & (t <= 1.0)).all():
         raise ValueError(f"transmissivity must lie in (0, 1], got {t}")
-    if not holds(xi >= 0.0):
+    if not (xi >= 0.0).all():
         raise ValueError(f"excess noise must be non-negative, got {xi}")
     mu = params.signal_variance
     b = t * mu + 1.0 - t + t * xi
@@ -300,34 +301,10 @@ def holevo_bound(params: CvProtocolParams, t, xi):
     delta = mu * mu + b * b - 2.0 * c2
     det_gamma = libm(math.pow, mu * b - c2, 2.0)
     root = np.sqrt(np.maximum(delta * delta - 4.0 * det_gamma, 0.0))
-    nu_plus = np.sqrt(np.maximum((delta + root) * 0.5, 0.0))
-    nu_minus = np.sqrt(np.maximum((delta - root) * 0.5, 0.0))
-    nu_cond = np.sqrt(np.maximum(mu * (mu * b - c2) / b, 0.0))
-    return bosonic_entropy(nu_plus) + bosonic_entropy(nu_minus) - bosonic_entropy(nu_cond)
-
-
-def finite_size_term(n: int, budget: EpsilonBudget, discretization: int):
-    """Total finite-size deduction ``F`` (bits) for a key block of ``n`` signals.
-
-    ``F = sqrt(n) * log2(n) * sqrt(2 * ln(2 / eps_pe))
-    + 4 * sqrt(n) * log2(sqrt(2^D) + 2) * sqrt(log2(8 / eps_sec^2))
-    - log2(eps_sec^2 * eps_cor / 2)``
-
-    combining the entropy-estimation penalty, the leftover-hash cost at
-    ``D`` bits per sample, and the correctness/secrecy log terms; one value
-    per split of a batch budget.
-
-    :param n: number of key-generation signals, >= 2
-    :param discretization: bits per quadrature sample ``D``, >= 1
-    """
-    if n < 2:
-        raise ValueError(f"need at least 2 key-generation signals, got n = {n}")
-    if discretization < 1:
-        raise ValueError(f"discretization must be positive, got {discretization}")
-    eps_pe, eps_sec, eps_cor = budget.eps_pe, budget.eps_sec, budget.eps_cor
-    if not holds((eps_pe > 0.0) & (eps_sec > 0.0) & (eps_cor > 0.0)):
-        raise ValueError("all budget components must be positive")
-    return _finite_size_term(n, _entropy_estimation_term(n, eps_pe), budget, discretization)
+    nu2 = (delta + root) * 0.5, (delta - root) * 0.5, mu * (mu * b - c2) / b
+    nu = np.sqrt(np.maximum(np.concatenate(nu2), 0.0))  # nu_+, nu_- and nu_c: one entropy call
+    h_plus, h_minus, h_cond = bosonic_entropy(nu).reshape(3, -1)
+    return h_plus + h_minus - h_cond
 
 
 def _entropy_estimation_term(n: int, eps_pe):
@@ -336,7 +313,10 @@ def _entropy_estimation_term(n: int, eps_pe):
 
 
 def _finite_size_term(n: int, ent_term, budget: EpsilonBudget, discretization: int):
-    """``F`` from its entropy-estimation part ``ent_term``, unchecked."""
+    """Finite-size deduction ``F`` (bits) of each split, from ``ent_term``:
+    ``F = ent_term + 4 * sqrt(n) * log2(sqrt(2^D) + 2) * sqrt(log2(8 / eps_sec^2))
+    - log2(eps_sec^2 * eps_cor / 2)``, the leftover-hash cost at ``D`` bits per
+    sample and the correctness/secrecy log terms."""
     eps_sec, eps_cor = budget.eps_sec, budget.eps_cor
     hash_term = (
         4.0
@@ -396,8 +376,8 @@ def cv_key_rate(
     fs = _finite_size_term(n, ent_term, budget, params.discretization)
     rate_per_use = (n * r_pe - fs) / params.block_size
     varying = (chi, r_pe, fs, rate_per_use, params.clock_hz * rate_per_use)
-    if not isinstance(budget.eps_pe, np.ndarray):  # one split: floats, printed by repr
-        varying = tuple(map(float, varying))
+    if isinstance(budget.eps_pe, float):  # one split: floats, printed by repr
+        varying = [v.item() for v in varying]
     chi, r_pe, fs, rate_per_use, rate_bits_per_sec = varying
     return CvRateBreakdown(
         mutual_info_bits=info,

@@ -11,8 +11,8 @@ qubits yield about ``N * p_sift * Q1`` usable bits, split between parameter
 estimation (``m``) and key generation (``n``).
 
 Only the worst-case error rate and the log and AEP terms depend on the
-budget; one :func:`dv_key_rate` call computes the rest once and rates a single
-split or a whole batch (see :mod:`qkdopt.budget`).
+budget; one :func:`dv_key_rate` call computes the rest once and rates a whole
+batch over 1-d arrays, a single split as a batch of one (see :mod:`qkdopt.budget`).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budget import EpsilonBudget, Family, holds, libm, nonfinite_fields, per_distinct
+from .budget import EpsilonBudget, Family, libm, nonfinite_fields, per_distinct
 from .cv_rate import transmissivity
 
 __all__ = [
@@ -107,8 +107,8 @@ class DvRateBreakdown:
     """Intermediate quantities of one key-rate evaluation.
 
     ``qber_wc``, ``secret_fraction``, ``rate_per_use`` and
-    ``rate_bits_per_sec`` depend on the budget: floats for one split, arrays
-    for a batch.  ``rate_per_use = kappa * secret_fraction`` and
+    ``rate_bits_per_sec`` depend on the budget: arrays for a batch, floats
+    for a budget of floats.  ``rate_per_use = kappa * secret_fraction`` and
     ``rate_bits_per_sec = c_dt * clock_hz * rate_per_use`` always hold, and
     ``qber_wc >= qber_est``.
     """
@@ -163,7 +163,7 @@ def worst_case_qber(qber_est: float, m: int, eps_pe):
     """Upper confidence limit on the error rate after comparing ``m`` bits.
 
     ``E_wc = E + sqrt((2 / m) * ln((m + 1) / eps_pe))``, capped at 1/2,
-    element by element over an array of ``eps_pe``.
+    element by element over a 1-d array of ``eps_pe``.
 
     :param qber_est: estimated error rate, in [0, 0.5]
     :param m: number of disclosed estimation bits, >= 1
@@ -173,19 +173,21 @@ def worst_case_qber(qber_est: float, m: int, eps_pe):
         raise ValueError(f"qber_est must lie in [0, 0.5], got {qber_est}")
     if m < 1:
         raise ValueError(f"need at least one estimation bit, got m = {m}")
-    if not holds((0.0 < eps_pe) & (eps_pe < 1.0)):
+    eps_pe = np.atleast_1d(eps_pe)
+    if not ((0.0 < eps_pe) & (eps_pe < 1.0)).all():
         raise ValueError(f"eps_pe must lie in (0, 1), got {eps_pe}")
     dev = np.sqrt((2.0 / m) * libm(math.log, (m + 1) / eps_pe))
     return np.minimum(qber_est + dev, 0.5)
 
 
 def aep_term(eps_s):
-    """Entropy-rate convergence penalty ``7 * sqrt(log2(2 / eps_s))``.
+    """Entropy-rate convergence penalty ``7 * sqrt(log2(2 / eps_s))`` per element.
 
     Vanishes at the boundary value ``eps_s = 2`` (included for that
     mathematical check; real budgets keep ``eps_s`` far below 1).
     """
-    if not holds((0.0 < eps_s) & (eps_s <= 2.0)):
+    eps_s = np.atleast_1d(eps_s)
+    if not ((0.0 < eps_s) & (eps_s <= 2.0)).all():
         raise ValueError(f"eps_s must lie in (0, 2], got {eps_s}")
     return 7.0 * np.sqrt(libm(math.log2, 2.0 / eps_s))
 
@@ -193,14 +195,15 @@ def aep_term(eps_s):
 def binary_entropy(p):
     """Binary Shannon entropy in bits, element by element; ``h(0) = h(1) = 0``.
 
-    ``h(p) = -p * log2(p) - (1 - p) * log2(1 - p)``; a float gives a float.
+    ``h(p) = -p * log2(p) - (1 - p) * log2(1 - p)`` over a 1-d array.
     """
-    if not holds((0.0 <= p) & (p <= 1.0)):
+    p = np.atleast_1d(p)
+    if not ((0.0 <= p) & (p <= 1.0)).all():
         raise ValueError(f"probability must lie in [0, 1], got {p}")
     inner = (0.0 < p) & (p < 1.0)
     p = np.where(inner, p, 0.5)  # keep the endpoints out of log2's domain error
-    h = np.where(inner, -p * libm(math.log2, p) - (1.0 - p) * libm(math.log2, 1.0 - p), 0.0)
-    return h if h.ndim else float(h)
+    q = 1.0 - p
+    return np.where(inner, -p * libm(math.log2, p) - q * libm(math.log2, q), 0.0)
 
 
 def dv_key_rate(params: DvProtocolParams, budget: EpsilonBudget) -> DvRateBreakdown:
@@ -217,8 +220,8 @@ def dv_key_rate(params: DvProtocolParams, budget: EpsilonBudget) -> DvRateBreakd
     converts it into bits per transmitted qubit, and the dead-time factor
     ``c_dt = 1 / (1 + Q1 * t_dt * clock)`` deflates the clock for bits/s.
     A batch budget gives one rate per split, each equal to the rate of that
-    split alone; ``E_wc`` and ``h(E_wc)``, which depend on ``eps_pe`` only,
-    are rated once per distinct ``eps_pe`` of the batch.
+    split alone; ``E_wc`` and ``1 - h(E_wc) - f_EC * h(E)``, which depend on
+    ``eps_pe`` only, are rated once per distinct ``eps_pe`` of the batch.
 
     Raises ``ValueError`` when the detected block degenerates
     (``n < 2`` or ``m < 1``).
@@ -236,27 +239,21 @@ def dv_key_rate(params: DvProtocolParams, budget: EpsilonBudget) -> DvRateBreakd
             f"detected block degenerate: n = {n} key and m = {m} estimation bits"
         )
     qber = estimated_qber(params, stats.q1, stats.eta_tot)
-    leak = params.recon_efficiency * binary_entropy(qber)
     kappa = (1.0 - params.pe_ratio) * stats.p_sift * stats.q1
     c_dt = 1.0 / (1.0 + stats.q1 * params.dead_time_s * params.clock_hz)
 
     def pe_chain(eps_pe):
         qber_wc = worst_case_qber(qber, m, eps_pe)
-        return qber_wc, binary_entropy(qber_wc)
+        h = binary_entropy(np.concatenate((qber_wc, [qber])))  # each h(E_wc), then h(E)
+        return qber_wc, 1.0 - h[:-1] - params.recon_efficiency * h[-1]
 
-    qber_wc, h_wc = per_distinct(pe_chain, budget.eps_pe)
+    qber_wc, head = per_distinct(pe_chain, budget.eps_pe)
     log_term = (1.0 + libm(math.log2, budget.eps_cor * budget.eps_h * budget.eps_h)) / n
-    secret_fraction = (
-        1.0
-        - h_wc
-        - leak
-        + log_term
-        - aep_term(budget.eps_s) / math.sqrt(n)
-    )
+    secret_fraction = head + log_term - aep_term(budget.eps_s) / math.sqrt(n)
     rate_per_use = kappa * secret_fraction
     varying = (qber_wc, secret_fraction, rate_per_use, c_dt * params.clock_hz * rate_per_use)
-    if not isinstance(budget.eps_pe, np.ndarray):  # one split: floats, printed by repr
-        varying = tuple(map(float, varying))
+    if isinstance(budget.eps_pe, float):  # one split: floats, printed by repr
+        varying = [v.item() for v in varying]
     qber_wc, secret_fraction, rate_per_use, rate_bits_per_sec = varying
     return DvRateBreakdown(
         eta_tot=stats.eta_tot,

@@ -20,7 +20,7 @@ from typing import Any, Callable, get_type_hints
 
 import numpy as np
 
-from .budget import EpsilonBudget, Family, baseline_budgets
+from .budget import EPSILON_FLOOR, EpsilonBudget, Family, baseline_budgets
 from .cga import CgaConfig, OptimizationResult, run_lockstep
 from .cv_rate import CvProtocolParams, cv_key_rate
 from .dv_rate import DvProtocolParams, dv_key_rate
@@ -100,8 +100,9 @@ class SweepSpec:
         if not self.eps_levels:
             object.__setattr__(self, "eps_levels", default_eps_levels(self.family))
         levels = self.eps_levels
-        if any(not (0.0 < lv < 1.0) for lv in levels):
-            raise ConfigError("every eps level must lie in (0, 1)")
+        for lv in levels:  # the floor bounds every component of a split
+            if not (EPSILON_FLOOR <= lv < 1.0):
+                raise ConfigError(f"eps level {lv!r} outside [{EPSILON_FLOOR!r}, 1)")
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ConfigError("eps_levels must be strictly increasing")
         if self.oracle_points < 2:
@@ -109,9 +110,9 @@ class SweepSpec:
         if self.restarts < 1:
             raise ConfigError("restarts must be at least 1")
 
-    def rate_fn(self) -> Callable[[EpsilonBudget], float]:
-        """Budget-to-bits/s closure for this spec's protocol: a float for one
-        split, an array for a batch budget."""
+    def rate_fn(self) -> Callable[[EpsilonBudget], float | np.ndarray]:
+        """Budget-to-bits/s closure for this spec's protocol: a float for a
+        one-split budget of floats, a 1-d array for a batch budget."""
         if self.family is Family.CV:
             return lambda budget: cv_key_rate(
                 self.params, budget, subtractive_xi=self.paper_sign_xi
@@ -210,9 +211,10 @@ def _run_level(
         # a total too small for a baseline split loses only the baselines
         try:
             (_, sym), (_, asym) = baseline_budgets(total, spec.family)
-            rate_sym, rate_asym = rate(sym), rate(asym)
-        except (ValueError, ArithmeticError, OverflowError) as err:
+        except ValueError as err:
             error = str(err)
+        else:
+            rate_sym, rate_asym = rate(sym), rate(asym)
     rate_oracle = None
     if spec.include_oracle:
         grid = grid_search(

@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from qkdopt import cli
-from qkdopt.budget import EPSILON_FLOOR, EpsilonBudget, Family, baseline_budgets
+from qkdopt.budget import EPSILON_FLOOR, EpsilonBudget, Family, baseline_budgets, reconstruct_sec
 from qkdopt.cga import CgaConfig, run
 from qkdopt.cv_rate import (
     CvProtocolParams,
@@ -74,6 +74,14 @@ def _dv_rate_fn(params: DvProtocolParams):
         return dv_key_rate(params, budget).rate_bits_per_sec
 
     return fn
+
+
+def component_budget(eps_pe: float, eps_cor: float, eps_sec: float, family: Family) -> EpsilonBudget:
+    """The budget of these components, completed from their total."""
+    total = family.pe_weight * eps_pe + eps_cor + eps_sec
+    budget = reconstruct_sec(total, eps_pe, eps_cor, family)
+    assert budget is not None
+    return budget
 
 
 def _safe_rate(rate_fn, budget: EpsilonBudget) -> float:
@@ -569,16 +577,12 @@ def test_criterion_09_rate_monotone_in_each_component() -> None:
         for draw in range(100):
             params = draw_params(rng)
             comps = 10.0 ** rng.uniform(exp_lo, exp_hi, size=3)
-            base = EpsilonBudget.from_components(
-                float(comps[0]), float(comps[1]), float(comps[2]), family
-            )
+            base = component_budget(*comps.tolist(), family)
             r_base = rate_of(params, base)
             for idx, name in enumerate(("eps_pe", "eps_cor", "eps_sec")):
                 grown = comps.copy()
                 grown[idx] *= 10.0
-                budget = EpsilonBudget.from_components(
-                    float(grown[0]), float(grown[1]), float(grown[2]), family
-                )
+                budget = component_budget(*grown.tolist(), family)
                 r_grown = rate_of(params, budget)
                 if r_grown < r_base - grace:
                     violations.append(

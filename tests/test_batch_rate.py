@@ -8,6 +8,7 @@ as plain ``float`` fields.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import fields
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdopt.budget import Family, reconstruct_sec
+from qkdopt.budget import EpsilonBudget, Family, reconstruct_sec
 from qkdopt.cv_rate import CvProtocolParams, cv_key_rate
 from qkdopt.dv_rate import DvProtocolParams, dv_key_rate
 
@@ -132,3 +133,19 @@ def test_large_batch_equals_single_splits(family):
     for p, c, row in zip(pe[feasible].tolist(), cor[feasible].tolist(), columns):
         single = rate(params, reconstruct_sec(total, p, c, family))
         assert tuple(getattr(single, name) for name in varying) == row
+
+
+@pytest.mark.parametrize("family", [Family.DV, Family.CV])
+def test_a_float_split_is_a_json_ready_budget(family):
+    # the one-split API as bench/ reads it: reconstruct_sec(...).eps_sec, and
+    # a record of the components and the rate that goes through json.dumps
+    total = 1e-18 if family is Family.DV else 1e-9
+    params = DvProtocolParams() if family is Family.DV else CvProtocolParams()
+    rate = dv_key_rate if family is Family.DV else cv_key_rate
+    budget = reconstruct_sec(total, total / 5, total / 5, family)
+    assert isinstance(budget, EpsilonBudget)
+    record = {name: getattr(budget, name) for name in ("eps_pe", "eps_cor", "eps_sec")}
+    record["rate_bps_raw"] = rate(params, budget).rate_bits_per_sec
+    assert all(type(value) is float for value in record.values())
+    assert json.loads(json.dumps(record)) == record
+    assert reconstruct_sec(total, total / 2, total / 2, family) is None

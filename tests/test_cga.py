@@ -15,7 +15,6 @@ from qkdopt.cga import (
     mutate,
     pair,
     run,
-    run_genetic,
     run_lockstep,
     select,
     softmax_probabilities,
@@ -96,7 +95,8 @@ def test_run_fitness_matches_direct_rate(monkeypatch):
     total = 1e-17
     cfg = fixed_population(monkeypatch, (-0.9, -0.95), (-0.9, -0.95))
     result = run(cfg, total, Family.DV, rate)
-    budget = reconstruct_sec(total, map_gene(-0.9, total), map_gene(-0.95, total), Family.DV)
+    eps_pe, eps_cor = map_gene(np.array([-0.9, -0.95]), total).tolist()
+    budget = reconstruct_sec(total, eps_pe, eps_cor, Family.DV)
     assert result.best_budget == budget
     assert result.best_fitness == rate(budget)
     assert result.fitness_history == [rate(budget)]
@@ -409,6 +409,14 @@ def test_mutate_spares_elite_and_hits_everyone_else():
     assert np.all(out[1:] != 0.0)
     assert np.all((-1.0 <= out) & (out <= 1.0))
     assert np.array_equal(population, np.zeros((50, 2)))
+
+
+def run_genetic(config, fitness_fn):
+    """The generational loop of one run over a gene-space fitness of its
+    ``(population, 2)`` genes."""
+    rngs = [np.random.default_rng(config.rng_seed)]
+    (result,) = cga._lockstep(config, lambda genes: [fitness_fn(genes[0])], rngs)
+    return result
 
 
 def test_run_genetic_quadratic_convergence():

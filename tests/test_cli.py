@@ -215,6 +215,40 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, "sweep", "--family", "dv", "--eps", "2.0")[0] == 1
 
 
+@pytest.mark.parametrize(
+    "command, family, level",
+    [
+        ("optimize", "cv", "1e-30"),
+        ("sweep", "dv", "1e-22"),
+        ("rate", "dv", "1e-25"),
+        ("oracle", "cv", "1e-22"),
+    ],
+)
+def test_level_below_the_floor_is_named_in_one_line(capsys, command, family, level):
+    code, out, err = run_cli(capsys, command, "--family", family, "--eps", level)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert level in err and "1e-21" in err
+
+
+def test_config_level_below_the_floor_is_named(capsys, tmp_path):
+    cfg = tmp_path / "dv.ini"
+    cfg.write_text("[budget]\nfamily = dv\n\n[sweep]\neps_levels = 1e-30, 1e-17\n")
+    code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert code == 1
+    assert err.count("\n") == 1 and "1e-30" in err and "1e-21" in err
+
+
+def test_levels_from_the_floor_up_are_allowed(capsys, tmp_path):
+    cfg = tmp_path / "dv.ini"
+    cfg.write_text("[budget]\nfamily = dv\n\n" + SMALL_CGA_INI)
+    code, out, _ = run_cli(
+        capsys, "optimize", "--config", str(cfg), "--eps", "2e-21", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["feasible"] is False
+
+
 def test_negative_seed_exits_one(capsys, tmp_path):
     for command in ("optimize", "sweep"):
         code, _, err = run_cli(

@@ -4,13 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qkdopt.budget import EpsilonBudget, Family, baseline_budgets, reconstruct_sec
+from qkdopt.budget import Family, baseline_budgets, reconstruct_sec
 from qkdopt.cv_rate import (
     CvProtocolParams,
     EstimatorModel,
+    _entropy_estimation_term,
+    _finite_size_term,
     bosonic_entropy,
     cv_key_rate,
-    finite_size_term,
     holevo_bound,
     ml_estimator_model,
     mutual_information,
@@ -136,9 +137,8 @@ def test_bosonic_entropy_of_an_array_is_the_scalar_formula_per_element():
     nu = np.concatenate([edges, 1.0 + 10.0 ** rng.uniform(-15.0, 4.0, 1000)])
     rng.shuffle(nu)
     assert bosonic_entropy(nu).tolist() == [scalar_bosonic_entropy(v) for v in nu.tolist()]
-    for v in edges:
-        assert type(bosonic_entropy(v)) is float
-        assert bosonic_entropy(v) == scalar_bosonic_entropy(v)
+    for v in edges:  # a float is a one-row array
+        assert bosonic_entropy(v).tolist() == [scalar_bosonic_entropy(v)]
     assert bosonic_entropy(1.0 - 1e-10) == 0.0  # clamped to the vacuum
     for below in (1.0 - 2e-9, np.array([2.0, 1.0 - 2e-9])):
         with pytest.raises(ValueError, match="unphysical"):
@@ -204,25 +204,34 @@ def cv_budget(total, eps_pe, eps_cor):
     return budget
 
 
+def component_budget(eps_pe, eps_cor, eps_sec):
+    """The CV budget of these components, completed from their total."""
+    return cv_budget(3.0 * eps_pe + eps_cor + eps_sec, eps_pe, eps_cor)
+
+
+def finite_size_term(n, budget, discretization):
+    """The finite-size deduction ``F`` as the rate chain assembles it."""
+    ent_term = _entropy_estimation_term(n, budget.eps_pe)
+    return _finite_size_term(n, ent_term, budget, discretization)
+
+
 def test_finite_size_term_frozen_value():
-    budget = EpsilonBudget.from_components(2e-13, 2e-13, 2e-13, Family.CV)
+    budget = component_budget(2e-13, 2e-13, 2e-13)
     assert finite_size_term(280_000, budget, 7) == pytest.approx(F_280K, rel=1e-12)
 
 
 def test_finite_size_term_monotone_in_each_component():
     base = (2e-13, 2e-13, 2e-13)
-    f0 = finite_size_term(280_000, EpsilonBudget.from_components(*base, Family.CV), 7)
+    f0 = finite_size_term(280_000, component_budget(*base), 7)
     for i in range(3):
         grown = list(base)
         grown[i] *= 10.0
-        f1 = finite_size_term(
-            280_000, EpsilonBudget.from_components(*grown, Family.CV), 7
-        )
+        f1 = finite_size_term(280_000, component_budget(*grown), 7)
         assert f1 < f0
 
 
 def test_finite_size_term_block_doubling():
-    budget = EpsilonBudget.from_components(2e-13, 2e-13, 2e-13, Family.CV)
+    budget = component_budget(2e-13, 2e-13, 2e-13)
     n = 280_000
     f1 = finite_size_term(n, budget, 7)
     f2 = finite_size_term(2 * n, budget, 7)
@@ -314,15 +323,11 @@ def test_cv_key_rate_degenerate_channel():
 def test_cv_key_rate_monotone_in_each_component():
     params = table_params()
     base = (2e-10, 2e-10, 2e-10)
-    r0 = cv_key_rate(
-        params, EpsilonBudget.from_components(*base, Family.CV)
-    ).rate_per_use
+    r0 = cv_key_rate(params, component_budget(*base)).rate_per_use
     for i in range(3):
         grown = list(base)
         grown[i] *= 100.0
-        r1 = cv_key_rate(
-            params, EpsilonBudget.from_components(*grown, Family.CV)
-        ).rate_per_use
+        r1 = cv_key_rate(params, component_budget(*grown)).rate_per_use
         assert r1 >= r0 - 1e-15
 
 

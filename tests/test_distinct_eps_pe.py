@@ -83,8 +83,8 @@ def test_the_eps_pe_chain_sees_each_distinct_value_once(
         spy(monkeypatch, dv_rate, "binary_entropy", entropy_in, arg=0)
         key_rate(family, params, budget, options)
         (eps_pe,) = qber_eps
-        # h(E) of the model, then h(E_wc) once per distinct eps_pe
-        assert [a.size for a in entropy_in] == [1, distinct.size]
+        # one entropy call: h(E_wc) once per distinct eps_pe, then h(E) of the model
+        assert [a.size for a in entropy_in] == [distinct.size + 1]
     else:
         channel_eps, holevo_t, entropy_eps = [], [], []
         spy(monkeypatch, cv_rate, "worst_case_estimators", channel_eps)

@@ -409,6 +409,21 @@ def test_sweep_runs_equal_their_runs_alone(monkeypatch):
     assert records[0].rate_opt is None and None not in [r.rate_opt for r in records[1:]]
 
 
+def test_a_baseline_rate_that_raises_stops_the_sweep(monkeypatch):
+    # only a total too small for the baseline splits becomes a level's error;
+    # a rate function that fails on one split must not be written down as one
+    rate = small_dv_spec().rate_fn()
+
+    def raise_for_one_split(budget):
+        if np.ndim(budget.eps_pe) == 0:
+            raise ValueError("one-split rate failed")
+        return rate(budget)
+
+    monkeypatch.setattr(SweepSpec, "rate_fn", lambda self: raise_for_one_split)
+    with pytest.raises(ValueError, match="one-split rate failed"):
+        run_sweep(small_dv_spec(eps_levels=(1e-17,)))
+
+
 def test_emit_json_writes_a_nan_rate_as_null(monkeypatch):
     # a NaN baseline rate must not reach the JSON text as the bare token NaN
     rate = small_dv_spec().rate_fn()

@@ -139,11 +139,12 @@ def reconstruct_sec(total, eps_pe, eps_cor, family: Family):
     """
     rows_total, rows_pe, rows_cor = np.atleast_1d(total, eps_pe, eps_cor)
     _check_totals(rows_total)
-    if not ((rows_pe >= EPSILON_FLOOR) & (rows_cor >= EPSILON_FLOOR)).all():
-        raise ValueError(
-            f"components must be at least {EPSILON_FLOOR}, "
-            f"got eps_pe = {eps_pe}, eps_cor = {eps_cor}"
-        )
+    for name, rows in (("eps_pe", rows_pe), ("eps_cor", rows_cor)):
+        if not (rows >= EPSILON_FLOOR).all():  # name the cause, not the arrays
+            if rows_total.min() < EPSILON_FLOOR:
+                raise ValueError(f"total {rows_total.min()} is below the floor {EPSILON_FLOOR}")
+            low = rows[~(rows >= EPSILON_FLOOR)].min()
+            raise ValueError(f"{name} must be at least {EPSILON_FLOOR}, got {low}")
     eps_sec = rows_total - family.pe_weight * rows_pe - rows_cor
     feasible = eps_sec >= EPSILON_FLOOR
     # Subtracting components below half an ulp of ``total`` rounds back to

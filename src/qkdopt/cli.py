@@ -25,13 +25,13 @@ from dataclasses import asdict, replace
 from typing import Any, Sequence
 
 from .budget import Family, baseline_budgets, reconstruct_sec
-from .cv_rate import CvProtocolParams, cv_key_rate
-from .dv_rate import DvProtocolParams, dv_key_rate
 from .harness import (
     ConfigError,
     SweepSpec,
     emit_results,
+    key_rate,
     load_config,
+    loads_config,
     optimize_level,
     parse_eps_levels,
     run_sweep,
@@ -76,7 +76,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--paper-sign-xi",
         action="store_true",
-        help="use the subtractive worst-case excess-noise convention",
+        help="use the subtractive worst-case excess-noise convention (CV only)",
     )
 
 
@@ -134,9 +134,7 @@ def _build_spec(args: argparse.Namespace) -> SweepSpec:
     else:
         if args.family is None:
             raise _UsageError("--family is required when no --config is given")
-        family = Family(args.family)
-        params = CvProtocolParams() if family is Family.CV else DvProtocolParams()
-        spec = SweepSpec(family=family, params=params)
+        spec = loads_config(f"[budget]\nfamily = {args.family}\n")  # its defaults
     if args.family is not None and Family(args.family) is not spec.family:
         raise _UsageError(
             f"--family {args.family} conflicts with the config's "
@@ -146,7 +144,9 @@ def _build_spec(args: argparse.Namespace) -> SweepSpec:
     if args.eps is not None:
         updates["eps_levels"] = _parse_eps_list(args.eps)
     if args.paper_sign_xi:
-        updates["paper_sign_xi"] = True
+        if spec.family is not Family.CV:
+            raise _UsageError("--paper-sign-xi applies only to the cv family")
+        updates["params"] = replace(spec.params, paper_sign_xi=True)
     if args.out is not None:
         updates["output_path"] = args.out
     if getattr(args, "oracle", False):
@@ -211,17 +211,12 @@ def _cmd_rate(args: argparse.Namespace) -> None:
             raise _UsageError("--eps-pe and --eps-cor must be given together")
         budget = reconstruct_sec(total, args.eps_pe, args.eps_cor, spec.family)
         if budget is None:
-            raise _UsageError(
-                "the requested components leave no room for the secrecy share"
-            )
+            raise _UsageError("the requested components leave no room for the secrecy share")
     else:
         label = "symmetric" if (args.split or "sym") == "sym" else "asymmetric"
         named = dict(baseline_budgets(total, spec.family))
         budget = named[label]
-    if spec.family is Family.CV:
-        breakdown = cv_key_rate(spec.params, budget, subtractive_xi=spec.paper_sign_xi)
-    else:
-        breakdown = dv_key_rate(spec.params, budget)
+    breakdown = key_rate(spec.params, budget)
     record: dict[str, Any] = {
         "family": spec.family.value,
         "eps_total": budget.total,

@@ -16,7 +16,7 @@ Model conventions:
   number ``m`` of estimation signals.
 * The worst-case excess noise is the upper confidence limit
   ``xi_hat + w * sigma_xi`` (pessimistic for the honest parties).  The
-  subtractive variant is kept behind a flag for comparison runs.
+  subtractive variant, ``paper_sign_xi``, is kept for comparison runs.
 
 Only the worst-case channel, its Holevo bound and the finite-size term depend
 on the budget; one :func:`cv_key_rate` call computes the rest once and rates a
@@ -72,6 +72,7 @@ class CvProtocolParams:
     :param discretization: bits per quadrature sample in key generation
     :param pe_ratio: fraction of the block sacrificed for parameter estimation
     :param clock_hz: repetition rate converting rate/use into bits per second
+    :param paper_sign_xi: use the optimistic, subtractive worst-case excess noise
     """
 
     length_km: float = 4.0
@@ -85,6 +86,7 @@ class CvProtocolParams:
     discretization: int = 7
     pe_ratio: float = 0.3
     clock_hz: float = 1e9
+    paper_sign_xi: bool = False
 
     def __post_init__(self) -> None:
         checks = [
@@ -328,11 +330,7 @@ def _finite_size_term(n: int, ent_term, budget: EpsilonBudget, discretization: i
     return ent_term + hash_term - log_term
 
 
-def cv_key_rate(
-    params: CvProtocolParams,
-    budget: EpsilonBudget,
-    subtractive_xi: bool = False,
-) -> CvRateBreakdown:
+def cv_key_rate(params: CvProtocolParams, budget: EpsilonBudget) -> CvRateBreakdown:
     """Composable secret-key rate of the coherent-state protocol.
 
     The block of ``N`` signals is split into ``m = floor(pe_ratio * N)``
@@ -352,7 +350,6 @@ def cv_key_rate(
     of the batch.
 
     :param budget: feasible budget with ``family == Family.CV``
-    :param subtractive_xi: use the optimistic noise bound (comparison only)
     """
     if budget.family is not Family.CV:
         raise ValueError(f"budget family must be CV, got {budget.family}")
@@ -367,7 +364,7 @@ def cv_key_rate(
     info = mutual_information(params, est.t_hat, est.xi_hat)
 
     def pe_chain(eps_pe):
-        wc = worst_case_estimators(est, eps_pe, subtractive_xi=subtractive_xi)
+        wc = worst_case_estimators(est, eps_pe, subtractive_xi=params.paper_sign_xi)
         chi = holevo_bound(params, wc.t, wc.xi)
         r_pe = np.where(wc.degenerate, 0.0, params.recon_efficiency * info - chi)
         return chi, r_pe, _entropy_estimation_term(n, eps_pe)

@@ -32,6 +32,7 @@ __all__ = [
     "SweepRecord",
     "SweepResult",
     "default_eps_levels",
+    "key_rate",
     "load_config",
     "loads_config",
     "parse_eps_levels",
@@ -68,18 +69,38 @@ def default_eps_levels(family: Family) -> tuple[float, ...]:
     return _DEFAULT_LEVELS[family]
 
 
+#: Each family's protocol: its parameters class and its rate breakdown, called
+#: through this module's names so that a wrapper set on one sees every call.
+_PROTOCOLS = {
+    Family.CV: (CvProtocolParams, lambda params, budget: cv_key_rate(params, budget)),
+    Family.DV: (DvProtocolParams, lambda params, budget: dv_key_rate(params, budget)),
+}
+
+
+def _family_of(params: CvProtocolParams | DvProtocolParams) -> Family:
+    for family, (cls, _) in _PROTOCOLS.items():
+        if isinstance(params, cls):
+            return family
+    raise TypeError(f"no protocol family has parameters of type {type(params).__name__}")
+
+
+def key_rate(params: CvProtocolParams | DvProtocolParams, budget: EpsilonBudget):
+    """The rate breakdown of ``budget`` under the protocol that ``params``
+    describe: :func:`cv_key_rate` or :func:`dv_key_rate`."""
+    return _PROTOCOLS[_family_of(params)][1](params, budget)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Everything needed to reproduce one sweep, bit for bit.
 
-    ``params`` must match ``family``; ``restarts`` independent optimizer
-    runs are made per level (best kept).  With a fixed ``cga.rng_seed`` the
-    per-level generators derive deterministically from
-    ``(seed, level index, restart index)``, so two runs of the same spec
-    emit identical bytes.
+    ``params`` are the protocol: their class gives :attr:`family`.
+    ``restarts`` independent optimizer runs are made per level (best kept).
+    With a fixed ``cga.rng_seed`` the per-level generators derive
+    deterministically from ``(seed, level index, restart index)``, so two
+    runs of the same spec emit identical bytes.
     """
 
-    family: Family
     params: CvProtocolParams | DvProtocolParams
     cga: CgaConfig = CgaConfig()
     eps_levels: tuple[float, ...] = ()
@@ -87,18 +108,12 @@ class SweepSpec:
     include_oracle: bool = False
     oracle_points: int = 200
     restarts: int = 1
-    paper_sign_xi: bool = False
     output_path: str | None = None
 
     def __post_init__(self) -> None:
-        expected = CvProtocolParams if self.family is Family.CV else DvProtocolParams
-        if not isinstance(self.params, expected):
-            raise ConfigError(
-                f"params type {type(self.params).__name__} does not match "
-                f"family {self.family.value}"
-            )
+        family = self.family  # params of no protocol raise here
         if not self.eps_levels:
-            object.__setattr__(self, "eps_levels", default_eps_levels(self.family))
+            object.__setattr__(self, "eps_levels", default_eps_levels(family))
         levels = self.eps_levels
         for lv in levels:  # the floor bounds every component of a split
             if not (EPSILON_FLOOR <= lv < 1.0):
@@ -110,14 +125,15 @@ class SweepSpec:
         if self.restarts < 1:
             raise ConfigError("restarts must be at least 1")
 
+    @property
+    def family(self) -> Family:
+        """The protocol family of :attr:`params`."""
+        return _family_of(self.params)
+
     def rate_fn(self) -> Callable[[EpsilonBudget], float | np.ndarray]:
         """Budget-to-bits/s closure for this spec's protocol: a float for a
         one-split budget of floats, a 1-d array for a batch budget."""
-        if self.family is Family.CV:
-            return lambda budget: cv_key_rate(
-                self.params, budget, subtractive_xi=self.paper_sign_xi
-            ).rate_bits_per_sec
-        return lambda budget: dv_key_rate(self.params, budget).rate_bits_per_sec
+        return lambda budget: key_rate(self.params, budget).rate_bits_per_sec
 
 
 @dataclass(frozen=True)
@@ -244,17 +260,14 @@ def emit_results(result: SweepResult, fmt: str = "csv") -> str:
     CSV holds one row per level with the fixed column set
     :data:`CSV_COLUMNS`; reported rates are clamped at zero and cells for
     disabled or failed computations, or for rates that are not finite, are
-    left empty.  JSON mirrors the CSV
-    content and additionally carries raw rates, the winning budget, the
-    fitness history and any baseline error.
+    left empty.  JSON mirrors the CSV content and additionally carries raw
+    rates, the winning budget, the fitness history and any baseline error.
     """
     if fmt == "csv":
-        text = _emit_csv(result)
-    elif fmt == "json":
-        text = _emit_json(result)
-    else:
-        raise ValueError(f"unknown output format {fmt!r} (expected 'csv' or 'json')")
-    return text
+        return _emit_csv(result)
+    if fmt == "json":
+        return _emit_json(result)
+    raise ValueError(f"unknown output format {fmt!r} (expected 'csv' or 'json')")
 
 
 def _emit_csv(result: SweepResult) -> str:
@@ -337,7 +350,7 @@ def _emit_json(result: SweepResult) -> str:
 # sections or keys are errors.
 
 #: The SweepSpec fields that are not [sweep] keys.
-_NOT_SWEEP_KEYS = ("family", "params", "cga", "paper_sign_xi")
+_NOT_SWEEP_KEYS = ("params", "cga")
 
 
 def load_config(path: str) -> SweepSpec:
@@ -383,26 +396,19 @@ def loads_config(text: str) -> SweepSpec:
     if family is None:
         raise ConfigError("; ".join(problems))
 
-    spec_types = get_type_hints(SweepSpec)
-    cls = CvProtocolParams if family is Family.CV else DvProtocolParams
-    protocol_types = get_type_hints(cls)
-    protocol_types["paper_sign_xi"] = spec_types["paper_sign_xi"]
-    protocol = _read_section(parser, "protocol", protocol_types, problems)
-    paper_sign_xi = protocol.pop("paper_sign_xi", False)
-    if paper_sign_xi and family is Family.DV:
-        problems.append("paper_sign_xi applies only to the CV family")
+    cls = _PROTOCOLS[family][0]
+    protocol = _read_section(parser, "protocol", get_type_hints(cls), problems)
     params = _build("protocol", cls, protocol, problems)
     cga_kwargs = _read_section(parser, "cga", get_type_hints(CgaConfig), problems)
     cga = _build("cga", CgaConfig, cga_kwargs, problems)
-    sweep_types = {k: t for k, t in spec_types.items() if k not in _NOT_SWEEP_KEYS}
+    spec_types = get_type_hints(SweepSpec).items()
+    sweep_types = {k: t for k, t in spec_types if k not in _NOT_SWEEP_KEYS}
     sweep = _read_section(parser, "sweep", sweep_types, problems)
 
     if problems:
         raise ConfigError("; ".join(problems))
     try:
-        return SweepSpec(
-            family=family, params=params, cga=cga, paper_sign_xi=paper_sign_xi, **sweep
-        )
+        return SweepSpec(params=params, cga=cga, **sweep)
     except ValueError as err:
         raise ConfigError(str(err)) from err
 

@@ -40,8 +40,8 @@ class GridSpec:
             raise ValueError("points_per_axis must be at least 2")
 
     def axis(self, upper: float) -> np.ndarray:
-        if upper <= EPSILON_FLOOR:
-            raise ValueError(f"upper bound {upper} must exceed the floor {EPSILON_FLOOR}")
+        if upper < EPSILON_FLOOR:  # on the floor, every point is the floor: no feasible cell
+            raise ValueError(f"upper bound {upper} is below the floor {EPSILON_FLOOR}")
         return np.logspace(
             math.log10(EPSILON_FLOOR), math.log10(upper), self.points_per_axis
         )

@@ -39,12 +39,9 @@ def cv_case():
         CvProtocolParams,
         length_km=st.floats(0.0, 30.0),
         excess_noise=st.floats(0.0, 0.08),
+        paper_sign_xi=st.booleans(),
     )
-    rate = st.booleans().map(
-        lambda paper_sign_xi: lambda params, budget: cv_key_rate(
-            params, budget, subtractive_xi=paper_sign_xi
-        )
-    )
+    rate = st.just(lambda params, budget: cv_key_rate(params, budget))
     return st.tuples(st.just(Family.CV), params, rate, st.floats(-13.0, -3.0))
 
 

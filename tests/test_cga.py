@@ -125,6 +125,17 @@ def test_run_raises_for_a_rate_function_of_the_wrong_family():
         run(cfg, 1e-17, Family.DV, lambda b: cv_key_rate(params, b).rate_bits_per_sec)
 
 
+def test_run_below_the_floor_names_the_cause_in_one_line():
+    # the library has no level check of its own: the budget layer's message
+    # must name the total, not print the population's arrays
+    cfg = CgaConfig(population=200, iterations=2, rng_seed=1)
+    with pytest.raises(ValueError) as err:
+        run(cfg, 1e-22, Family.DV, dv_rate_fn())
+    message = str(err.value)
+    assert "\n" not in message and len(message) < 200
+    assert "1e-22" in message and "1e-21" in message
+
+
 def test_run_rates_each_generation_in_one_call():
     calls = []
     rate = dv_rate_fn()

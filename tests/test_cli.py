@@ -101,6 +101,25 @@ def test_subtractive_xi_flag_changes_cv_rate(capsys):
     assert minus > plus
 
 
+@pytest.mark.parametrize("command", ["rate", "optimize", "sweep", "oracle"])
+def test_paper_sign_xi_is_a_cv_parameter(capsys, tmp_path, command):
+    extra = ["--points", "12"] if command == "oracle" else []
+
+    def run(family, *flag):
+        cfg = tmp_path / f"{family}.ini"
+        cfg.write_text(f"[budget]\nfamily = {family}\n\n" + SMALL_CGA_INI)
+        argv = [command, "--config", str(cfg), "--family", family, "--eps", "1e-9"]
+        return run_cli(capsys, *argv, *extra, *flag)
+
+    # DV has no such convention: refused by name, not ignored
+    code, out, err = run("dv", "--paper-sign-xi")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "--paper-sign-xi" in err
+    plain, signed = run("cv"), run("cv", "--paper-sign-xi")
+    assert plain[0] == signed[0] == 0
+    assert plain[1] != signed[1]
+
+
 def test_optimize_reports_budget(capsys, tmp_path):
     cfg = tmp_path / "dv.ini"
     cfg.write_text("[budget]\nfamily = dv\n\n" + SMALL_CGA_INI)
@@ -247,6 +266,26 @@ def test_levels_from_the_floor_up_are_allowed(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["feasible"] is False
+
+
+def test_the_oracle_at_the_floor_finds_no_feasible_cell(capsys, tmp_path):
+    # a level the optimizer accepts (feasible: false) must not stop the oracle
+    code, out, _ = run_cli(
+        capsys, "oracle", "--family", "dv", "--eps", "1e-21", "--points", "20",
+        "--format", "json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["feasible_count"] == 0 and doc["best_budget"] is None
+    cfg = tmp_path / "dv.ini"
+    cfg.write_text("[budget]\nfamily = dv\n\n" + SMALL_CGA_INI)
+    code, out, _ = run_cli(
+        capsys, "sweep", "--config", str(cfg), "--eps", "1e-21", "--oracle", "--seed", "1",
+        "--format", "json",
+    )
+    assert code == 0
+    (record,) = json.loads(out)["records"]
+    assert record["rates_raw"]["oracle"] is None
 
 
 def test_negative_seed_exits_one(capsys, tmp_path):

@@ -16,13 +16,14 @@ import pytest
 
 from qkdopt import cv_rate, dv_rate
 from qkdopt.budget import Family, reconstruct_sec
+from qkdopt.harness import key_rate
 from qkdopt.oracle import GridSpec
 
 CASES = [
-    pytest.param(Family.DV, dv_rate.DvProtocolParams(), {}, 1e-15, id="dv"),
-    pytest.param(Family.CV, cv_rate.CvProtocolParams(), {}, 1e-8, id="cv"),
+    pytest.param(Family.DV, dv_rate.DvProtocolParams(), 1e-15, id="dv"),
+    pytest.param(Family.CV, cv_rate.CvProtocolParams(), 1e-8, id="cv"),
     pytest.param(
-        Family.CV, cv_rate.CvProtocolParams(), {"subtractive_xi": True}, 1e-8,
+        Family.CV, cv_rate.CvProtocolParams(paper_sign_xi=True), 1e-8,
         id="cv-paper-sign-xi",
     ),
 ]
@@ -38,22 +39,16 @@ def log_grid_batch(total: float, family: Family):
     return budget
 
 
-def key_rate(family: Family, params, budget, options: dict):
-    if family is Family.DV:
-        return dv_rate.dv_key_rate(params, budget)
-    return cv_rate.cv_key_rate(params, budget, **options)
-
-
-@pytest.mark.parametrize("family, params, options, total", CASES)
-def test_each_row_equals_its_split_alone(family, params, options, total):
+@pytest.mark.parametrize("family, params, total", CASES)
+def test_each_row_equals_its_split_alone(family, params, total):
     budget = log_grid_batch(total, family)
     assert np.unique(budget.eps_pe).size < budget.eps_pe.size  # repeats to share
-    batch = key_rate(family, params, budget, options)
+    batch = key_rate(params, budget)
     for i in range(budget.eps_pe.size):
         one = reconstruct_sec(
             total, float(budget.eps_pe[i]), float(budget.eps_cor[i]), family
         )
-        alone = key_rate(family, params, one, options)
+        alone = key_rate(params, one)
         for f in fields(batch):
             got, want = getattr(batch, f.name), getattr(alone, f.name)
             assert type(want) is float
@@ -71,9 +66,9 @@ def spy(monkeypatch, module, name: str, seen: list, arg: int = 1):
     monkeypatch.setattr(module, name, recording)
 
 
-@pytest.mark.parametrize("family, params, options, total", CASES)
+@pytest.mark.parametrize("family, params, total", CASES)
 def test_the_eps_pe_chain_sees_each_distinct_value_once(
-    monkeypatch, family, params, options, total
+    monkeypatch, family, params, total
 ):
     budget = log_grid_batch(total, family)
     distinct = np.unique(budget.eps_pe)
@@ -81,7 +76,7 @@ def test_the_eps_pe_chain_sees_each_distinct_value_once(
         qber_eps, entropy_in = [], []
         spy(monkeypatch, dv_rate, "worst_case_qber", qber_eps, arg=2)
         spy(monkeypatch, dv_rate, "binary_entropy", entropy_in, arg=0)
-        key_rate(family, params, budget, options)
+        key_rate(params, budget)
         (eps_pe,) = qber_eps
         # one entropy call: h(E_wc) once per distinct eps_pe, then h(E) of the model
         assert [a.size for a in entropy_in] == [distinct.size + 1]
@@ -90,7 +85,7 @@ def test_the_eps_pe_chain_sees_each_distinct_value_once(
         spy(monkeypatch, cv_rate, "worst_case_estimators", channel_eps)
         spy(monkeypatch, cv_rate, "holevo_bound", holevo_t)
         spy(monkeypatch, cv_rate, "_entropy_estimation_term", entropy_eps)
-        key_rate(family, params, budget, options)
+        key_rate(params, budget)
         (eps_pe,), (entropy_eps_pe,) = channel_eps, entropy_eps
         assert entropy_eps_pe.tolist() == eps_pe.tolist()
         assert [t.size for t in holevo_t] == [distinct.size]

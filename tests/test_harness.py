@@ -27,7 +27,6 @@ SMALL_CGA = CgaConfig(population=24, iterations=20, rng_seed=7)
 
 def small_dv_spec(**overrides):
     defaults = dict(
-        family=Family.DV,
         params=DvProtocolParams(),
         cga=SMALL_CGA,
         eps_levels=(1e-18, 1e-17),
@@ -45,7 +44,7 @@ def test_minimal_config_applies_defaults():
     assert spec.include_baselines is True
     assert spec.include_oracle is False
     assert spec.restarts == 1
-    assert spec.paper_sign_xi is False
+    assert spec.params.paper_sign_xi is False
 
 
 def test_default_levels_are_decade_grids():
@@ -131,7 +130,6 @@ EVERY_KEY_SPECS = {
     "cv": (
         CV_EVERY_KEY_INI,
         SweepSpec(
-            family=Family.CV,
             params=CvProtocolParams(
                 length_km=7.0,
                 attenuation_db_per_km=0.18,
@@ -144,6 +142,7 @@ EVERY_KEY_SPECS = {
                 discretization=5,
                 pe_ratio=0.4,
                 clock_hz=5e8,
+                paper_sign_xi=True,
             ),
             cga=CgaConfig(
                 population=50,
@@ -159,14 +158,12 @@ EVERY_KEY_SPECS = {
             include_oracle=True,
             oracle_points=64,
             restarts=2,
-            paper_sign_xi=True,
             output_path="out.csv",
         ),
     ),
     "dv": (
         DV_EVERY_KEY_INI,
         SweepSpec(
-            family=Family.DV,
             params=DvProtocolParams(
                 length_km=50.0,
                 attenuation_db_per_km=0.25,
@@ -212,10 +209,8 @@ def test_config_sets_every_field_with_its_type(family):
     spec = loads_config(text)
     assert spec == expected
     # every field of every section is set, each away from its default
-    defaults = SweepSpec(family=spec.family, params=type(spec.params)())
-    not_keys = {"family", "params", "cga"}
-    if spec.family is Family.DV:
-        not_keys.add("paper_sign_xi")  # a CV-only key
+    defaults = SweepSpec(params=type(spec.params)())
+    not_keys = {"params", "cga"}
     pairs = ((spec.params, defaults.params), (spec.cga, defaults.cga), (spec, defaults))
     for obj, default in pairs:
         for name, _, value in _fields_with_types(obj):
@@ -301,9 +296,12 @@ def test_config_paper_sign_is_cv_only():
         loads_config(text)
 
 
-def test_sweep_spec_family_params_mismatch():
-    with pytest.raises(ConfigError):
-        SweepSpec(family=Family.CV, params=DvProtocolParams())
+def test_sweep_spec_family_is_the_type_of_its_params():
+    assert SweepSpec(params=CvProtocolParams()).family is Family.CV
+    assert SweepSpec(params=DvProtocolParams()).family is Family.DV
+    # parameters of neither protocol do not fall through to DV
+    with pytest.raises(TypeError, match="CgaConfig"):
+        SweepSpec(params=CgaConfig(), eps_levels=(1e-17,))
 
 
 def test_run_sweep_records_and_ordering():
@@ -339,7 +337,6 @@ def test_run_sweep_records_level_failures():
     # at 4e-21 the CV symmetric split (total / 5 per component) is below the
     # component floor, so the baseline evaluation fails for that level only
     spec = SweepSpec(
-        family=Family.CV,
         params=CvProtocolParams(),
         cga=SMALL_CGA,
         eps_levels=(4e-21, 1e-9),
@@ -464,7 +461,6 @@ def test_emit_csv_schema_and_clamping():
     # CV at 1e-12 is deep in negative-rate territory: raw rates are negative,
     # reported rates must clamp to zero
     spec = SweepSpec(
-        family=Family.CV,
         params=CvProtocolParams(),
         cga=SMALL_CGA,
         eps_levels=(1e-12,),
@@ -491,7 +487,6 @@ def test_emit_csv_schema_and_clamping():
 
 def test_emit_csv_failed_level_row():
     spec = SweepSpec(
-        family=Family.CV,
         params=CvProtocolParams(),
         cga=SMALL_CGA,
         eps_levels=(4e-21,),

@@ -17,8 +17,10 @@ def test_grid_spec_validation_and_axes():
     assert log_axis[-1] == pytest.approx(1e-5, rel=1e-12)
     ratios = log_axis[1:] / log_axis[:-1]
     assert np.allclose(ratios, ratios[0])
-    with pytest.raises(ValueError):
-        GridSpec(points_per_axis=5).axis(1e-21)
+    # at the floor every point is the floor; below it there is no axis
+    assert GridSpec(points_per_axis=5).axis(1e-21).tolist() == [1e-21] * 5
+    with pytest.raises(ValueError, match="below the floor"):
+        GridSpec(points_per_axis=5).axis(9e-22)
 
 
 def test_grid_search_separable_concave():

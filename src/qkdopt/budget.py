@@ -43,7 +43,7 @@ __all__ = [
     "map_gene",
     "libm",
     "per_distinct",
-    "nonfinite_fields",
+    "check_fields",
 ]
 
 #: Smallest admissible value for any epsilon component.  Components may sit
@@ -114,8 +114,8 @@ class EpsilonBudget:
 
 
 def _check_totals(total: np.ndarray) -> None:
-    if not ((0.0 < total) & (total < 1.0)).all():
-        raise ValueError(f"total budget must lie in (0, 1), got {total}")
+    if not (inside := (0.0 < total) & (total < 1.0)).all():  # name one total, not the array
+        raise ValueError(f"total budget must lie in (0, 1), got {total[~inside][0]}")
 
 
 def reconstruct_sec(total, eps_pe, eps_cor, family: Family):
@@ -202,8 +202,8 @@ def map_gene(p, total):
     resulting split is judged downstream.
     """
     p = np.atleast_1d(p)
-    if not ((-1.0 <= p) & (p <= 1.0)).all():
-        raise ValueError(f"genes must lie in [-1, 1], got {p}")
+    if not (inside := (-1.0 <= p) & (p <= 1.0)).all():  # name one gene, not the array
+        raise ValueError(f"genes must lie in [-1, 1], got {p[~inside][0]}")
     return EPSILON_FLOOR + 0.5 * (p + 1.0) * (total - EPSILON_FLOOR)
 
 
@@ -241,14 +241,13 @@ def per_distinct(chain: Callable[[np.ndarray], tuple], x) -> list[np.ndarray]:
     return [out[inverse] for out in chain(ranked[first])]
 
 
-def nonfinite_fields(obj) -> list[str]:
-    """One message per float field of dataclass ``obj`` that is NaN or infinite.
-
-    Range checks written as comparisons pass NaN (``nan <= 0.0`` is False)
-    and an unbounded side passes infinity, so a config object runs this first.
-    """
-    return [
+def check_fields(obj, checks: list[tuple[bool, str]]) -> None:
+    """Raise one ``ValueError`` listing each NaN or infinite float field of dataclass ``obj``
+    or, if none, each failed ``(holds, message)`` check (which may pass NaN or infinity)."""
+    bad = [
         f"{f.name} must be finite, got {value!r}"
         for f in fields(obj)
         if isinstance(value := getattr(obj, f.name), float) and not math.isfinite(value)
-    ]
+    ] or [message for holds, message in checks if not holds]
+    if bad:
+        raise ValueError("; ".join(bad))

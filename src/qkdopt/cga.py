@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .budget import EpsilonBudget, Family, libm, map_gene, nonfinite_fields, reconstruct_sec
+from .budget import EpsilonBudget, Family, check_fields, libm, map_gene, reconstruct_sec
 
 __all__ = [
     "WORST_FITNESS",
@@ -76,32 +76,26 @@ class CgaConfig:
     rng_seed: int | None = None
 
     def __post_init__(self) -> None:
-        bad = nonfinite_fields(self)
-        if bad:
-            raise ValueError("; ".join(bad))
-        if self.population < 2:
-            raise ValueError("population must hold at least two chromosomes")
-        if self.iterations < 1:
-            raise ValueError("iterations must be positive")
-        if not (0.0 <= self.mutation_rate <= 1.0):
-            raise ValueError("mutation_rate must lie in [0, 1]")
-        if not (0.0 < self.parent_rate <= 1.0):
-            raise ValueError("parent_rate must lie in (0, 1]")
-        if not (0.0 <= self.survival_rate <= 1.0):
-            raise ValueError("survival_rate must lie in [0, 1]")
-        if self.mutation_sigma <= 0.0:
-            raise ValueError("mutation_sigma must be positive")
-        if self.n_parents < 2:
-            raise ValueError(
+        # the parent pool is judged only from a valid population and rate
+        pool_judged = self.population >= 2 and 0.0 < self.parent_rate <= 1.0
+        checks = [
+            (self.population >= 2, "population must hold at least two chromosomes"),
+            (self.iterations >= 1, "iterations must be positive"),
+            (0.0 <= self.mutation_rate <= 1.0, "mutation_rate must lie in [0, 1]"),
+            (0.0 < self.parent_rate <= 1.0, "parent_rate must lie in (0, 1]"),
+            (0.0 <= self.survival_rate <= 1.0, "survival_rate must lie in [0, 1]"),
+            (self.mutation_sigma > 0.0, "mutation_sigma must be positive"),
+            (
+                not pool_judged or self.n_parents >= 2,
                 "parent_rate too small: the parent pool must keep at least "
-                f"two of {self.population} chromosomes"
-            )
-        if self.rng_seed is not None and (
-            not isinstance(self.rng_seed, int) or self.rng_seed < 0
-        ):
-            raise ValueError(
-                f"rng_seed must be a non-negative integer, got {self.rng_seed!r}"
-            )
+                f"two of {self.population} chromosomes",
+            ),
+            (
+                self.rng_seed is None or (isinstance(self.rng_seed, int) and self.rng_seed >= 0),
+                f"rng_seed must be a non-negative integer, got {self.rng_seed!r}",
+            ),
+        ]
+        check_fields(self, checks)
 
     @property
     def n_parents(self) -> int:

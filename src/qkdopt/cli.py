@@ -15,10 +15,6 @@ errors.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
-import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -28,7 +24,12 @@ from .budget import Family, baseline_budgets, reconstruct_sec
 from .harness import (
     ConfigError,
     SweepSpec,
+    budget_fields,
+    clamped,
+    emit_grid,
+    emit_record,
     emit_results,
+    finite,
     key_rate,
     load_config,
     loads_config,
@@ -36,7 +37,7 @@ from .harness import (
     parse_eps_levels,
     run_sweep,
 )
-from .oracle import GridSpec, grid_csv_text, grid_search
+from .oracle import GridSpec, grid_search
 
 __all__ = ["main", "build_parser"]
 
@@ -52,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     parser.add_argument("--config", metavar="PATH", help="INI config file")
     parser.add_argument(
         "--family", choices=["cv", "dv"], help="protocol family (overrides config)"
@@ -67,10 +68,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--format",
-        choices=["text", "csv", "json"],
-        default=None,
+        choices=formats,
+        default=formats[0],
         dest="fmt",
-        help="output format",
+        help="output format (default: %(default)s)",
     )
     parser.add_argument("--out", metavar="PATH", help="write output here, not stdout")
     parser.add_argument(
@@ -85,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p_rate = sub.add_parser("rate", help="evaluate a single budget split")
-    _add_common(p_rate)
+    _add_common(p_rate, ("text", "csv", "json"))
     p_rate.add_argument(
         "--split",
         choices=["sym", "asym"],
@@ -101,21 +102,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate.set_defaults(func=_cmd_rate)
 
     p_opt = sub.add_parser("optimize", help="optimize the split at one total budget")
-    _add_common(p_opt)
+    _add_common(p_opt, ("text", "csv", "json"))
     p_opt.add_argument(
         "--restarts", type=int, default=None, help="independent runs, best kept"
     )
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_sweep = sub.add_parser("sweep", help="optimize across a grid of total budgets")
-    _add_common(p_sweep)
+    _add_common(p_sweep, ("csv", "json"))
     p_sweep.add_argument(
         "--oracle", action="store_true", help="also run the grid oracle per level"
     )
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_oracle = sub.add_parser("oracle", help="dump the brute-force grid")
-    _add_common(p_oracle)
+    _add_common(p_oracle, ("csv", "json"))
     p_oracle.add_argument(
         "--points", type=int, default=None, help="grid points per axis"
     )
@@ -184,27 +185,13 @@ def _write_out(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _render_record(record: dict[str, Any], fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(record, indent=2, sort_keys=True) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(record)
-        writer.writerow("" if v is None else repr(v) for v in record.values())
-        return buf.getvalue()
-    width = max(len(k) for k in record)
-    return "".join(f"{k:<{width}}  {v!r}\n" for k, v in record.items())
-
-
 # --- subcommands -----------------------------------------------------------
 
 
 def _cmd_rate(args: argparse.Namespace) -> None:
     spec = _build_spec(args)
     total = _single_eps(args)
-    explicit = args.eps_pe is not None or args.eps_cor is not None
-    if explicit:
+    if args.eps_pe is not None or args.eps_cor is not None:
         if args.split is not None:
             raise _UsageError("--split cannot be combined with --eps-pe/--eps-cor")
         if args.eps_pe is None or args.eps_cor is None:
@@ -214,89 +201,44 @@ def _cmd_rate(args: argparse.Namespace) -> None:
             raise _UsageError("the requested components leave no room for the secrecy share")
     else:
         label = "symmetric" if (args.split or "sym") == "sym" else "asymmetric"
-        named = dict(baseline_budgets(total, spec.family))
-        budget = named[label]
+        budget = dict(baseline_budgets(total, spec.family))[label]
     breakdown = key_rate(spec.params, budget)
-    record: dict[str, Any] = {
+    record = {
         "family": spec.family.value,
         "eps_total": budget.total,
-        "eps_pe": budget.eps_pe,
-        "eps_cor": budget.eps_cor,
-        "eps_sec": budget.eps_sec,
+        **budget_fields(budget),
+        **asdict(breakdown),
     }
-    record.update(asdict(breakdown))
-    _write_out(_render_record(record, args.fmt or "text"), args.out)
+    _write_out(emit_record(record, args.fmt), args.out)
 
 
 def _cmd_optimize(args: argparse.Namespace) -> None:
     spec = _build_spec(args)
     total = _single_eps(args)
     best = optimize_level(spec, total, level=0)
-    budget = best.best_budget
-    record: dict[str, Any] = {
+    record = {
         "family": spec.family.value,
         "eps_total": total,
-        "feasible": budget is not None,
-        "eps_pe": None if budget is None else budget.eps_pe,
-        "eps_cor": None if budget is None else budget.eps_cor,
-        "eps_sec": None if budget is None else budget.eps_sec,
-        "rate_bps_raw": None if budget is None else best.best_fitness,
-        "rate_bps": None if budget is None else max(best.best_fitness, 0.0),
+        "feasible": best.best_budget is not None,
+        **budget_fields(best.best_budget),
+        "rate_bps_raw": finite(best.best_fitness),
+        "rate_bps": clamped(best.best_fitness),
         "evaluations": best.evaluations,
         "reseeds": best.reseeds,
     }
-    _write_out(_render_record(record, args.fmt or "text"), args.out)
+    _write_out(emit_record(record, args.fmt), args.out)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
     spec = _build_spec(args)
-    fmt = args.fmt or "csv"
-    if fmt == "text":
-        raise _UsageError("sweep output format must be csv or json")
-    result = run_sweep(spec)
-    text = emit_results(result, fmt=fmt)
-    _write_out(text, spec.output_path)
-
-
-_GRID_KEYS = ("eps_pe", "eps_cor", "eps_sec", "rate_bits_per_sec")
+    _write_out(emit_results(run_sweep(spec), fmt=args.fmt), spec.output_path)
 
 
 def _cmd_oracle(args: argparse.Namespace) -> None:
     spec = _build_spec(args)
     total = _single_eps(args)
-    grid = grid_search(
-        GridSpec(points_per_axis=spec.oracle_points),
-        total,
-        spec.family,
-        spec.rate_fn(),
-    )
-    fmt = args.fmt or "csv"
-    if fmt == "csv":
-        _write_out(grid_csv_text(grid.cells), args.out)
-        return
-    if fmt != "json":
-        raise _UsageError("oracle output format must be csv or json")
-    best = grid.best_budget
-    cells = []
-    for row in grid.cells.tolist():  # NaN marks what an infeasible cell lacks
-        cell = dict(zip(_GRID_KEYS, (None if math.isnan(v) else v for v in row)))
-        cell["feasible"] = cell["rate_bits_per_sec"] is not None
-        cells.append(cell)
-    doc = {
-        "family": spec.family.value,
-        "eps_total": total,
-        "feasible_count": grid.feasible_count,
-        "best_budget": None
-        if best is None
-        else {
-            "eps_pe": best.eps_pe,
-            "eps_cor": best.eps_cor,
-            "eps_sec": best.eps_sec,
-        },
-        "best_rate_bps": None if best is None else grid.best_fitness,
-        "cells": cells,
-    }
-    _write_out(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    grid = grid_search(GridSpec(spec.oracle_points), total, spec.family, spec.rate_fn())
+    _write_out(emit_grid(grid, total, spec.family, args.fmt), args.out)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budget import EpsilonBudget, Family, libm, nonfinite_fields, per_distinct
+from .budget import EpsilonBudget, Family, check_fields, libm, per_distinct
 
 __all__ = [
     "CvProtocolParams",
@@ -102,9 +102,7 @@ class CvProtocolParams:
             (0.0 < self.pe_ratio < 1.0, "pe_ratio must lie in (0, 1)"),
             (self.clock_hz > 0.0, "clock_hz must be positive"),
         ]
-        bad = nonfinite_fields(self) or [msg for ok, msg in checks if not ok]
-        if bad:
-            raise ValueError("; ".join(bad))
+        check_fields(self, checks)
 
 
 class EstimatorModel(NamedTuple):

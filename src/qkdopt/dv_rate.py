@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budget import EpsilonBudget, Family, libm, nonfinite_fields, per_distinct
+from .budget import EpsilonBudget, Family, check_fields, libm, per_distinct
 from .cv_rate import transmissivity
 
 __all__ = [
@@ -89,9 +89,7 @@ class DvProtocolParams:
                 "qber_override must lie in [0, 0.5] when set",
             ),
         ]
-        bad = nonfinite_fields(self) or [msg for ok, msg in checks if not ok]
-        if bad:
-            raise ValueError("; ".join(bad))
+        check_fields(self, checks)
 
 
 class DetectionStats(NamedTuple):

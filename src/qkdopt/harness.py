@@ -1,11 +1,11 @@
-"""Experiment harness: configuration files, budget sweeps, result emission.
+"""Experiment harness: configuration files, budget sweeps, every command's output.
 
 A sweep runs the genetic optimizer at each total-budget level, rates the two
 fixed baseline splits for comparison, and optionally cross-checks against the
-brute-force grid.  Results serialize to a fixed-column CSV (reported rates
-clamped at zero — a negative key rate means "no key", not "negative key")
-or to JSON, which additionally preserves the raw unclamped rates and the
-per-generation fitness history.
+brute-force grid.  Every command's bytes come from the one set of output rules
+here: a sweep becomes a fixed-column CSV (reported rates clamped at zero, as a
+negative key rate means no key) or JSON, which also keeps the raw rates and
+the fitness history; a ``rate`` or ``optimize`` record and the oracle's grid too.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, get_type_hints
+from typing import Any, Callable, Iterable, get_type_hints
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .budget import EPSILON_FLOOR, EpsilonBudget, Family, baseline_budgets
 from .cga import CgaConfig, OptimizationResult, run_lockstep
 from .cv_rate import CvProtocolParams, cv_key_rate
 from .dv_rate import DvProtocolParams, dv_key_rate
-from .oracle import GridSpec, grid_search
+from .oracle import GridSearchResult, GridSpec, grid_search
 
 __all__ = [
     "ConfigError",
@@ -39,6 +39,7 @@ __all__ = [
     "run_sweep",
     "optimize_level",
     "emit_results",
+    "grid_csv_text",
     "CSV_COLUMNS",
 ]
 
@@ -249,9 +250,54 @@ def _run_level(
     )
 
 
-def _clamped(rate: float | None) -> str:
-    clamped = _raw_clamped(rate)
-    return "" if clamped is None else repr(clamped)
+# --- output: the rules by which every command's result becomes bytes ---------
+
+
+def finite(value: Any) -> Any:
+    """``value``, or ``None`` (null, an empty cell) for a missing or non-finite number."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def clamped(rate: float | None) -> float | None:
+    """A reported rate: :func:`finite`, and zero for a negative rate (no key)."""
+    rate = finite(rate)
+    return None if rate is None else max(rate, 0.0)
+
+
+def budget_fields(budget: EpsilonBudget | None) -> dict[str, float | None]:
+    """The component fields of ``budget``, each ``None`` without a budget."""
+    return {name: getattr(budget, name, None) for name in ("eps_pe", "eps_cor", "eps_sec")}
+
+
+def _emit(fmt: str, **writers: Callable[[], str]) -> str:
+    if fmt in writers:
+        return writers[fmt]()
+    raise ValueError(f"unknown output format {fmt!r} (expected {' or '.join(map(repr, writers))})")
+
+
+def _json(doc: Any) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _csv(header: list[str], rows: Iterable[Iterable[Any]]) -> str:
+    """``header``, then each row's cells: the repr of a value, empty if not :func:`finite`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(["" if finite(v) is None else repr(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def emit_record(record: dict[str, Any], fmt: str) -> str:
+    """One record of named values (``qkdopt rate``, ``qkdopt optimize``) as
+    aligned ``text``, a two-row ``csv`` or ``json``."""
+    width = max(map(len, record))
+    return _emit(
+        fmt,
+        text=lambda: "".join(f"{k:<{width}}  {v!r}\n" for k, v in record.items()),
+        csv=lambda: _csv(list(record), [record.values()]),
+        json=lambda: _json({k: finite(v) for k, v in record.items()}),
+    )
 
 
 def emit_results(result: SweepResult, fmt: str = "csv") -> str:
@@ -263,81 +309,68 @@ def emit_results(result: SweepResult, fmt: str = "csv") -> str:
     left empty.  JSON mirrors the CSV content and additionally carries raw
     rates, the winning budget, the fitness history and any baseline error.
     """
-    if fmt == "csv":
-        return _emit_csv(result)
-    if fmt == "json":
-        return _emit_json(result)
-    raise ValueError(f"unknown output format {fmt!r} (expected 'csv' or 'json')")
+    rows = (
+        [rec.eps_total, *budget_fields(rec.budget_opt).values()]
+        + [clamped(rate) for rate in _rates(rec).values()]
+        for rec in result.records
+    )
+    return _emit(fmt, csv=lambda: _csv(CSV_COLUMNS, rows), json=lambda: _sweep_json(result))
 
 
-def _emit_csv(result: SweepResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for rec in result.records:
-        budget = rec.budget_opt
-        writer.writerow(
-            [
-                repr(rec.eps_total),
-                "" if budget is None else repr(budget.eps_pe),
-                "" if budget is None else repr(budget.eps_cor),
-                "" if budget is None else repr(budget.eps_sec),
-                _clamped(rec.rate_opt),
-                _clamped(rec.rate_sym),
-                _clamped(rec.rate_asym),
-                _clamped(rec.rate_oracle),
-            ]
-        )
-    return buf.getvalue()
+def _rates(rec: SweepRecord) -> dict[str, float | None]:
+    return dict(opt=rec.rate_opt, sym=rec.rate_sym, asym=rec.rate_asym, oracle=rec.rate_oracle)
 
 
-def _raw(rate: float | None) -> float | None:
-    if rate is None or not math.isfinite(rate):
-        return None
-    return rate
+def _sweep_json(result: SweepResult) -> str:
+    records = [
+        {
+            "eps_total": rec.eps_total,
+            "budget_opt": None if rec.budget_opt is None else budget_fields(rec.budget_opt),
+            "rates_raw": {k: finite(v) for k, v in _rates(rec).items()},
+            "rates_clamped": {k: clamped(v) for k, v in _rates(rec).items()},
+            "fitness_history": rec.fitness_history,
+            "error": rec.error,
+        }
+        for rec in result.records
+    ]
+    family, levels = result.spec.family.value, list(result.spec.eps_levels)
+    return _json({"family": family, "eps_levels": levels, "records": records})
 
 
-def _raw_clamped(rate: float | None) -> float | None:
-    raw = _raw(rate)
-    return None if raw is None else max(raw, 0.0)
+def emit_grid(grid: GridSearchResult, total: float, family: Family, fmt: str) -> str:
+    """The oracle's rated grid as CSV (:func:`grid_csv_text`) or as JSON: the
+    best split, its rate, the feasible count and every cell."""
+    return _emit(
+        fmt, csv=lambda: grid_csv_text(grid.cells), json=lambda: _grid_json(grid, total, family)
+    )
 
 
-def _emit_json(result: SweepResult) -> str:
-    records = []
-    for rec in result.records:
-        budget = None
-        if rec.budget_opt is not None:
-            budget = {
-                "eps_pe": rec.budget_opt.eps_pe,
-                "eps_cor": rec.budget_opt.eps_cor,
-                "eps_sec": rec.budget_opt.eps_sec,
-            }
-        records.append(
-            {
-                "eps_total": rec.eps_total,
-                "budget_opt": budget,
-                "rates_raw": {
-                    "opt": _raw(rec.rate_opt),
-                    "sym": _raw(rec.rate_sym),
-                    "asym": _raw(rec.rate_asym),
-                    "oracle": _raw(rec.rate_oracle),
-                },
-                "rates_clamped": {
-                    "opt": _raw_clamped(rec.rate_opt),
-                    "sym": _raw_clamped(rec.rate_sym),
-                    "asym": _raw_clamped(rec.rate_asym),
-                    "oracle": _raw_clamped(rec.rate_oracle),
-                },
-                "fitness_history": rec.fitness_history,
-                "error": rec.error,
-            }
-        )
+def _grid_json(grid: GridSearchResult, total: float, family: Family) -> str:
+    cells = []
+    for row in grid.cells.tolist():  # NaN marks what an infeasible cell lacks
+        cell = dict(zip(("eps_pe", "eps_cor", "eps_sec", "rate_bits_per_sec"), map(finite, row)))
+        cells.append({**cell, "feasible": cell["rate_bits_per_sec"] is not None})
+    best = grid.best_budget
     doc = {
-        "family": result.spec.family.value,
-        "eps_levels": list(result.spec.eps_levels),
-        "records": records,
+        "family": family.value,
+        "eps_total": total,
+        "feasible_count": grid.feasible_count,
+        "best_budget": None if best is None else budget_fields(best),
+        "best_rate_bps": finite(grid.best_fitness),
+        "cells": cells,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json(doc)
+
+
+def grid_csv_text(cells: np.ndarray) -> str:
+    """Render a rated grid as CSV for offline landscape inspection."""
+    lines = ["eps_pe,eps_cor,eps_sec,feasible,rate_bits_per_sec\n"]
+    for pe, cor, sec, rate in cells.tolist():
+        if math.isnan(rate):
+            lines.append(f"{pe!r},{cor!r},,false,\n")
+        else:
+            lines.append(f"{pe!r},{cor!r},{sec!r},true,{rate!r}\n")
+    return "".join(lines)
 
 
 # --- configuration files ---------------------------------------------------

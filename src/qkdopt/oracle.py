@@ -20,7 +20,6 @@ __all__ = [
     "GridSpec",
     "GridSearchResult",
     "grid_search",
-    "grid_csv_text",
 ]
 
 
@@ -100,12 +99,8 @@ def grid_search(
     )
 
 
-def grid_csv_text(cells: np.ndarray) -> str:
-    """Render a rated grid as CSV for offline landscape inspection."""
-    lines = ["eps_pe,eps_cor,eps_sec,feasible,rate_bits_per_sec\n"]
-    for pe, cor, sec, rate in cells.tolist():
-        if math.isnan(rate):
-            lines.append(f"{pe!r},{cor!r},,false,\n")
-        else:
-            lines.append(f"{pe!r},{cor!r},{sec!r},true,{rate!r}\n")
-    return "".join(lines)
+def __getattr__(name: str):  # harness writes the CSV; bench/tracing.py traces it under this name
+    if name != "grid_csv_text":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .harness import grid_csv_text
+    return grid_csv_text

@@ -81,6 +81,16 @@ def test_map_gene_endpoints_and_midpoint():
         map_gene(np.array([0.0, -1.1]), 1e-5)
 
 
+def test_map_gene_names_one_bad_gene_in_one_line():
+    genes = np.zeros((200, 2))
+    genes[7, 1] = 1.25
+    with pytest.raises(ValueError) as err:
+        map_gene(genes, 1e-9)
+    message = str(err.value)
+    assert "\n" not in message and len(message) < 200
+    assert "1.25" in message
+
+
 def test_map_gene_round_trip():
     genes = np.random.default_rng(42).uniform(-1.0, 1.0, size=500)
     x = map_gene(genes, 1e-8)

@@ -136,6 +136,15 @@ def test_run_below_the_floor_names_the_cause_in_one_line():
     assert "1e-22" in message and "1e-21" in message
 
 
+def test_run_above_one_names_the_total_in_one_line():
+    cfg = CgaConfig(population=200, iterations=2, rng_seed=1)
+    with pytest.raises(ValueError) as err:
+        run(cfg, 1.5, Family.DV, dv_rate_fn())
+    message = str(err.value)
+    assert "\n" not in message and len(message) < 200
+    assert "1.5" in message
+
+
 def test_run_rates_each_generation_in_one_call():
     calls = []
     rate = dv_rate_fn()

@@ -228,6 +228,19 @@ def test_oracle_json_best(capsys):
     assert len(doc["cells"]) == 20 * 20
 
 
+@pytest.mark.parametrize("extra", [["sweep"], ["oracle", "--points", "300"]])
+def test_a_format_the_command_lacks_exits_one_before_any_work(capsys, monkeypatch, extra):
+    calls = []
+    monkeypatch.setattr(cli, "run_sweep", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "grid_search", lambda *args: calls.append(args))
+    code, out, err = run_cli(
+        capsys, *extra, "--family", "dv", "--eps", "1e-17", "--format", "text"
+    )
+    assert code == 1 and out == ""
+    assert "--format" in err and err.count("\n") == 1
+    assert calls == []  # refused while parsing, before a rate is computed
+
+
 def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, "rate", "--no-such-flag")[0] == 1
     assert run_cli(capsys, "rate", "--eps", "1e-9")[0] == 1  # family missing

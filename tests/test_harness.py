@@ -273,6 +273,21 @@ def test_config_lists_every_problem():
     assert "mystery" in message
 
 
+def test_config_lists_every_bad_cga_bound():
+    text = (
+        "[budget]\nfamily = dv\n\n"
+        "[cga]\npopulation = 1\niterations = 0\nmutation_sigma = -1\n"
+    )
+    with pytest.raises(ConfigError) as exc:
+        loads_config(text)
+    message = str(exc.value)
+    assert "population must hold at least two chromosomes" in message
+    assert "iterations must be positive" in message
+    assert "mutation_sigma must be positive" in message
+    # a population too small for any pool says nothing of the parent rate
+    assert "parent_rate" not in message
+
+
 def test_config_requires_family():
     with pytest.raises(ConfigError, match="family"):
         loads_config("[cga]\npopulation = 10\n")

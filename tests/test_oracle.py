@@ -6,7 +6,8 @@ import pytest
 
 from qkdopt.budget import Family, reconstruct_sec
 from qkdopt.dv_rate import DvProtocolParams, dv_key_rate
-from qkdopt.oracle import GridSpec, grid_csv_text, grid_search
+from qkdopt.harness import grid_csv_text
+from qkdopt.oracle import GridSpec, grid_search
 
 
 def test_grid_spec_validation_and_axes():

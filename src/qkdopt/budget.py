@@ -41,6 +41,7 @@ __all__ = [
     "reconstruct_sec",
     "baseline_budgets",
     "map_gene",
+    "as_batch",
     "libm",
     "per_distinct",
     "check_fields",
@@ -88,26 +89,26 @@ class EpsilonBudget:
     family: Family
 
     def __post_init__(self) -> None:
-        shapes = {getattr(getattr(self, name), "shape", ()) for name in _COMPONENTS}
-        if len(shapes) != 1 or len(shape := shapes.pop()) > 1:
+        try:  # a (3,) stack of floats or a (3, n) stack of 1-d arrays
+            parts = np.array((self.eps_pe, self.eps_cor, self.eps_sec), dtype=float)
+        except ValueError:  # arrays of unequal lengths, or floats among arrays
+            parts = None
+        if parts is None or parts.ndim > 2:
             raise ValueError("components must be floats or 1-d arrays of one length")
-        if getattr(self.total, "shape", ()) not in ((), shape):
+        if getattr(self.total, "shape", ()) not in ((), parts.shape[1:]):
             raise ValueError("an array of totals must hold one total per split")
-        total = np.atleast_1d(self.total)
+        total = as_batch(self.total)  # one total for every split, or one each
         _check_totals(total)
-        parts = np.array([getattr(self, n) for n in _COMPONENTS]).reshape(3, -1)
-        inside = ((EPSILON_FLOOR <= parts) & (parts < total)).all(axis=1)
-        if not inside.all():
-            name = _COMPONENTS[inside.argmin()]
-            raise ValueError(
-                f"{name} = {getattr(self, name)} outside [{EPSILON_FLOOR}, total = {self.total})"
-            )
-        eps_pe, eps_cor, eps_sec = parts
-        closure = self.family.pe_weight * eps_pe + eps_cor + eps_sec
-        if not (abs(closure - total) <= _CLOSURE_RTOL * total).all():
-            raise ValueError(
-                f"budget does not close: weighted sum {closure} vs total {self.total}"
-            )
+        parts = parts.reshape(3, -1)
+        if not (inside := (EPSILON_FLOOR <= parts) & (parts < total)).all():
+            k, row = np.argwhere(~inside)[0]  # name one value, not the arrays
+            bounds = f"[{EPSILON_FLOOR}, total = {total[row % total.size]})"
+            raise ValueError(f"{_COMPONENTS[k]} = {parts[k, row]} (row {row}) outside {bounds}")
+        closure = self.family.pe_weight * parts[0] + parts[1] + parts[2]
+        if not (closes := abs(closure - total) <= _CLOSURE_RTOL * total).all():
+            row = closes.argmin()
+            sums = f"weighted sum {closure[row]} vs total {total[row % total.size]}"
+            raise ValueError(f"budget does not close in row {row}: {sums}")
 
     #: Smoothing and hashing failure probabilities, half the secrecy share each.
     eps_s = eps_h = property(lambda self: self.eps_sec / 2)
@@ -137,20 +138,23 @@ def reconstruct_sec(total, eps_pe, eps_cor, family: Family):
     Raises ``ValueError`` for genuine domain violations: ``total`` outside
     ``(0, 1)`` or either input below ``EPSILON_FLOOR``.
     """
-    rows_total, rows_pe, rows_cor = np.atleast_1d(total, eps_pe, eps_cor)
+    rows_total, rows_pe, rows_cor = as_batch(total), as_batch(eps_pe), as_batch(eps_cor)
     _check_totals(rows_total)
-    for name, rows in (("eps_pe", rows_pe), ("eps_cor", rows_cor)):
-        if not (rows >= EPSILON_FLOOR).all():  # name the cause, not the arrays
-            if rows_total.min() < EPSILON_FLOOR:
-                raise ValueError(f"total {rows_total.min()} is below the floor {EPSILON_FLOOR}")
-            low = rows[~(rows >= EPSILON_FLOOR)].min()
-            raise ValueError(f"{name} must be at least {EPSILON_FLOOR}, got {low}")
+    if not ((rows_pe >= EPSILON_FLOOR) & (rows_cor >= EPSILON_FLOOR)).all():
+        if rows_total.min() < EPSILON_FLOOR:  # name the cause, not the arrays
+            raise ValueError(f"total {rows_total.min()} is below the floor {EPSILON_FLOOR}")
+        for name, rows in (("eps_pe", rows_pe), ("eps_cor", rows_cor)):
+            if not (above := rows >= EPSILON_FLOOR).all():
+                low = rows[~above].min()
+                raise ValueError(f"{name} must be at least {EPSILON_FLOOR}, got {low}")
     eps_sec = rows_total - family.pe_weight * rows_pe - rows_cor
     feasible = eps_sec >= EPSILON_FLOOR
     # Subtracting components below half an ulp of ``total`` rounds back to
     # ``total`` itself; nudge down so the strict component bound holds.
     eps_sec = np.minimum(eps_sec, np.nextafter(rows_total, 0.0))
-    rows = (np.broadcast_to(rows_total, feasible.shape), rows_pe, rows_cor, eps_sec)
+    if rows_total.shape != feasible.shape:  # one total for every split
+        rows_total = np.broadcast_to(rows_total, feasible.shape)
+    rows = (rows_total, rows_pe, rows_cor, eps_sec)
     if isinstance(eps_pe, float):  # one split: a budget of floats
         return EpsilonBudget(*(v.item() for v in rows), family) if feasible[0] else None
     return feasible, EpsilonBudget(*(v[feasible] for v in rows), family) if feasible.any() else None
@@ -201,10 +205,15 @@ def map_gene(p, total):
     upper endpoint is admissible here because the feasibility of the
     resulting split is judged downstream.
     """
-    p = np.atleast_1d(p)
+    p = as_batch(p)
     if not (inside := (-1.0 <= p) & (p <= 1.0)).all():  # name one gene, not the array
         raise ValueError(f"genes must lie in [-1, 1], got {p[~inside][0]}")
     return EPSILON_FLOOR + 0.5 * (p + 1.0) * (total - EPSILON_FLOOR)
+
+
+def as_batch(x) -> np.ndarray:
+    """``x`` as an array of one or more dimensions (itself, if it is one)."""
+    return x if isinstance(x, np.ndarray) and x.ndim else np.atleast_1d(x)
 
 
 def libm(fn: Callable[..., float], x, *args: float):
@@ -217,7 +226,7 @@ def libm(fn: Callable[..., float], x, *args: float):
     a batch.  ``map`` and ``np.fromiter`` drive the calls from C, with no
     Python loop around them.  A float is read as a one-row array.
     """
-    x = np.atleast_1d(x)
+    x = as_batch(x)
     values = map(fn, x.tolist(), *map(itertools.repeat, args))
     return np.fromiter(values, float, x.size)  # positional: numpy parses keywords slowly
 
@@ -232,7 +241,7 @@ def per_distinct(chain: Callable[[np.ndarray], tuple], x) -> list[np.ndarray]:
     chain once per value, and each element's result is the one it would get
     alone.  A float is read as a one-row array.
     """
-    x = np.atleast_1d(x)
+    x = as_batch(x)
     order = x.argsort()  # np.unique, without its overhead on a few rows
     ranked = x[order]
     first = np.concatenate(([True], ranked[1:] != ranked[:-1]))

@@ -14,13 +14,14 @@ selected while anything feasible exists.
 
 Determinism: every run consumes its own ``numpy`` generator in a fixed
 stream order — one uniform block for initialization, then per generation one
-pairing block, one crossover block, one uniform block and one normal block
-for mutation (and, only when a generation must be re-seeded, one uniform
-block).  Fitness evaluation draws nothing, so identical seeds give identical
-results regardless of how evaluations are scheduled or which runs share a
-stack.  Probabilities are normalized by sequential left-to-right sums
-(``np.cumsum``), not by the builtin ``sum``, which is compensated from Python
-3.12 on, so the stream does not depend on the interpreter version.
+uniform block, split into the pairing, crossover and mutation-mask draws, and
+one normal block of mutation noise (or, in a generation that must be
+re-seeded, one uniform block).  Fitness evaluation draws nothing, so
+identical seeds give identical results regardless of how evaluations are
+scheduled or which runs share a stack.  Probabilities are normalized by
+sequential left-to-right sums (``np.cumsum``), not by the builtin ``sum``,
+which is compensated from Python 3.12 on, so the stream does not depend on
+the interpreter version.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -97,11 +99,12 @@ class CgaConfig:
         ]
         check_fields(self, checks)
 
-    @property
+    # computed once per config: the generation loop reads them every generation
+    @cached_property
     def n_parents(self) -> int:
         return math.floor(self.population * self.parent_rate)
 
-    @property
+    @cached_property
     def n_survivors(self) -> int:
         return max(1, math.floor(self.n_parents * self.survival_rate))
 
@@ -130,11 +133,6 @@ def initialize(config: CgaConfig, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=(config.population, 2))
 
 
-def _per_run(rngs: list[np.random.Generator], draw: Callable) -> np.ndarray:
-    """``draw`` of each run's own generator, stacked along the run axis."""
-    return np.array([draw(g) for g in rngs])
-
-
 def select(fitness: np.ndarray, config: CgaConfig) -> np.ndarray:
     """Return the parent pool as indices into ``fitness``: the first
     ``n_parents`` of a best-first ranking, in which equal fitness keeps the
@@ -142,7 +140,7 @@ def select(fitness: np.ndarray, config: CgaConfig) -> np.ndarray:
     ``n_survivors``.  A stack of runs, one fitness row each, is ranked row
     by row.
     """
-    ranked = np.argsort(-np.asarray(fitness, dtype=float), axis=-1, kind="stable")
+    ranked = (-np.asarray(fitness, dtype=float)).argsort(axis=-1, kind="stable")
     return ranked[..., : config.n_parents]
 
 
@@ -156,89 +154,97 @@ def softmax_probabilities(fitness: np.ndarray) -> np.ndarray:
     """
     fitness = np.asarray(fitness, dtype=float)
     finite = fitness > WORST_FITNESS
-    if not finite.any(axis=-1).all():
+    lo = np.minimum.reduce(np.where(finite, fitness, np.inf), axis=-1, keepdims=True)
+    if (lo == np.inf).any():  # a row without a finite value
         raise ValueError("no finite-fitness chromosomes to select from")
-    lo = np.where(finite, fitness, np.inf).min(axis=-1, keepdims=True)
     span = np.fmax.reduce(fitness, axis=-1, keepdims=True) - lo  # fmax skips NaN
     scaled = (fitness - lo) / np.where(span == 0.0, 1.0, span)  # constant pool: all 0
-    weights = np.zeros(fitness.shape)
-    # math.exp, not np.exp: numpy's SIMD exp may round differently by CPU
-    weights[finite] = libm(math.exp, scaled[finite])
-    return weights / np.cumsum(weights, axis=-1)[..., -1:]
+    # math.exp, not np.exp: numpy's SIMD exp may round differently by CPU;
+    # exp(-inf) is exactly 0
+    weights = libm(math.exp, np.where(finite, scaled, -np.inf).ravel()).reshape(fitness.shape)
+    return weights / weights.cumsum(axis=-1)[..., -1:]
 
 
-def _draw_index(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row-wise inverse-CDF draw: first index whose cumulative probability
-    exceeds ``u``.  Per run, ``probs`` has one row per draw or a single
-    shared row."""
-    hit = u[..., None] < np.cumsum(probs, axis=-1)
-    index = hit.argmax(axis=-1)
-    # u landed in the rounding slack at the top of the CDF: last positive index
-    slack = ~hit[..., -1]
-    missed = np.broadcast_to(probs, hit.shape)[slack]
-    index[slack] = probs.shape[-1] - 1 - (missed[:, ::-1] > 0.0).argmax(axis=-1)
-    return index
+def pair(fitness: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``(R, n_pairs)`` mothers and fathers from each run's parent pool,
+    a row of the ``(R, n)`` ``fitness``, with the ``(R, n_pairs, 2)``
+    uniforms ``u``: row ``i`` of a run holds pair ``i``'s mother draw, then
+    its father draw.
 
-
-def pair(
-    fitness: np.ndarray, n_pairs: int, rngs: list[np.random.Generator]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``n_pairs`` (mother, father) index pairs from each run's parent
-    pool, a row of the ``(R, n)`` ``fitness``; ``(R, n_pairs)`` results.
-
-    Mothers follow the softmax weights of ``fitness``; each father follows
-    the same weights renormalized with his mother excluded, so the two are
-    always distinct.  Run ``r`` consumes one ``(n_pairs, 2)`` uniform block
-    of ``rngs[r]``: row ``i`` holds the mother's then the father's draw of
-    pair ``i``.
+    A draw picks the first index whose left-to-right cumulative weight
+    exceeds it or, past the top (only rounding slack allows that), the last
+    index of positive weight.  Mothers draw on the softmax weights of
+    ``fitness``; each father on the same weights with his mother's zeroed
+    and the rest divided by their left-to-right sum, so the two differ.
     """
     probs = softmax_probabilities(fitness)
-    if (np.sort(probs, axis=1)[:, -2] == 0.0).any():  # second-largest weight
+    n_runs, n = probs.shape
+    positive = probs > 0.0
+    if (np.add.reduce(positive, axis=1) < 2).any():
         raise ValueError("pairing needs at least two selectable parents")
-    u = _per_run(rngs, lambda g: g.random((n_pairs, 2)))
-    shared = probs[:, None, :]
-    mothers = _draw_index(shared, u[:, :, 0])
-    # row i: the weights with pair i's mother excluded, renormalized
-    conditional = np.repeat(shared, n_pairs, axis=1)
-    rows = conditional.reshape(-1, probs.shape[1])
-    rows[np.arange(len(rows)), mothers.ravel()] = 0.0
-    conditional /= np.cumsum(conditional, axis=2)[:, :, -1:]
-    return mothers, _draw_index(conditional, u[:, :, 1])
+    # Row r is r + 1j * (0, C[0], ..., C[n - 1], inf), C the run's CDF: as
+    # complex numbers sort by real, then imaginary part, one searchsorted
+    # places every run's draws among its own CDF values, compared exactly; a
+    # draw placed at base + j is below C[j] and not below C[j - 1].
+    runs = np.arange(n_runs)[:, None]
+    keys = np.zeros((n_runs, n + 2), complex)
+    keys.real, cdf = runs, keys.imag
+    probs.cumsum(axis=1, out=cdf[:, 1:-1])
+    cdf[:, -1] = np.inf
+    keys, base = keys.ravel(), runs * (n + 2) + 1
+    draws = np.empty(u.shape[:2], complex)
+    draws.real, draws.imag = runs, u[..., 0]
+    last = n - 1 - positive[:, ::-1].argmax(axis=1)[:, None]
+    mothers = np.minimum(keys.searchsorted(draws, "right") - base, last)
+    # A father draw covers t = u * (C[-1] - p_m) of the CDF without his
+    # mother's weight p_m, shifted past her interval from its start C[m - 1]
+    # on (C[m] is C[m - 1] + p_m rounded: no father lands on his mother).
+    # The rule's own CDF differs by rounding, under (4 n + 1) half-ulps of 1
+    # to first order (three sums of at most n + 1 weights: C, the zeroed
+    # row's and the rule's CDF; and a few products), so a draw within
+    # 4 (n + 2) ulps of 1 of a CDF value, or past the top, is drawn on its
+    # exact conditional row.
+    p_m = probs[runs, mothers]
+    t = u[..., 1] * (cdf[:, -2:-1] - p_m)
+    draws.imag = v = np.where(t < cdf[runs, mothers], t, t + p_m)
+    at = keys.searchsorted(draws, "right")
+    fathers, bound, band = at - base, keys.imag, 4 * (n + 2) * np.spacing(1.0)
+    exact = (fathers == n) | (v - bound[at - 1] <= band) | (bound[at] - v <= band)
+    if exact.any():
+        r, i = exact.nonzero()
+        rows = probs[r]
+        rows[np.arange(r.size), mothers[r, i]] = 0.0
+        rows /= rows.cumsum(axis=1)[:, -1:]
+        hit = u[r, i, 1][:, None] < rows.cumsum(axis=1)
+        top = n - 1 - (rows[:, ::-1] > 0.0).argmax(axis=1)
+        fathers[r, i] = np.where(hit[:, -1], hit.argmax(axis=1), top)
+    return mothers, fathers
 
 
-def crossover(
-    mothers: np.ndarray, fathers: np.ndarray, rngs: list[np.random.Generator]
-) -> np.ndarray:
-    """Breed one offspring per row of the ``(R, n, 2)`` parent gene arrays.
+def crossover(mothers: np.ndarray, fathers: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Breed one offspring per row of the ``(R, n, 2)`` parent gene arrays
+    with the ``(R, n, 4)`` uniforms ``u``: columns 0–1 are per-gene coins,
+    columns 2–3 blend weights.
 
-    Run ``r`` consumes one ``(n, 4)`` uniform block of ``rngs[r]``: columns
-    0–1 are per-gene coins, columns 2–3 blend weights.  A gene whose coin
-    falls below 0.5 blends convexly, ``gamma * mother + (1 - gamma) *
-    father``; the others copy the mother's gene.  Offspring therefore never
-    leave the interval hull of their parents' genes.
+    A gene whose coin falls below 0.5 blends convexly, ``gamma * mother + (1
+    - gamma) * father``; the others copy the mother's gene.  Offspring
+    therefore never leave the interval hull of their parents' genes.
     """
-    draws = _per_run(rngs, lambda g: g.random((mothers.shape[1], 4)))
-    coins, gammas = draws[:, :, :2], draws[:, :, 2:]
+    coins, gammas = u[..., :2], u[..., 2:]
     blend = gammas * mothers + (1.0 - gammas) * fathers
     return np.where(coins < _CROSSOVER_PROB, blend, mothers)
 
 
 def mutate(
-    genes: np.ndarray, elite_index: int, config: CgaConfig, rngs: list[np.random.Generator]
+    genes: np.ndarray, elite_index: int, config: CgaConfig, u: np.ndarray, noise: np.ndarray
 ) -> np.ndarray:
-    """Add Gaussian noise to the ``(R, P, 2)`` genes, sparing each run's
-    elite chromosome.
-
-    Run ``r`` consumes one uniform block and one normal block of its genes'
-    shape from ``rngs[r]`` regardless of which genes actually mutate, so the
-    stream layout does not depend on outcomes.  Each gene mutates with
-    probability ``mutation_rate``; results are clipped to ``[-1, 1]``.
+    """Add the ``noise`` (spread ``mutation_sigma``) to the ``(R, P, 2)``
+    genes where their uniforms ``u`` fall below ``mutation_rate``, sparing
+    each run's elite chromosome; results are clipped to ``[-1, 1]``.
     """
-    shape, sigma = genes.shape[1:], config.mutation_sigma
-    mask = _per_run(rngs, lambda g: g.random(shape)) < config.mutation_rate
-    noise = _per_run(rngs, lambda g: g.normal(0.0, sigma, size=shape))
+    mask = u < config.mutation_rate
     mask[:, elite_index] = False
-    return np.where(mask, np.clip(genes + noise, -1.0, 1.0), genes)
+    return np.where(mask, (genes + noise).clip(-1.0, 1.0), genes)
 
 
 def _breed(
@@ -247,13 +253,23 @@ def _breed(
     """The next ``(R, population, 2)`` genes of a stack of runs from their
     parent pools, ranked best-first: the survivors (the pool's first
     ``n_survivors``), then offspring of softmax-drawn parent pairs, all
-    mutated except each run's elite (row 0)."""
-    n_offspring = config.population - config.n_survivors
-    mothers, fathers = pair(pool_fitness, n_offspring, rngs)
-    rows = np.arange(len(pool))[:, None]
-    offspring = crossover(pool[rows, mothers], pool[rows, fathers], rngs)
-    kept = pool[:, : config.n_survivors]
-    return mutate(np.concatenate([kept, offspring], axis=1), 0, config, rngs)
+    mutated except each run's elite (row 0).
+
+    Run ``r`` draws ``6 k + 2 P`` uniforms from ``rngs[r]`` (``k``
+    offspring, population ``P``), split into ``(k, 2)`` pairing, ``(k, 4)``
+    crossover and ``(P, 2)`` mutation draws, then ``(P, 2)`` normals.
+    """
+    size, n_survivors, runs = config.population, config.n_survivors, len(rngs)
+    k = size - n_survivors
+    uniform, noise = np.empty((runs, 6 * k + 2 * size)), np.empty((runs, size, 2))
+    for r, rng in enumerate(rngs):
+        rng.random(out=uniform[r])
+        noise[r] = rng.normal(0.0, config.mutation_sigma, (size, 2))
+    mothers, fathers = pair(pool_fitness, uniform[:, : 2 * k].reshape(runs, k, 2))
+    rows, cross = np.arange(runs)[:, None], uniform[:, 2 * k : 6 * k].reshape(runs, k, 4)
+    offspring = crossover(pool[rows, mothers], pool[rows, fathers], cross)
+    genes = np.concatenate([pool[:, :n_survivors], offspring], axis=1)
+    return mutate(genes, 0, config, uniform[:, 6 * k :].reshape(runs, size, 2), noise)
 
 
 def _lockstep(
@@ -276,7 +292,7 @@ def _lockstep(
     exactly as it would alone.
     """
     n_runs = len(rngs)
-    runs = np.arange(n_runs)
+    runs = np.arange(n_runs)[:, None]
     genes = np.stack([initialize(config, rng) for rng in rngs])
     history = np.empty((config.iterations, n_runs))
     reseeds = np.zeros(n_runs, dtype=int)
@@ -292,7 +308,7 @@ def _lockstep(
             )
         fitness[np.isnan(fitness)] = WORST_FITNESS
         parents = select(fitness, config)
-        pool, pool_fitness = genes[runs[:, None], parents], fitness[runs[:, None], parents]
+        pool, pool_fitness = genes[runs, parents], fitness[runs, parents]
         elite = pool_fitness[:, 0]
         better = ~(elite <= best_fitness)  # always in the first generation
         np.copyto(best_genes, pool[:, 0], where=better[:, None])
@@ -302,17 +318,18 @@ def _lockstep(
         # the pool is ranked best-first: a worst-fitness second parent means
         # fewer than two feasible
         stuck = pool_fitness[:, 1] == WORST_FITNESS
-        bred = np.flatnonzero(~stuck)
-        next_genes = np.empty_like(genes)
+        if not stuck.any():
+            genes = _breed(pool, pool_fitness, config, rngs)
+            continue
+        genes = np.empty_like(genes)
+        bred = (~stuck).nonzero()[0]
         if bred.size:
-            bred_rngs = [rngs[r] for r in bred]
-            next_genes[bred] = _breed(pool[bred], pool_fitness[bred], config, bred_rngs)
-        for r in np.flatnonzero(stuck):
+            genes[bred] = _breed(pool[bred], pool_fitness[bred], config, [rngs[r] for r in bred])
+        for r in stuck.nonzero()[0]:
             logger.info("re-seeding generation: fewer than two feasible parents")
             reseeds[r] += 1
-            next_genes[r] = initialize(config, rngs[r])
-            next_genes[r, 0] = best_genes[r]
-        genes = next_genes
+            genes[r] = initialize(config, rngs[r])
+            genes[r, 0] = best_genes[r]
 
     history = history.T.tolist()
     return [
@@ -347,11 +364,12 @@ def run_lockstep(
     """
     gene_totals = np.array(totals, dtype=float)[:, None, None]
     row_totals = np.repeat(gene_totals.ravel(), config.population)
+    worst = np.full(row_totals.shape, WORST_FITNESS)
 
     def fitness(genes: np.ndarray) -> np.ndarray:
         eps = map_gene(genes, gene_totals).reshape(-1, 2)
         feasible, budget = reconstruct_sec(row_totals, eps[:, 0], eps[:, 1], family)
-        scores = np.full(len(eps), WORST_FITNESS)
+        scores = worst.copy()
         if budget is not None:
             scores[feasible] = rate_fn(budget)
         return scores.reshape(genes.shape[:2])

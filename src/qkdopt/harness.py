@@ -134,7 +134,8 @@ class SweepSpec:
     def rate_fn(self) -> Callable[[EpsilonBudget], float | np.ndarray]:
         """Budget-to-bits/s closure for this spec's protocol: a float for a
         one-split budget of floats, a 1-d array for a batch budget."""
-        return lambda budget: key_rate(self.params, budget).rate_bits_per_sec
+        params, rate = self.params, _PROTOCOLS[self.family][1]  # dispatched once
+        return lambda budget: rate(params, budget).rate_bits_per_sec
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdopt.budget import EpsilonBudget, Family, reconstruct_sec
-from qkdopt.cv_rate import CvProtocolParams, cv_key_rate
-from qkdopt.dv_rate import DvProtocolParams, dv_key_rate
+from qkdopt.cv_rate import (
+    CvProtocolParams,
+    bosonic_entropy,
+    cv_key_rate,
+    holevo_bound,
+    pe_confidence_width,
+)
+from qkdopt.dv_rate import (
+    DvProtocolParams,
+    aep_term,
+    binary_entropy,
+    dv_key_rate,
+    worst_case_qber,
+)
 
 PROPERTY = settings(max_examples=150, deadline=None, database=None)
 
@@ -146,3 +158,26 @@ def test_a_float_split_is_a_json_ready_budget(family):
     assert all(type(value) is float for value in record.values())
     assert json.loads(json.dumps(record)) == record
     assert reconstruct_sec(total, total / 2, total / 2, family) is None
+
+
+@pytest.mark.parametrize(
+    "check, bad",
+    [
+        (lambda x: worst_case_qber(0.01, 1000, x), 1.5),
+        (aep_term, -1e-9),
+        (binary_entropy, 1.25),
+        (pe_confidence_width, 0.0),
+        (lambda x: holevo_bound(CvProtocolParams(), x, np.full(300, 0.01)), 1.5),
+        (lambda x: holevo_bound(CvProtocolParams(), np.full(300, 0.5), x), -0.7),
+        (bosonic_entropy, 0.5),
+    ],
+)
+def test_a_bad_element_is_named_in_one_line(check, bad):
+    # one out-of-domain element among 300: its value, not the array
+    x = np.full(300, 0.5)
+    x[123] = bad
+    with pytest.raises(ValueError) as err:
+        check(x)
+    message = str(err.value)
+    assert "\n" not in message and len(message) < 200
+    assert repr(bad) in message

@@ -134,6 +134,27 @@ def test_batch_budget_validated_as_a_whole():
         EpsilonBudget(**{**good, "eps_cor": np.array([1e-6, 1e-6])})  # second row overshoots
 
 
+def test_batch_budget_errors_name_one_value_in_one_line():
+    # a 300-row CV batch: the messages name the offending row's value, not
+    # every row's
+    pe, cor = np.full(300, 1e-10), np.full(300, 1e-10)
+    rows = dict(total=np.full(300, 1e-9), eps_cor=cor, family=Family.CV)
+    low = pe.copy()
+    low[17] = 1e-30
+    open_row = 1e-9 - 3 * pe - cor
+    open_row[5] *= 1.5
+    cases = (
+        ({**rows, "eps_pe": low, "eps_sec": 1e-9 - 3 * pe - cor}, "eps_pe = 1e-30 (row 17)"),
+        ({**rows, "eps_pe": pe, "eps_sec": open_row}, "does not close in row 5"),
+    )
+    for budget, named in cases:
+        with pytest.raises(ValueError) as err:
+            EpsilonBudget(**budget)
+        message = str(err.value)
+        assert "\n" not in message and len(message) < 200
+        assert named in message
+
+
 def test_reconstruct_per_row_totals_match_float_calls():
     # one total per row, as a stack of runs at several levels has: the mask
     # and every component equal the float calls row by row, floor rows too

@@ -1,4 +1,6 @@
+import bisect
 import functools
+import itertools
 import math
 import operator
 
@@ -35,17 +37,21 @@ def fixed_population(monkeypatch, *genes):
 
 
 def pair_one(fitness, n_pairs, rng):
-    """``pair`` for one run: a stack of one pool and one generator."""
-    mothers, fathers = pair(np.asarray(fitness, dtype=float)[None], n_pairs, [rng])
+    """``pair`` for one run: a stack of one pool, with ``rng``'s next
+    ``(n_pairs, 2)`` uniforms."""
+    u = np.asarray(rng.random((n_pairs, 2)), dtype=float)
+    mothers, fathers = pair(np.asarray(fitness, dtype=float)[None], u[None])
     return mothers[0], fathers[0]
 
 
 def crossover_one(mothers, fathers, rng):
-    return crossover(mothers[None], fathers[None], [rng])[0]
+    return crossover(mothers[None], fathers[None], rng.random((len(mothers), 4))[None])[0]
 
 
 def mutate_one(genes, elite_index, config, rng):
-    return mutate(genes[None], elite_index, config, [rng])[0]
+    u = rng.random(genes.shape)
+    noise = rng.normal(0.0, config.mutation_sigma, genes.shape)
+    return mutate(genes[None], elite_index, config, u[None], noise[None])[0]
 
 
 def test_config_validation():
@@ -369,6 +375,47 @@ def test_pair_rounding_slack_falls_back_to_last_selectable():
     assert fathers.tolist() == [1] * 4
 
 
+def test_pair_is_exact_on_every_conditional_cdf_value():
+    # each father draw sits exactly on a value of his mother's conditional
+    # CDF, where rounding decides the draw; the father must be the one the
+    # documented rule gives, computed here: zero the mother, divide by the
+    # left-to-right sum, sum left to right, take the first index whose sum
+    # exceeds u and, past the top, the last index of positive weight
+    def first_above(weights, x):
+        cdf = list(itertools.accumulate(weights))
+        j = bisect.bisect_right(cdf, x)
+        return j if j < len(weights) else max(i for i, w in enumerate(weights) if w > 0.0)
+
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 20, 100):
+        random = rng.uniform(0.0, 50.0, n)
+        dominant = np.ones(n)
+        dominant[n // 2] = 1e9  # the softmax's largest weight ratio, e to 1
+        zeros = rng.uniform(0.0, 50.0, n)
+        zeros[2::3] = WORST_FITNESS
+        fitness = np.stack([random, dominant, zeros])
+        cases = []
+        for probs in softmax_probabilities(fitness).tolist():
+            run = []
+            for m, lower in enumerate(itertools.accumulate([0.0] + probs[:-1])):
+                if probs[m] == 0.0:
+                    continue
+                conditional = list(probs)
+                conditional[m] = 0.0
+                norm = functools.reduce(operator.add, conditional)
+                conditional = [p / norm for p in conditional]
+                assert first_above(probs, lower) == m  # u = C[m - 1] draws mother m
+                for x in itertools.accumulate(conditional):
+                    run.append((lower, x, m, first_above(conditional, x)))
+            cases.append(run)
+        size = max(map(len, cases))
+        cases = [list(itertools.islice(itertools.cycle(run), size)) for run in cases]
+        u = np.array([[case[:2] for case in run] for run in cases])
+        mothers, fathers = pair(fitness, u)
+        assert mothers.tolist() == [[case[2] for case in run] for run in cases]
+        assert fathers.tolist() == [[case[3] for case in run] for run in cases]
+
+
 def test_crossover_identical_parents():
     rng = np.random.default_rng(17)
     parents = np.tile([0.25, -0.75], (50, 1))
@@ -429,6 +476,24 @@ def test_mutate_spares_elite_and_hits_everyone_else():
     assert np.all(out[1:] != 0.0)
     assert np.all((-1.0 <= out) & (out <= 1.0))
     assert np.array_equal(population, np.zeros((50, 2)))
+
+
+def test_each_generation_draws_one_uniform_then_one_normal_block():
+    # two runs, one generation: the bred run draws its pairing, crossover and
+    # mutation-mask uniforms as one block, then its noise; the re-seeded run
+    # (no feasible chromosome) draws only a fresh population
+    cfg = CgaConfig(population=10, iterations=1, parent_rate=0.5, survival_rate=0.4)
+    size, k = cfg.population, cfg.population - cfg.n_survivors
+    rngs = [np.random.default_rng(s) for s in (1, 2)]
+    cga._lockstep(cfg, lambda genes: np.stack([genes[0, :, 0], np.full(size, -np.inf)]), rngs)
+    bred, reseeded = (np.random.default_rng(s) for s in (1, 2))
+    initialize(cfg, bred)
+    bred.random(6 * k + 2 * size)
+    bred.normal(size=(size, 2))
+    initialize(cfg, reseeded)
+    initialize(cfg, reseeded)
+    assert rngs[0].bit_generator.state == bred.bit_generator.state
+    assert rngs[1].bit_generator.state == reseeded.bit_generator.state
 
 
 def run_genetic(config, fitness_fn):

@@ -41,7 +41,6 @@ __all__ = [
     "reconstruct_sec",
     "baseline_budgets",
     "map_gene",
-    "as_batch",
     "libm",
     "per_distinct",
     "check_fields",
@@ -89,26 +88,25 @@ class EpsilonBudget:
     family: Family
 
     def __post_init__(self) -> None:
-        try:  # a (3,) stack of floats or a (3, n) stack of 1-d arrays
-            parts = np.array((self.eps_pe, self.eps_cor, self.eps_sec), dtype=float)
-        except ValueError:  # arrays of unequal lengths, or floats among arrays
-            parts = None
-        if parts is None or parts.ndim > 2:
+        shapes = {getattr(getattr(self, name), "shape", ()) for name in _COMPONENTS}
+        if len(shapes) != 1 or len(shape := shapes.pop()) > 1:
             raise ValueError("components must be floats or 1-d arrays of one length")
-        if getattr(self.total, "shape", ()) not in ((), parts.shape[1:]):
+        if getattr(self.total, "shape", ()) not in ((), shape):
             raise ValueError("an array of totals must hold one total per split")
-        total = as_batch(self.total)  # one total for every split, or one each
+        total = _as_batch(self.total)  # one total for every split, or one each
         _check_totals(total)
-        parts = parts.reshape(3, -1)
+        parts = np.array((self.eps_pe, self.eps_cor, self.eps_sec)).reshape(3, -1)
         if not (inside := (EPSILON_FLOOR <= parts) & (parts < total)).all():
             k, row = np.argwhere(~inside)[0]  # name one value, not the arrays
+            where = f" (row {row})" if shape else ""
             bounds = f"[{EPSILON_FLOOR}, total = {total[row % total.size]})"
-            raise ValueError(f"{_COMPONENTS[k]} = {parts[k, row]} (row {row}) outside {bounds}")
+            raise ValueError(f"{_COMPONENTS[k]} = {parts[k, row]}{where} outside {bounds}")
         closure = self.family.pe_weight * parts[0] + parts[1] + parts[2]
         if not (closes := abs(closure - total) <= _CLOSURE_RTOL * total).all():
             row = closes.argmin()
+            where = f" in row {row}" if shape else ""
             sums = f"weighted sum {closure[row]} vs total {total[row % total.size]}"
-            raise ValueError(f"budget does not close in row {row}: {sums}")
+            raise ValueError(f"budget does not close{where}: {sums}")
 
     #: Smoothing and hashing failure probabilities, half the secrecy share each.
     eps_s = eps_h = property(lambda self: self.eps_sec / 2)
@@ -138,7 +136,7 @@ def reconstruct_sec(total, eps_pe, eps_cor, family: Family):
     Raises ``ValueError`` for genuine domain violations: ``total`` outside
     ``(0, 1)`` or either input below ``EPSILON_FLOOR``.
     """
-    rows_total, rows_pe, rows_cor = as_batch(total), as_batch(eps_pe), as_batch(eps_cor)
+    rows_total, rows_pe, rows_cor = _as_batch(total), _as_batch(eps_pe), _as_batch(eps_cor)
     _check_totals(rows_total)
     if not ((rows_pe >= EPSILON_FLOOR) & (rows_cor >= EPSILON_FLOOR)).all():
         if rows_total.min() < EPSILON_FLOOR:  # name the cause, not the arrays
@@ -205,13 +203,13 @@ def map_gene(p, total):
     upper endpoint is admissible here because the feasibility of the
     resulting split is judged downstream.
     """
-    p = as_batch(p)
+    p = _as_batch(p)
     if not (inside := (-1.0 <= p) & (p <= 1.0)).all():  # name one gene, not the array
         raise ValueError(f"genes must lie in [-1, 1], got {p[~inside][0]}")
     return EPSILON_FLOOR + 0.5 * (p + 1.0) * (total - EPSILON_FLOOR)
 
 
-def as_batch(x) -> np.ndarray:
+def _as_batch(x) -> np.ndarray:
     """``x`` as an array of one or more dimensions (itself, if it is one)."""
     return x if isinstance(x, np.ndarray) and x.ndim else np.atleast_1d(x)
 
@@ -226,7 +224,7 @@ def libm(fn: Callable[..., float], x, *args: float):
     a batch.  ``map`` and ``np.fromiter`` drive the calls from C, with no
     Python loop around them.  A float is read as a one-row array.
     """
-    x = as_batch(x)
+    x = _as_batch(x)
     values = map(fn, x.tolist(), *map(itertools.repeat, args))
     return np.fromiter(values, float, x.size)  # positional: numpy parses keywords slowly
 
@@ -241,7 +239,7 @@ def per_distinct(chain: Callable[[np.ndarray], tuple], x) -> list[np.ndarray]:
     chain once per value, and each element's result is the one it would get
     alone.  A float is read as a one-row array.
     """
-    x = as_batch(x)
+    x = _as_batch(x)
     order = x.argsort()  # np.unique, without its overhead on a few rows
     ranked = x[order]
     first = np.concatenate(([True], ranked[1:] != ranked[:-1]))

@@ -318,9 +318,6 @@ def _lockstep(
         # the pool is ranked best-first: a worst-fitness second parent means
         # fewer than two feasible
         stuck = pool_fitness[:, 1] == WORST_FITNESS
-        if not stuck.any():
-            genes = _breed(pool, pool_fitness, config, rngs)
-            continue
         genes = np.empty_like(genes)
         bred = (~stuck).nonzero()[0]
         if bred.size:

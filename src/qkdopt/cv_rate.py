@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budget import EpsilonBudget, Family, as_batch, check_fields, libm, per_distinct
+from .budget import EpsilonBudget, Family, check_fields, libm, per_distinct
 
 __all__ = [
     "CvProtocolParams",
@@ -165,7 +165,7 @@ def pe_confidence_width(eps_pe):
     failure probability ``eps_pe`` may be 1, in which case the interval has
     zero width.
     """
-    eps_pe = as_batch(eps_pe)
+    eps_pe = np.atleast_1d(eps_pe)
     if not (inside := (0.0 < eps_pe) & (eps_pe <= 1.0)).all():  # name one value, not the array
         raise ValueError(f"eps_pe must lie in (0, 1], got {eps_pe[~inside][0]}")
     return np.sqrt(2.0 * libm(math.log, 1.0 / eps_pe))
@@ -262,7 +262,7 @@ def bosonic_entropy(nu):
     element by element.  Eigenvalues within 1e-9 below 1 are clamped to 1
     (vacuum); anything smaller is unphysical and raises ``ValueError``.
     """
-    nu = as_batch(nu)
+    nu = np.atleast_1d(nu)
     if not (physical := nu >= 1.0 - _NU_TOL).all():
         raise ValueError(f"symplectic eigenvalue {nu[~physical][0]} below 1: unphysical state")
     mixed = nu > 1.0
@@ -290,7 +290,7 @@ def holevo_bound(params: CvProtocolParams, t, xi):
     :param t: transmissivity of the pessimistic channel, in (0, 1]
     :param xi: excess noise of the pessimistic channel, >= 0
     """
-    t, xi = as_batch(t), as_batch(xi)
+    t, xi = np.atleast_1d(t, xi)
     if not (inside := (0.0 < t) & (t <= 1.0)).all():
         raise ValueError(f"transmissivity must lie in (0, 1], got {t[~inside][0]}")
     if not (inside := xi >= 0.0).all():

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budget import EpsilonBudget, Family, as_batch, check_fields, libm, per_distinct
+from .budget import EpsilonBudget, Family, check_fields, libm, per_distinct
 from .cv_rate import transmissivity
 
 __all__ = [
@@ -171,7 +171,7 @@ def worst_case_qber(qber_est: float, m: int, eps_pe):
         raise ValueError(f"qber_est must lie in [0, 0.5], got {qber_est}")
     if m < 1:
         raise ValueError(f"need at least one estimation bit, got m = {m}")
-    eps_pe = as_batch(eps_pe)
+    eps_pe = np.atleast_1d(eps_pe)
     if not (inside := (0.0 < eps_pe) & (eps_pe < 1.0)).all():  # name one value, not the array
         raise ValueError(f"eps_pe must lie in (0, 1), got {eps_pe[~inside][0]}")
     dev = np.sqrt((2.0 / m) * libm(math.log, (m + 1) / eps_pe))
@@ -184,7 +184,7 @@ def aep_term(eps_s):
     Vanishes at the boundary value ``eps_s = 2`` (included for that
     mathematical check; real budgets keep ``eps_s`` far below 1).
     """
-    eps_s = as_batch(eps_s)
+    eps_s = np.atleast_1d(eps_s)
     if not (inside := (0.0 < eps_s) & (eps_s <= 2.0)).all():
         raise ValueError(f"eps_s must lie in (0, 2], got {eps_s[~inside][0]}")
     return 7.0 * np.sqrt(libm(math.log2, 2.0 / eps_s))
@@ -195,7 +195,7 @@ def binary_entropy(p):
 
     ``h(p) = -p * log2(p) - (1 - p) * log2(1 - p)`` over a 1-d array.
     """
-    p = as_batch(p)
+    p = np.atleast_1d(p)
     if not (inside := (0.0 <= p) & (p <= 1.0)).all():
         raise ValueError(f"probability must lie in [0, 1], got {p[~inside][0]}")
     inner = (0.0 < p) & (p < 1.0)

@@ -153,6 +153,11 @@ def test_batch_budget_errors_name_one_value_in_one_line():
         message = str(err.value)
         assert "\n" not in message and len(message) < 200
         assert named in message
+    # a budget of floats has no rows to name
+    with pytest.raises(ValueError, match=r"^eps_pe = 1e-30 outside"):
+        EpsilonBudget(1e-9, 1e-30, 1e-10, 1e-9 - 1e-10, Family.DV)
+    with pytest.raises(ValueError, match=r"^budget does not close: weighted sum"):
+        EpsilonBudget(1e-9, 1e-10, 1e-10, 1e-10, Family.DV)
 
 
 def test_reconstruct_per_row_totals_match_float_calls():

@@ -273,8 +273,9 @@ def test_softmax_properties():
     assert probs[2] == 0.0
     assert all(p >= 0.0 for p in probs)
     assert softmax_probabilities([5.0, 5.0, 5.0]) == pytest.approx([1 / 3] * 3)
-    with pytest.raises(ValueError):
-        softmax_probabilities([WORST_FITNESS, WORST_FITNESS])
+    for row in ([WORST_FITNESS, WORST_FITNESS], [math.inf, math.inf]):
+        with pytest.raises(ValueError, match="no finite-fitness chromosomes"):
+            softmax_probabilities(row)
 
 
 def test_softmax_normalizes_left_to_right():

@@ -20,14 +20,14 @@ all of them or an array with one total per split).  The functions here and
 the rate chains compute over 1-d arrays only, reading a float as a batch of
 one; floats come back in one place per public result: the budget that
 :func:`reconstruct_sec` returns for float inputs, and a rate chain's
-breakdown of a budget of floats.  :func:`libm` is the chains' one route to
-the logarithms.
+breakdown of a budget of floats.  :func:`log2` is the chains' one logarithm:
+each rate call makes two calls of it, one on the budget's components and one
+on its entropy arguments.  :func:`libm` is the softmax's exponential.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -41,8 +41,9 @@ __all__ = [
     "reconstruct_sec",
     "baseline_budgets",
     "map_gene",
+    "LN2",
+    "log2",
     "libm",
-    "per_distinct",
     "check_fields",
 ]
 
@@ -54,6 +55,18 @@ EPSILON_FLOOR = 1e-21
 _CLOSURE_RTOL = 1e-12
 
 _COMPONENTS = ("eps_pe", "eps_cor", "eps_sec")
+
+#: ``ln 2``, the factor from a base-2 logarithm to a natural one.  Written out,
+#: like the constants of :func:`log2`, so that no C library computes it.
+LN2 = 0.6931471805599453
+
+_SQRT_HALF = 0.7071067811865476
+
+#: ``log2(m) = sum_k c_k f^(2k+1)`` with ``f = (m - 1) / (m + 1)`` and
+#: ``c_k = 2 / ((2k + 1) ln 2)``, the series of ``2 atanh(f) / ln 2``.  On
+#: ``m`` in ``[sqrt(1/2), sqrt(2))``, ``f^2 <= (3 - 2 sqrt 2)^2 < 0.0295``, and
+#: the first term left out is below 2.4e-17 of the sum.
+_LOG2_SERIES = tuple(2.0 / (2 * k + 1) / LN2 for k in range(10))
 
 
 class Family(enum.Enum):
@@ -95,7 +108,7 @@ class EpsilonBudget:
             raise ValueError("an array of totals must hold one total per split")
         total = _as_batch(self.total)  # one total for every split, or one each
         _check_totals(total)
-        parts = np.array((self.eps_pe, self.eps_cor, self.eps_sec)).reshape(3, -1)
+        parts = self.components
         if not (inside := (EPSILON_FLOOR <= parts) & (parts < total)).all():
             k, row = np.argwhere(~inside)[0]  # name one value, not the arrays
             where = f" (row {row})" if shape else ""
@@ -110,6 +123,11 @@ class EpsilonBudget:
 
     #: Smoothing and hashing failure probabilities, half the secrecy share each.
     eps_s = eps_h = property(lambda self: self.eps_sec / 2)
+
+    @property
+    def components(self) -> np.ndarray:
+        """``eps_pe``, ``eps_cor`` and ``eps_sec`` as the rows of one ``(3, n)`` array."""
+        return np.array((self.eps_pe, self.eps_cor, self.eps_sec)).reshape(3, -1)
 
 
 def _check_totals(total: np.ndarray) -> None:
@@ -214,38 +232,49 @@ def _as_batch(x) -> np.ndarray:
     return x if isinstance(x, np.ndarray) and x.ndim else np.atleast_1d(x)
 
 
-def libm(fn: Callable[..., float], x, *args: float):
-    """``fn(v, *args)`` for every element ``v`` of ``x``, one C-library call each.
+def log2(x) -> np.ndarray:
+    """Base-2 logarithm of each element of a positive, finite array ``x``.
 
-    The rate chains take their logarithms (and any function containing one),
-    and the CGA its softmax exponentials, through ``math`` here rather than
-    through numpy, whose SIMD ``log`` and ``exp`` may round differently by
-    CPU: a split's rate is then bit-identical whether it is rated alone or in
-    a batch.  ``map`` and ``np.fromiter`` drive the calls from C, with no
-    Python loop around them.  A float is read as a one-row array.
+    Built only from operations that IEEE 754 rounds exactly (``frexp``, a
+    doubling, ``+``, ``-``, ``*`` and ``/``), with no C-library or SIMD
+    logarithm, so each element comes out the same on every host and CPU,
+    whatever its position in ``x`` and the size of ``x``.  ``frexp`` splits
+    ``x = m 2^e``; a mantissa below ``sqrt(1/2)`` is doubled, so ``m`` lies in
+    ``[sqrt(1/2), sqrt(2))``; then ``log2(x) = e + 2 atanh(f) / ln 2`` with
+    ``f = (m - 1) / (m + 1)``, by Horner's rule in ``f^2``.  A power of two
+    gives its exponent exactly, and the relative error is below 5e-16 from
+    the subnormals up.  Zero, negative and non-finite elements give
+    meaningless values: callers keep them out.
+    """
+    mant, exp = np.frexp(x)  # x = mant * 2**exp, mant in [1/2, 1)
+    low = mant < _SQRT_HALF
+    mant = np.ldexp(mant, low)  # into [sqrt(1/2), sqrt(2)): exact
+    exp -= low
+    f = mant - 1.0  # exact
+    mant += 1.0
+    f /= mant
+    z = f * f
+    series = z * _LOG2_SERIES[-1]
+    for c in _LOG2_SERIES[-2:0:-1]:
+        series += c
+        series *= z
+    series += _LOG2_SERIES[0]
+    series *= f
+    series += exp
+    return series
+
+
+def libm(fn: Callable[[float], float], x):
+    """``fn(v)`` for every element ``v`` of ``x``, one C-library call each.
+
+    The CGA takes its softmax exponentials through ``math`` here rather than
+    through numpy, whose SIMD ``exp`` may round differently by CPU: a weight
+    is then the same whatever the batch.  ``map`` and ``np.fromiter`` drive
+    the calls from C, with no Python loop around them.  A float is read as a
+    one-row array.
     """
     x = _as_batch(x)
-    values = map(fn, x.tolist(), *map(itertools.repeat, args))
-    return np.fromiter(values, float, x.size)  # positional: numpy parses keywords slowly
-
-
-def per_distinct(chain: Callable[[np.ndarray], tuple], x) -> list[np.ndarray]:
-    """``chain`` rated once per distinct value of ``x``, gathered back per element.
-
-    ``chain`` takes the sorted distinct values as a 1-d array and returns a
-    tuple of arrays, one entry per value.  Each is returned indexed by the
-    position of every element of ``x`` among those values: a batch whose
-    splits repeat a component (a grid row, say) pays for that component's
-    chain once per value, and each element's result is the one it would get
-    alone.  A float is read as a one-row array.
-    """
-    x = _as_batch(x)
-    order = x.argsort()  # np.unique, without its overhead on a few rows
-    ranked = x[order]
-    first = np.concatenate(([True], ranked[1:] != ranked[:-1]))
-    inverse = np.empty(x.size, np.intp)
-    inverse[order] = first.cumsum() - 1
-    return [out[inverse] for out in chain(ranked[first])]
+    return np.fromiter(map(fn, x.tolist()), float, x.size)  # positional: numpy parses keywords slowly
 
 
 def check_fields(obj, checks: list[tuple[bool, str]]) -> None:

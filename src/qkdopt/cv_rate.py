@@ -21,6 +21,9 @@ Model conventions:
 Only the worst-case channel, its Holevo bound and the finite-size term depend
 on the budget; one :func:`cv_key_rate` call computes the rest once and rates a
 whole batch over 1-d arrays, a single split as a batch of one (see :mod:`qkdopt.budget`).
+Those terms take the budget through the base-2 logarithms of its components,
+so a call takes two logarithms in all: one of the components, one of the
+entropy arguments of every symplectic eigenvalue.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budget import EpsilonBudget, Family, check_fields, libm, per_distinct
+from .budget import LN2, EpsilonBudget, Family, check_fields, log2
 
 __all__ = [
     "CvProtocolParams",
@@ -158,17 +161,19 @@ def transmissivity(length_km: float, attenuation_db_per_km: float) -> float:
     return 10.0 ** (-attenuation_db_per_km * length_km / 10.0)
 
 
-def pe_confidence_width(eps_pe):
+def pe_confidence_width(log2_eps_pe):
     """Number of standard deviations covering all but ``eps_pe`` of a Gaussian tail.
 
-    ``w = sqrt(2 * ln(1 / eps_pe))``, element by element; the estimation
-    failure probability ``eps_pe`` may be 1, in which case the interval has
-    zero width.
+    ``w = sqrt(2 * ln(1 / eps_pe)) = sqrt(-2 ln 2 * log2(eps_pe))``, element by
+    element over a 1-d array of ``log2(eps_pe)``; the estimation failure
+    probability ``eps_pe`` may be 1 (``log2(eps_pe) = 0``), in which case the
+    interval has zero width.
     """
-    eps_pe = np.atleast_1d(eps_pe)
-    if not (inside := (0.0 < eps_pe) & (eps_pe <= 1.0)).all():  # name one value, not the array
-        raise ValueError(f"eps_pe must lie in (0, 1], got {eps_pe[~inside][0]}")
-    return np.sqrt(2.0 * libm(math.log, 1.0 / eps_pe))
+    log2_eps_pe = np.atleast_1d(log2_eps_pe)
+    if not (inside := (-np.inf < log2_eps_pe) & (log2_eps_pe <= 0.0)).all():
+        bad = log2_eps_pe[~inside][0]  # name one value, not the array
+        raise ValueError(f"log2(eps_pe) must lie in (-inf, 0], got {bad}")
+    return np.sqrt(-2.0 * LN2 * log2_eps_pe)
 
 
 def ml_estimator_model(
@@ -206,21 +211,21 @@ def ml_estimator_model(
 
 
 def worst_case_estimators(
-    est: EstimatorModel, eps_pe, subtractive_xi: bool = False
+    est: EstimatorModel, log2_eps_pe, subtractive_xi: bool = False
 ) -> WorstCaseChannel:
     """Pessimistic channel parameters at confidence level ``1 - eps_pe``.
 
     Transmissivity is lowered and excess noise raised by ``w`` estimator
-    spreads, with ``w = pe_confidence_width(eps_pe)``.  The lowered
+    spreads, with ``w = pe_confidence_width(log2_eps_pe)``.  The lowered
     transmissivity is clamped into ``[1e-12, 1]``; reaching the floor flags
     the result as degenerate.  ``subtractive_xi`` flips the noise bound to
     ``xi_hat - w * sigma_xi`` (clamped at 0), an optimistic variant retained
     for comparison only.
 
     :param est: point estimates and spreads, e.g. from :func:`ml_estimator_model`
-    :param eps_pe: estimation failure probability, in (0, 1]
+    :param log2_eps_pe: ``log2`` of the estimation failure probability, in (0, 1]
     """
-    w = pe_confidence_width(eps_pe)
+    w = pe_confidence_width(log2_eps_pe)
     t_wc = est.t_hat - w * est.sigma_t
     degenerate = t_wc < _T_FLOOR
     t_wc = np.minimum(np.maximum(t_wc, _T_FLOOR), 1.0)
@@ -259,17 +264,18 @@ def bosonic_entropy(nu):
     """Entropy (bits) of a thermal state with symplectic eigenvalue ``nu``.
 
     ``h(nu) = ((nu+1)/2) log2((nu+1)/2) - ((nu-1)/2) log2((nu-1)/2)``,
-    element by element.  Eigenvalues within 1e-9 below 1 are clamped to 1
-    (vacuum); anything smaller is unphysical and raises ``ValueError``.
+    element by element, with one logarithm call for both halves.  Eigenvalues
+    within 1e-9 below 1 are clamped to 1 (vacuum); anything smaller is
+    unphysical and raises ``ValueError``.
     """
     nu = np.atleast_1d(nu)
     if not (physical := nu >= 1.0 - _NU_TOL).all():
         raise ValueError(f"symplectic eigenvalue {nu[~physical][0]} below 1: unphysical state")
     mixed = nu > 1.0
-    nu = np.where(mixed, nu, 3.0)  # keep the vacuum out of log2's domain error
-    up = 0.5 * (nu + 1.0)
-    dn = 0.5 * (nu - 1.0)
-    return np.where(mixed, up * libm(math.log2, up) - dn * libm(math.log2, dn), 0.0)
+    nu = np.where(mixed, nu, 3.0)  # keep the vacuum out of log2's domain
+    up_dn = 0.5 * np.stack((nu + 1.0, nu - 1.0))
+    h_up, h_dn = up_dn * log2(up_dn)
+    return np.where(mixed, h_up - h_dn, 0.0)
 
 
 def holevo_bound(params: CvProtocolParams, t, xi):
@@ -299,32 +305,31 @@ def holevo_bound(params: CvProtocolParams, t, xi):
     b = t * mu + 1.0 - t + t * xi
     c2 = t * (mu * mu - 1.0)
     delta = mu * mu + b * b - 2.0 * c2
-    det_gamma = libm(math.pow, mu * b - c2, 2.0)
-    root = np.sqrt(np.maximum(delta * delta - 4.0 * det_gamma, 0.0))
-    nu2 = (delta + root) * 0.5, (delta - root) * 0.5, mu * (mu * b - c2) / b
+    sqrt_det = mu * b - c2
+    root = np.sqrt(np.maximum(delta * delta - 4.0 * (sqrt_det * sqrt_det), 0.0))
+    nu2 = (delta + root) * 0.5, (delta - root) * 0.5, mu * sqrt_det / b
     nu = np.sqrt(np.maximum(np.concatenate(nu2), 0.0))  # nu_+, nu_- and nu_c: one entropy call
     h_plus, h_minus, h_cond = bosonic_entropy(nu).reshape(3, -1)
     return h_plus + h_minus - h_cond
 
 
-def _entropy_estimation_term(n: int, eps_pe):
-    """The ``eps_pe``-only part of ``F``: ``sqrt(n) * log2(n) * sqrt(2 * ln(2 / eps_pe))``."""
-    return math.sqrt(n) * math.log2(n) * np.sqrt(2.0 * libm(math.log, 2.0 / eps_pe))
+def _finite_size_term(n: int, log2_pe, log2_cor, log2_sec, discretization: int):
+    """Finite-size deduction ``F`` (bits) of each split, from the ``log2`` of its components:
 
-
-def _finite_size_term(n: int, ent_term, budget: EpsilonBudget, discretization: int):
-    """Finite-size deduction ``F`` (bits) of each split, from ``ent_term``:
-    ``F = ent_term + 4 * sqrt(n) * log2(sqrt(2^D) + 2) * sqrt(log2(8 / eps_sec^2))
-    - log2(eps_sec^2 * eps_cor / 2)``, the leftover-hash cost at ``D`` bits per
-    sample and the correctness/secrecy log terms."""
-    eps_sec, eps_cor = budget.eps_sec, budget.eps_cor
+    ``F = sqrt(n) * log2(n) * sqrt(2 * ln(2 / eps_pe))
+    + 4 * sqrt(n) * log2(sqrt(2^D) + 2) * sqrt(log2(8 / eps_sec^2))
+    - log2(eps_sec^2 * eps_cor / 2)``, the entropy-estimation penalty, the
+    leftover-hash cost at ``D`` bits per sample and the correctness/secrecy
+    log terms, with ``ln(2 / eps_pe) = ln 2 * (1 - log2(eps_pe))``."""
+    root_n = math.sqrt(n)
+    ent_term = root_n * math.log2(n) * np.sqrt(2.0 * LN2 * (1.0 - log2_pe))
     hash_term = (
         4.0
-        * math.sqrt(n)
+        * root_n
         * math.log2(math.sqrt(2.0**discretization) + 2.0)
-        * np.sqrt(libm(math.log2, 8.0 / (eps_sec * eps_sec)))
+        * np.sqrt(3.0 - 2.0 * log2_sec)
     )
-    log_term = libm(math.log2, eps_sec * eps_sec * eps_cor / 2.0)
+    log_term = 2.0 * log2_sec + log2_cor - 1.0
     return ent_term + hash_term - log_term
 
 
@@ -342,10 +347,10 @@ def cv_key_rate(params: CvProtocolParams, budget: EpsilonBudget) -> CvRateBreakd
     A degenerate worst-case channel (transmissivity interval reaching zero)
     yields no claimable key: ``R_pe`` is forced to 0 so the rate comes out
     strictly negative at ``-F / N``.  A batch budget gives one rate per
-    split, each equal to the rate of that split alone; the worst-case
-    channel, its Holevo bound and the entropy-estimation part of ``F``,
-    which depend on ``eps_pe`` only, are rated once per distinct ``eps_pe``
-    of the batch.
+    split, each equal to the rate of that split alone.  The call takes two
+    logarithms: :func:`~qkdopt.budget.log2` of the budget's components, from
+    which every ``eps`` term is written, and one in :func:`bosonic_entropy`
+    of every symplectic eigenvalue of the Holevo bounds.
 
     :param budget: feasible budget with ``family == Family.CV``
     """
@@ -361,14 +366,11 @@ def cv_key_rate(params: CvProtocolParams, budget: EpsilonBudget) -> CvRateBreakd
     est = ml_estimator_model(params, t_true, params.excess_noise, m)
     info = mutual_information(params, est.t_hat, est.xi_hat)
 
-    def pe_chain(eps_pe):
-        wc = worst_case_estimators(est, eps_pe, subtractive_xi=params.paper_sign_xi)
-        chi = holevo_bound(params, wc.t, wc.xi)
-        r_pe = np.where(wc.degenerate, 0.0, params.recon_efficiency * info - chi)
-        return chi, r_pe, _entropy_estimation_term(n, eps_pe)
-
-    chi, r_pe, ent_term = per_distinct(pe_chain, budget.eps_pe)
-    fs = _finite_size_term(n, ent_term, budget, params.discretization)
+    log2_pe, log2_cor, log2_sec = log2(budget.components)
+    wc = worst_case_estimators(est, log2_pe, subtractive_xi=params.paper_sign_xi)
+    chi = holevo_bound(params, wc.t, wc.xi)
+    r_pe = np.where(wc.degenerate, 0.0, params.recon_efficiency * info - chi)
+    fs = _finite_size_term(n, log2_pe, log2_cor, log2_sec, params.discretization)
     rate_per_use = (n * r_pe - fs) / params.block_size
     varying = (chi, r_pe, fs, rate_per_use, params.clock_hz * rate_per_use)
     if isinstance(budget.eps_pe, float):  # one split: floats, printed by repr

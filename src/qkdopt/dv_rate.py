@@ -13,6 +13,9 @@ estimation (``m``) and key generation (``n``).
 Only the worst-case error rate and the log and AEP terms depend on the
 budget; one :func:`dv_key_rate` call computes the rest once and rates a whole
 batch over 1-d arrays, a single split as a batch of one (see :mod:`qkdopt.budget`).
+Those terms take the budget through the base-2 logarithms of its components,
+so a call takes two logarithms in all: one of the components, one of the
+entropy arguments.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budget import EpsilonBudget, Family, check_fields, libm, per_distinct
+from .budget import LN2, EpsilonBudget, Family, check_fields, log2
 from .cv_rate import transmissivity
 
 __all__ = [
@@ -157,51 +160,57 @@ def estimated_qber(params: DvProtocolParams, q1: float, eta_tot: float) -> float
     return min(errors / q1, 0.5)
 
 
-def worst_case_qber(qber_est: float, m: int, eps_pe):
+def worst_case_qber(qber_est: float, m: int, log2_eps_pe):
     """Upper confidence limit on the error rate after comparing ``m`` bits.
 
     ``E_wc = E + sqrt((2 / m) * ln((m + 1) / eps_pe))``, capped at 1/2,
-    element by element over a 1-d array of ``eps_pe``.
+    element by element over a 1-d array of ``log2(eps_pe)``, with
+    ``ln((m + 1) / eps_pe) = ln(m + 1) - ln 2 * log2(eps_pe)``.
 
     :param qber_est: estimated error rate, in [0, 0.5]
     :param m: number of disclosed estimation bits, >= 1
-    :param eps_pe: estimation failure probability, in (0, 1)
+    :param log2_eps_pe: ``log2`` of the estimation failure probability
+        ``eps_pe`` in (0, 1), so negative and finite
     """
     if not (0.0 <= qber_est <= 0.5):
         raise ValueError(f"qber_est must lie in [0, 0.5], got {qber_est}")
     if m < 1:
         raise ValueError(f"need at least one estimation bit, got m = {m}")
-    eps_pe = np.atleast_1d(eps_pe)
-    if not (inside := (0.0 < eps_pe) & (eps_pe < 1.0)).all():  # name one value, not the array
-        raise ValueError(f"eps_pe must lie in (0, 1), got {eps_pe[~inside][0]}")
-    dev = np.sqrt((2.0 / m) * libm(math.log, (m + 1) / eps_pe))
+    log2_eps_pe = np.atleast_1d(log2_eps_pe)
+    if not (inside := (-np.inf < log2_eps_pe) & (log2_eps_pe < 0.0)).all():
+        bad = log2_eps_pe[~inside][0]  # name one value, not the array
+        raise ValueError(f"log2(eps_pe) must lie in (-inf, 0), got {bad}")
+    dev = np.sqrt((2.0 / m) * (math.log(m + 1) - LN2 * log2_eps_pe))
     return np.minimum(qber_est + dev, 0.5)
 
 
-def aep_term(eps_s):
-    """Entropy-rate convergence penalty ``7 * sqrt(log2(2 / eps_s))`` per element.
+def aep_term(log2_eps_s):
+    """Entropy-rate convergence penalty ``7 * sqrt(log2(2 / eps_s))`` per element,
+    ``7 * sqrt(1 - log2(eps_s))`` over a 1-d array of ``log2(eps_s)``.
 
     Vanishes at the boundary value ``eps_s = 2`` (included for that
     mathematical check; real budgets keep ``eps_s`` far below 1).
     """
-    eps_s = np.atleast_1d(eps_s)
-    if not (inside := (0.0 < eps_s) & (eps_s <= 2.0)).all():
-        raise ValueError(f"eps_s must lie in (0, 2], got {eps_s[~inside][0]}")
-    return 7.0 * np.sqrt(libm(math.log2, 2.0 / eps_s))
+    log2_eps_s = np.atleast_1d(log2_eps_s)
+    if not (inside := (-np.inf < log2_eps_s) & (log2_eps_s <= 1.0)).all():
+        raise ValueError(f"log2(eps_s) must lie in (-inf, 1], got {log2_eps_s[~inside][0]}")
+    return 7.0 * np.sqrt(1.0 - log2_eps_s)
 
 
 def binary_entropy(p):
     """Binary Shannon entropy in bits, element by element; ``h(0) = h(1) = 0``.
 
-    ``h(p) = -p * log2(p) - (1 - p) * log2(1 - p)`` over a 1-d array.
+    ``h(p) = -p * log2(p) - (1 - p) * log2(1 - p)`` over a 1-d array, with
+    one logarithm call for ``p`` and ``1 - p`` together.
     """
     p = np.atleast_1d(p)
     if not (inside := (0.0 <= p) & (p <= 1.0)).all():
         raise ValueError(f"probability must lie in [0, 1], got {p[~inside][0]}")
     inner = (0.0 < p) & (p < 1.0)
-    p = np.where(inner, p, 0.5)  # keep the endpoints out of log2's domain error
-    q = 1.0 - p
-    return np.where(inner, -p * libm(math.log2, p) - q * libm(math.log2, q), 0.0)
+    p = np.where(inner, p, 0.5)  # keep the endpoints out of log2's domain
+    pq = np.stack((p, 1.0 - p))
+    h_p, h_q = pq * log2(pq)
+    return np.where(inner, -h_p - h_q, 0.0)
 
 
 def dv_key_rate(params: DvProtocolParams, budget: EpsilonBudget) -> DvRateBreakdown:
@@ -218,8 +227,10 @@ def dv_key_rate(params: DvProtocolParams, budget: EpsilonBudget) -> DvRateBreakd
     converts it into bits per transmitted qubit, and the dead-time factor
     ``c_dt = 1 / (1 + Q1 * t_dt * clock)`` deflates the clock for bits/s.
     A batch budget gives one rate per split, each equal to the rate of that
-    split alone; ``E_wc`` and ``1 - h(E_wc) - f_EC * h(E)``, which depend on
-    ``eps_pe`` only, are rated once per distinct ``eps_pe`` of the batch.
+    split alone.  The call takes two logarithms: :func:`~qkdopt.budget.log2`
+    of the budget's components, from which every ``eps`` term is written
+    (``log2(eps_h) = log2(eps_sec) - 1``), and one in :func:`binary_entropy`
+    of every ``E_wc`` and ``E``.
 
     Raises ``ValueError`` when the detected block degenerates
     (``n < 2`` or ``m < 1``).
@@ -240,15 +251,13 @@ def dv_key_rate(params: DvProtocolParams, budget: EpsilonBudget) -> DvRateBreakd
     kappa = (1.0 - params.pe_ratio) * stats.p_sift * stats.q1
     c_dt = 1.0 / (1.0 + stats.q1 * params.dead_time_s * params.clock_hz)
 
-    def pe_chain(eps_pe):
-        qber_wc = worst_case_qber(qber, m, eps_pe)
-        h = binary_entropy(np.concatenate((qber_wc, [qber])))  # each h(E_wc), then h(E)
-        return qber_wc, 1.0 - h[:-1] - params.recon_efficiency * h[-1]
-
-    qber_wc, head = per_distinct(pe_chain, budget.eps_pe)
-    eps_h = budget.eps_h  # equal to eps_s
-    log_term = (1.0 + libm(math.log2, budget.eps_cor * eps_h * eps_h)) / n
-    secret_fraction = head + log_term - aep_term(eps_h) / math.sqrt(n)
+    log2_pe, log2_cor, log2_sec = log2(budget.components)
+    log2_h = log2_sec - 1.0  # eps_h = eps_s = eps_sec / 2
+    qber_wc = worst_case_qber(qber, m, log2_pe)
+    h = binary_entropy(np.concatenate((qber_wc, [qber])))  # each h(E_wc), then h(E)
+    head = 1.0 - h[:-1] - params.recon_efficiency * h[-1]
+    log_term = (1.0 + log2_cor + 2.0 * log2_h) / n  # log2(eps_cor * eps_h^2)
+    secret_fraction = head + log_term - aep_term(log2_h) / math.sqrt(n)
     rate_per_use = kappa * secret_fraction
     varying = (qber_wc, secret_fraction, rate_per_use, c_dt * params.clock_hz * rate_per_use)
     if isinstance(budget.eps_pe, float):  # one split: floats, printed by repr

@@ -532,8 +532,9 @@ def test_criterion_07_fitness_history_monotone_for_twenty_seeds() -> None:
 
 def test_criterion_08_closed_form_unit_checks() -> None:
     checks = [
-        ("confidence width at exp(-2)", pe_confidence_width(math.exp(-2.0)), 2.0),
-        ("AEP correction at 1/8", aep_term(0.125), 14.0),
+        # the eps-taking helpers take log2(eps)
+        ("confidence width at exp(-2)", pe_confidence_width(-2.0 / math.log(2.0)), 2.0),
+        ("AEP correction at 1/8", aep_term(-3.0), 14.0),
         (
             "sift probability at balanced bases",
             detection_stats(DvProtocolParams(x_basis_prob=0.5)).p_sift,

@@ -160,21 +160,28 @@ def test_a_float_split_is_a_json_ready_budget(family):
     assert reconstruct_sec(total, total / 2, total / 2, family) is None
 
 
+_QBER = lambda x: worst_case_qber(0.01, 1000, x)  # noqa: E731
+
+#: The helpers that take log2(eps) rather than eps.
+_LOG2_HELPERS = (_QBER, aep_term, pe_confidence_width)
+
+
 @pytest.mark.parametrize(
     "check, bad",
     [
-        (lambda x: worst_case_qber(0.01, 1000, x), 1.5),
-        (aep_term, -1e-9),
+        (_QBER, 1.5),
+        (aep_term, 1.5),
         (binary_entropy, 1.25),
-        (pe_confidence_width, 0.0),
+        (pe_confidence_width, 0.25),
         (lambda x: holevo_bound(CvProtocolParams(), x, np.full(300, 0.01)), 1.5),
         (lambda x: holevo_bound(CvProtocolParams(), np.full(300, 0.5), x), -0.7),
         (bosonic_entropy, 0.5),
     ],
 )
 def test_a_bad_element_is_named_in_one_line(check, bad):
-    # one out-of-domain element among 300: its value, not the array
-    x = np.full(300, 0.5)
+    # one out-of-domain element among 300: its value, not the array; the
+    # log2-taking helpers get log2(1/2) around it
+    x = np.full(300, -1.0 if check in _LOG2_HELPERS else 0.5)
     x[123] = bad
     with pytest.raises(ValueError) as err:
         check(x)

@@ -1,14 +1,17 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from qkdopt.budget import (
     EPSILON_FLOOR,
+    LN2,
     EpsilonBudget,
     Family,
     baseline_budgets,
     libm,
+    log2,
     map_gene,
     reconstruct_sec,
 )
@@ -211,16 +214,68 @@ def test_map_gene_per_row_totals_match_float_form():
 
 
 def test_libm_calls_math_per_element():
-    # numpy's SIMD logarithms round about one argument in 10^4 differently
-    x = 10.0 ** np.random.default_rng(3).uniform(-300.0, 0.0, size=100_000)
-    for fn in (math.log, math.log2):
-        assert libm(fn, x).tolist() == [fn(v) for v in x.tolist()]
     # the softmax's weights; numpy's SIMD exp rounds a few in 100 of these differently
     u = np.random.default_rng(4).uniform(0.0, 1.0, size=100_000)
     assert libm(math.exp, u).tolist() == [math.exp(v) for v in u.tolist()]
-    assert libm(math.pow, x, 2.0).tolist() == [v**2 for v in x.tolist()]
-    assert libm(math.log, 2.0).tolist() == [math.log(2.0)]  # a float is a one-row array
-    assert libm(math.log, np.array([])).shape == (0,)
+    assert libm(math.exp, 2.0).tolist() == [math.exp(2.0)]  # a float is a one-row array
+    assert libm(math.exp, np.array([])).shape == (0,)
+
+
+#: Largest relative error of :func:`log2` against a 50-digit reference,
+#: fixed before the test was first run.
+LOG2_REL_BOUND = 5e-16
+
+
+def kernel_inputs() -> np.ndarray:
+    """Subnormals, 1 +- a few ulps, both sides of the sqrt(1/2) reduction
+    boundary at many exponents, and random magnitudes over the whole range."""
+    rng = np.random.default_rng(16)
+    ulps = np.arange(1, 40)
+    boundary = np.ldexp(math.sqrt(0.5), np.arange(-1070, 1024, 23))
+    return np.concatenate(
+        [
+            [5e-324, 1e-323, 1e-320, 1e-310, np.nextafter(2.0**-1022, 0.0), 2.0**-1022],
+            1.0 + ulps * 2.0**-52,
+            1.0 - ulps * 2.0**-53,
+            1.0 + rng.uniform(-0.3, 0.4, 1_000),
+            boundary,
+            np.nextafter(boundary, 0.0),
+            np.nextafter(boundary, np.inf),
+            10.0 ** rng.uniform(-323.0, 308.0, 3_000),
+            10.0 ** rng.uniform(-21.0, 0.0, 1_000),  # the budget's range
+        ]
+    )
+
+
+def test_log2_against_mpmath():
+    x = kernel_inputs()
+    got = log2(x)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for v, g in zip(x.tolist(), got.tolist()):
+            want = mpmath.log(mpmath.mpf(v), 2)
+            worst = max(worst, float(abs((g - want) / want)))
+    assert worst <= LOG2_REL_BOUND
+    # ln x = ln 2 * log2 x, as the rate chains form it
+    assert LN2 == float(mpmath.log(2))
+
+
+def test_log2_exact_cases():
+    k = np.arange(-1074, 1024)
+    assert (log2(np.ldexp(1.0, k)) == k).all()
+    assert log2(np.array([1.0])).tolist() == [0.0]
+
+
+def test_log2_batch_equals_single():
+    # an element's value depends on neither its position nor the batch length,
+    # across the tails of every SIMD width
+    x = kernel_inputs()
+    whole = log2(x).tolist()
+    assert [log2(np.array([v]))[0] for v in x.tolist()] == whole
+    for length in (2, 3, 5, 7, 8, 9, 15, 16, 17, 33, 1000):
+        for start in (0, 1, 3):
+            assert log2(x[start : start + length]).tolist() == whole[start : start + length]
+    assert log2(x[::-1]).tolist() == whole[::-1]
 
 
 def test_baselines_cv():

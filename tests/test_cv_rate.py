@@ -4,11 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qkdopt.budget import Family, baseline_budgets, reconstruct_sec
+from qkdopt.budget import Family, baseline_budgets, log2, reconstruct_sec
 from qkdopt.cv_rate import (
     CvProtocolParams,
     EstimatorModel,
-    _entropy_estimation_term,
     _finite_size_term,
     bosonic_entropy,
     cv_key_rate,
@@ -47,13 +46,14 @@ def test_transmissivity():
 
 
 def test_pe_confidence_width():
-    assert pe_confidence_width(1.0) == 0.0
-    assert pe_confidence_width(math.exp(-2.0)) == pytest.approx(2.0, abs=1e-12)
-    assert pe_confidence_width(1e-10) == pytest.approx(W_1E10, rel=1e-12)
+    # the width takes log2(eps_pe): eps_pe = 1, exp(-2), 1e-10
+    assert pe_confidence_width(0.0) == 0.0
+    assert pe_confidence_width(-2.0 / math.log(2.0)) == pytest.approx(2.0, abs=1e-12)
+    assert pe_confidence_width(log2(1e-10)) == pytest.approx(W_1E10, rel=1e-12)
     with pytest.raises(ValueError):
-        pe_confidence_width(0.0)
+        pe_confidence_width(-math.inf)  # eps_pe = 0
     with pytest.raises(ValueError):
-        pe_confidence_width(1.0 + 1e-9)
+        pe_confidence_width(log2(1.0 + 1e-9))
 
 
 def test_ml_estimator_model_table_values():
@@ -69,7 +69,7 @@ def test_ml_estimator_model_table_values():
 
 def test_worst_case_zero_width():
     est = EstimatorModel(t_hat=0.8, xi_hat=0.02, sigma_t=0.1, sigma_xi=0.1, m=100)
-    wc = worst_case_estimators(est, 1.0)
+    wc = worst_case_estimators(est, 0.0)  # eps_pe = 1
     assert (wc.t, wc.xi) == (0.8, 0.02)
     assert not wc.degenerate
 
@@ -77,7 +77,7 @@ def test_worst_case_zero_width():
 def test_worst_case_noiseless_estimators():
     est = EstimatorModel(t_hat=0.7, xi_hat=0.03, sigma_t=0.0, sigma_xi=0.0, m=10)
     for eps_pe in (1e-3, 1e-10, 1e-18):
-        wc = worst_case_estimators(est, eps_pe)
+        wc = worst_case_estimators(est, log2(eps_pe))
         assert (wc.t, wc.xi) == (0.7, 0.03)
 
 
@@ -85,19 +85,19 @@ def test_worst_case_table_values():
     params = table_params()
     t = transmissivity(params.length_km, params.attenuation_db_per_km)
     est = ml_estimator_model(params, t, params.excess_noise, 120_000)
-    wc = worst_case_estimators(est, 1e-10)
+    wc = worst_case_estimators(est, log2(1e-10))
     assert wc.t == pytest.approx(T_WC_1E10, rel=1e-12)
     assert wc.xi == pytest.approx(XI_WC_1E10, rel=1e-12)
     assert not wc.degenerate
     # the literal (subtractive) sign convention drives the noise to its floor
-    lit = worst_case_estimators(est, 1e-10, subtractive_xi=True)
+    lit = worst_case_estimators(est, log2(1e-10), subtractive_xi=True)
     assert lit.t == wc.t
     assert lit.xi == 0.0
 
 
 def test_worst_case_degenerate_marker():
     est = EstimatorModel(t_hat=0.01, xi_hat=0.01, sigma_t=10.0, sigma_xi=0.0, m=4)
-    wc = worst_case_estimators(est, 1e-10)
+    wc = worst_case_estimators(est, log2(1e-10))
     assert wc.degenerate
     assert wc.t == 1e-12  # clamped to the floor
 
@@ -124,11 +124,12 @@ def test_bosonic_entropy():
 
 
 def scalar_bosonic_entropy(nu: float) -> float:
+    """The formula for one eigenvalue, each logarithm a one-element kernel call."""
     if nu <= 1.0:
         return 0.0
     up = 0.5 * (nu + 1.0)
     dn = 0.5 * (nu - 1.0)
-    return up * math.log2(up) - dn * math.log2(dn)
+    return up * log2(np.array([up]))[0] - dn * log2(np.array([dn]))[0]
 
 
 def test_bosonic_entropy_of_an_array_is_the_scalar_formula_per_element():
@@ -211,8 +212,8 @@ def component_budget(eps_pe, eps_cor, eps_sec):
 
 def finite_size_term(n, budget, discretization):
     """The finite-size deduction ``F`` as the rate chain assembles it."""
-    ent_term = _entropy_estimation_term(n, budget.eps_pe)
-    return _finite_size_term(n, ent_term, budget, discretization)
+    log2_pe, log2_cor, log2_sec = log2(budget.components)
+    return _finite_size_term(n, log2_pe, log2_cor, log2_sec, discretization)
 
 
 def test_finite_size_term_frozen_value():
@@ -311,7 +312,7 @@ def test_cv_key_rate_degenerate_channel():
     params = table_params(length_km=100.0, block_size=20, pe_ratio=0.1)
     budget = cv_budget(1e-9, 2e-10, 2e-10)
     est = ml_estimator_model(params, transmissivity(100.0, 0.2), params.excess_noise, 2)
-    assert worst_case_estimators(est, budget.eps_pe).degenerate
+    assert worst_case_estimators(est, log2(budget.eps_pe)).degenerate
     out = cv_key_rate(params, budget)
     assert out.r_pe_bits == 0.0
     assert out.rate_per_use == pytest.approx(

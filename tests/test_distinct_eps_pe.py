@@ -1,21 +1,21 @@
-"""A batch whose splits repeat ``eps_pe`` values, as a grid's rows do.
+"""Batches as the CGA and the grid oracle rate them.
 
-The ``eps_pe``-only part of a rate (DV: the worst-case error rate and its
-entropy; CV: the worst-case channel, its Holevo bound and the
-entropy-estimation penalty) is rated once per distinct ``eps_pe`` and
-gathered back to the rows.  Every row must still equal, bit for bit, the
-rate of its split alone.
+A grid's rows repeat ``eps_pe`` values; every row must still equal, bit for
+bit, the rate of its split alone.  Whatever the batch size, a rate call takes
+two calls of the logarithm kernel, one on the budget's components and one on
+the entropy arguments, and no per-element ``math`` logarithm or power.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from qkdopt import cv_rate, dv_rate
-from qkdopt.budget import Family, reconstruct_sec
+from qkdopt.budget import Family, log2, reconstruct_sec
 from qkdopt.harness import key_rate
 from qkdopt.oracle import GridSpec
 
@@ -55,38 +55,46 @@ def test_each_row_equals_its_split_alone(family, params, total):
             assert (got[i] if np.ndim(got) else got) == want, (f.name, i)
 
 
-def spy(monkeypatch, module, name: str, seen: list, arg: int = 1):
-    """Record argument ``arg`` of every call of ``module.name``."""
-    original = getattr(module, name)
+def counting(fn, calls: list):
+    """``fn``, recording the size of its first argument at every call."""
 
-    def recording(*args, **kwargs):
-        seen.append(np.asarray(args[arg]))
-        return original(*args, **kwargs)
+    def counted(x, *args):
+        calls.append(np.size(x))
+        return fn(x, *args)
 
-    monkeypatch.setattr(module, name, recording)
+    return counted
+
+
+def random_splits(total: float, family: Family, rows: int):
+    """``rows`` feasible splits, log-uniform below a tenth of ``total`` (a
+    budget of floats for one row)."""
+    pe, cor = 10.0 ** np.random.default_rng(rows).uniform(
+        -21.0, math.log10(total / 10.0), size=(2, rows)
+    )
+    if rows == 1:
+        return reconstruct_sec(total, pe.item(), cor.item(), family)
+    feasible, budget = reconstruct_sec(total, pe, cor, family)
+    assert feasible.all()
+    return budget
 
 
 @pytest.mark.parametrize("family, params, total", CASES)
-def test_the_eps_pe_chain_sees_each_distinct_value_once(
-    monkeypatch, family, params, total
-):
-    budget = log_grid_batch(total, family)
-    distinct = np.unique(budget.eps_pe)
-    if family is Family.DV:
-        qber_eps, entropy_in = [], []
-        spy(monkeypatch, dv_rate, "worst_case_qber", qber_eps, arg=2)
-        spy(monkeypatch, dv_rate, "binary_entropy", entropy_in, arg=0)
+def test_each_rate_call_makes_two_kernel_calls(monkeypatch, family, params, total):
+    module = dv_rate if family is Family.DV else cv_rate
+    kernel, scalar = [], []
+    monkeypatch.setattr(module, "log2", counting(log2, kernel))
+    for name in ("log", "log2", "pow"):
+        monkeypatch.setattr(math, name, counting(getattr(math, name), scalar))
+    scalar_calls = set()
+    for rows in (1, 200, 3_600):
+        budget = random_splits(total, family, rows)
+        kernel.clear()
+        scalar.clear()
         key_rate(params, budget)
-        (eps_pe,) = qber_eps
-        # one entropy call: h(E_wc) once per distinct eps_pe, then h(E) of the model
-        assert [a.size for a in entropy_in] == [distinct.size + 1]
-    else:
-        channel_eps, holevo_t, entropy_eps = [], [], []
-        spy(monkeypatch, cv_rate, "worst_case_estimators", channel_eps)
-        spy(monkeypatch, cv_rate, "holevo_bound", holevo_t)
-        spy(monkeypatch, cv_rate, "_entropy_estimation_term", entropy_eps)
-        key_rate(params, budget)
-        (eps_pe,), (entropy_eps_pe,) = channel_eps, entropy_eps
-        assert entropy_eps_pe.tolist() == eps_pe.tolist()
-        assert [t.size for t in holevo_t] == [distinct.size]
-    assert eps_pe.tolist() == distinct.tolist()
+        # the components, then p and 1 - p of each E_wc and E (DV) or both
+        # halves of nu_+, nu_- and nu_c per split (CV)
+        entropy_args = 2 * (rows + 1) if family is Family.DV else 2 * 3 * rows
+        assert kernel == [3 * rows, entropy_args], rows
+        assert all(size == 1 for size in scalar)  # model constants, never an array
+        scalar_calls.add(len(scalar))
+    assert len(scalar_calls) == 1  # the same few whatever the batch size

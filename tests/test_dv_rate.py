@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qkdopt.budget import Family, reconstruct_sec
+from qkdopt.budget import Family, log2, reconstruct_sec
 from qkdopt.dv_rate import (
     DvProtocolParams,
     aep_term,
@@ -76,32 +76,38 @@ def test_estimated_qber_override_and_cap():
 
 
 def test_worst_case_qber_frozen_values():
-    assert worst_case_qber(QBER_EST, M_PE, 1e-18) == pytest.approx(
+    # the eps-taking helpers take log2(eps)
+    assert worst_case_qber(QBER_EST, M_PE, log2(1e-18)) == pytest.approx(
         QBER_WC_MODEL, rel=1e-12
     )
-    assert worst_case_qber(0.04862, M_PE, 1e-18) == pytest.approx(
+    assert worst_case_qber(0.04862, M_PE, log2(1e-18)) == pytest.approx(
         QBER_WC_04862, rel=1e-12
     )
+    with pytest.raises(ValueError):
+        worst_case_qber(0.05, M_PE, 0.0)  # eps_pe = 1
+    with pytest.raises(ValueError):
+        worst_case_qber(0.05, M_PE, -math.inf)  # eps_pe = 0
 
 
 def test_worst_case_qber_monotone_in_m_and_eps():
-    widths = [worst_case_qber(0.05, m, 1e-10) for m in (10**3, 10**4, 10**5, 10**6)]
+    widths = [worst_case_qber(0.05, m, log2(1e-10)) for m in (10**3, 10**4, 10**5, 10**6)]
     assert all(b < a for a, b in zip(widths, widths[1:]))
-    assert worst_case_qber(0.05, 10**4, 1e-6) < worst_case_qber(0.05, 10**4, 1e-12)
+    assert worst_case_qber(0.05, 10**4, log2(1e-6)) < worst_case_qber(0.05, 10**4, log2(1e-12))
 
 
 def test_worst_case_qber_cap():
-    assert worst_case_qber(0.4, 10, 1e-18) == 0.5
+    assert worst_case_qber(0.4, 10, log2(1e-18)) == 0.5
 
 
 def test_aep_term():
-    assert aep_term(2.0) == 0.0
-    assert aep_term(0.125) == pytest.approx(14.0, abs=1e-12)
-    assert aep_term(5e-19) == pytest.approx(AEP_5E19, rel=1e-12)
+    # aep_term takes log2(eps_s): eps_s = 2, 1/8, 5e-19
+    assert aep_term(1.0) == 0.0
+    assert aep_term(-3.0) == 14.0
+    assert aep_term(log2(5e-19)) == pytest.approx(AEP_5E19, rel=1e-12)
     with pytest.raises(ValueError):
-        aep_term(0.0)
+        aep_term(-math.inf)  # eps_s = 0
     with pytest.raises(ValueError):
-        aep_term(2.0 + 1e-12)
+        aep_term(log2(2.0 + 1e-12))
 
 
 def test_binary_entropy():
@@ -116,9 +122,11 @@ def test_binary_entropy():
 
 
 def scalar_binary_entropy(p: float) -> float:
+    """The formula for one ``p``, each logarithm a one-element kernel call."""
     if p == 0.0 or p == 1.0:
         return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+    q = 1.0 - p
+    return -p * log2(np.array([p]))[0] - q * log2(np.array([q]))[0]
 
 
 def test_binary_entropy_of_an_array_is_the_scalar_formula_per_element():
@@ -147,7 +155,7 @@ def test_dv_key_rate_frozen_symmetric():
     assert out.qber_est == pytest.approx(QBER_EST, rel=1e-12)
     # breakdown consistency pins the internal counts: qber_wc at m = 38,215
     assert out.qber_wc == pytest.approx(
-        worst_case_qber(out.qber_est, M_PE, eps / 3), rel=1e-12
+        worst_case_qber(out.qber_est, M_PE, log2(eps / 3)), rel=1e-12
     )
     assert out.rate_per_use == pytest.approx(
         out.kappa * out.secret_fraction, rel=1e-12
@@ -159,7 +167,7 @@ def test_dv_key_rate_frozen_symmetric():
         - binary_entropy(out.qber_wc)
         - 1.25 * binary_entropy(out.qber_est)
         + (1.0 + math.log2(budget.eps_cor * budget.eps_h**2)) / N_KEY
-        - aep_term(budget.eps_s) / math.sqrt(N_KEY)
+        - aep_term(math.log2(budget.eps_s)) / math.sqrt(N_KEY)
     )
     assert out.secret_fraction == pytest.approx(expected_r, rel=1e-12)
 

@@ -68,6 +68,10 @@ _SQRT_HALF = 0.7071067811865476
 #: the first term left out is below 2.4e-17 of the sum.
 _LOG2_SERIES = tuple(2.0 / (2 * k + 1) / LN2 for k in range(10))
 
+#: Largest input that :func:`log2` takes through Python floats: about where a
+#: loop over the elements costs numpy's fixed cost per call.
+_FEW = 16
+
 
 class Family(enum.Enum):
     """Protocol family, which fixes how components add up to the total."""
@@ -245,7 +249,14 @@ def log2(x) -> np.ndarray:
     gives its exponent exactly, and the relative error is below 5e-16 from
     the subnormals up.  Zero, negative and non-finite elements give
     meaningless values: callers keep them out.
+
+    Up to :data:`_FEW` elements (a single split's components, say) take the
+    same steps on Python floats, which round the same, without numpy's fixed
+    cost per call.
     """
+    x = np.asarray(x)
+    if x.size <= _FEW:
+        return np.fromiter(map(_log2_one, x.ravel().tolist()), float, x.size).reshape(x.shape)
     mant, exp = np.frexp(x)  # x = mant * 2**exp, mant in [1/2, 1)
     low = mant < _SQRT_HALF
     mant = np.ldexp(mant, low)  # into [sqrt(1/2), sqrt(2)): exact
@@ -262,6 +273,19 @@ def log2(x) -> np.ndarray:
     series *= f
     series += exp
     return series
+
+
+def _log2_one(v: float) -> float:
+    """:func:`log2` of one float, step for step as on an array."""
+    mant, exp = math.frexp(v)
+    if mant < _SQRT_HALF:
+        mant, exp = mant * 2.0, exp - 1
+    f = (mant - 1.0) / (mant + 1.0)
+    z = f * f
+    series = z * _LOG2_SERIES[-1]
+    for c in _LOG2_SERIES[-2:0:-1]:
+        series = (series + c) * z
+    return (series + _LOG2_SERIES[0]) * f + exp
 
 
 def libm(fn: Callable[[float], float], x):

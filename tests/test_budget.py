@@ -262,13 +262,16 @@ def test_log2_against_mpmath():
 
 def test_log2_exact_cases():
     k = np.arange(-1074, 1024)
-    assert (log2(np.ldexp(1.0, k)) == k).all()
+    powers = np.ldexp(1.0, k)
+    assert (log2(powers) == k).all()
+    assert [log2(powers[i : i + 1])[0] for i in range(k.size)] == k.tolist()
     assert log2(np.array([1.0])).tolist() == [0.0]
 
 
 def test_log2_batch_equals_single():
     # an element's value depends on neither its position nor the batch length,
-    # across the tails of every SIMD width
+    # across the tails of every SIMD width and both sides of the size at which
+    # log2 switches from Python floats to numpy
     x = kernel_inputs()
     whole = log2(x).tolist()
     assert [log2(np.array([v]))[0] for v in x.tolist()] == whole

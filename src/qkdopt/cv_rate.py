@@ -20,10 +20,8 @@ Model conventions:
 
 Only the worst-case channel, its Holevo bound and the finite-size term depend
 on the budget; one :func:`cv_key_rate` call computes the rest once and rates a
-whole batch over 1-d arrays, a single split as a batch of one (see :mod:`qkdopt.budget`).
-Those terms take the budget through the base-2 logarithms of its components,
-so a call takes two logarithms in all: one of the components, one of the
-entropy arguments of every symplectic eigenvalue.
+whole batch over 1-d arrays, a single split as a batch of one (see :mod:`qkdopt.budget`),
+through the base-2 logarithms of the budget's components.
 """
 
 from __future__ import annotations

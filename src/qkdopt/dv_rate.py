@@ -12,10 +12,8 @@ estimation (``m``) and key generation (``n``).
 
 Only the worst-case error rate and the log and AEP terms depend on the
 budget; one :func:`dv_key_rate` call computes the rest once and rates a whole
-batch over 1-d arrays, a single split as a batch of one (see :mod:`qkdopt.budget`).
-Those terms take the budget through the base-2 logarithms of its components,
-so a call takes two logarithms in all: one of the components, one of the
-entropy arguments.
+batch over 1-d arrays, a single split as a batch of one (see :mod:`qkdopt.budget`),
+through the base-2 logarithms of the budget's components.
 """
 
 from __future__ import annotations

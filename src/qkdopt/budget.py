@@ -15,14 +15,15 @@ two free components, the fixed baseline splits used for comparison, and the
 linear map from optimizer genes in ``[-1, 1]`` to component values.
 
 A budget holds one split (floats) or a batch of splits (equal-length 1-d
-arrays of each component, sharing one family; the total is one float for
-all of them or an array with one total per split).  The functions here and
-the rate chains compute over 1-d arrays only, reading a float as a batch of
-one; floats come back in one place per public result: the budget that
-:func:`reconstruct_sec` returns for float inputs, and a rate chain's
-breakdown of a budget of floats.  :func:`log2` is the chains' one logarithm:
-each rate call makes two calls of it, one on the budget's components and one
-on its entropy arguments.  :func:`libm` is the softmax's exponential.
+arrays of each component and of the total, sharing one family).  The
+functions here and the rate chains compute over 1-d arrays only, reading a
+float as a batch of one; floats come back in one place per public result:
+the budget that :func:`reconstruct_sec` returns for float inputs, and a rate
+chain's breakdown of a budget of floats.  :func:`log2` is the chains' one
+logarithm, one array kernel whatever the batch size, a single split
+included: each rate call makes two calls of it, one on the budget's
+components and one on its entropy arguments.  :func:`libm` is the softmax's
+exponential.
 """
 
 from __future__ import annotations
@@ -68,10 +69,6 @@ _SQRT_HALF = 0.7071067811865476
 #: the first term left out is below 2.4e-17 of the sum.
 _LOG2_SERIES = tuple(2.0 / (2 * k + 1) / LN2 for k in range(10))
 
-#: Largest input that :func:`log2` takes through Python floats: about where a
-#: loop over the elements costs numpy's fixed cost per call.
-_FEW = 16
-
 
 class Family(enum.Enum):
     """Protocol family, which fixes how components add up to the total."""
@@ -93,9 +90,9 @@ class EpsilonBudget:
     ``pe_weight * eps_pe + eps_cor + eps_sec == total`` (to relative
     tolerance 1e-12) with every component in ``[EPSILON_FLOOR, total)``.
     The secrecy share splits evenly, ``eps_s == eps_h == eps_sec / 2``.  A
-    batch holds each component as a 1-d array of one common length and is
-    checked once, for all of its splits, each against its own total when
-    ``total`` is an array of that length too.
+    batch holds each component and the total as 1-d arrays of one common
+    length and is checked once, for all of its splits, each against its own
+    total.
     """
 
     total: float | np.ndarray
@@ -108,21 +105,21 @@ class EpsilonBudget:
         shapes = {getattr(getattr(self, name), "shape", ()) for name in _COMPONENTS}
         if len(shapes) != 1 or len(shape := shapes.pop()) > 1:
             raise ValueError("components must be floats or 1-d arrays of one length")
-        if getattr(self.total, "shape", ()) not in ((), shape):
-            raise ValueError("an array of totals must hold one total per split")
-        total = _as_batch(self.total)  # one total for every split, or one each
+        if getattr(self.total, "shape", ()) != shape:
+            raise ValueError("total must be a float, or an array of one total per split")
+        total = _as_batch(self.total)
         _check_totals(total)
         parts = self.components
         if not (inside := (EPSILON_FLOOR <= parts) & (parts < total)).all():
             k, row = np.argwhere(~inside)[0]  # name one value, not the arrays
             where = f" (row {row})" if shape else ""
-            bounds = f"[{EPSILON_FLOOR}, total = {total[row % total.size]})"
+            bounds = f"[{EPSILON_FLOOR}, total = {total[row]})"
             raise ValueError(f"{_COMPONENTS[k]} = {parts[k, row]}{where} outside {bounds}")
         closure = self.family.pe_weight * parts[0] + parts[1] + parts[2]
         if not (closes := abs(closure - total) <= _CLOSURE_RTOL * total).all():
             row = closes.argmin()
             where = f" in row {row}" if shape else ""
-            sums = f"weighted sum {closure[row]} vs total {total[row % total.size]}"
+            sums = f"weighted sum {closure[row]} vs total {total[row]}"
             raise ValueError(f"budget does not close{where}: {sums}")
 
     #: Smoothing and hashing failure probabilities, half the secrecy share each.
@@ -249,14 +246,7 @@ def log2(x) -> np.ndarray:
     gives its exponent exactly, and the relative error is below 5e-16 from
     the subnormals up.  Zero, negative and non-finite elements give
     meaningless values: callers keep them out.
-
-    Up to :data:`_FEW` elements (a single split's components, say) take the
-    same steps on Python floats, which round the same, without numpy's fixed
-    cost per call.
     """
-    x = np.asarray(x)
-    if x.size <= _FEW:
-        return np.fromiter(map(_log2_one, x.ravel().tolist()), float, x.size).reshape(x.shape)
     mant, exp = np.frexp(x)  # x = mant * 2**exp, mant in [1/2, 1)
     low = mant < _SQRT_HALF
     mant = np.ldexp(mant, low)  # into [sqrt(1/2), sqrt(2)): exact
@@ -273,19 +263,6 @@ def log2(x) -> np.ndarray:
     series *= f
     series += exp
     return series
-
-
-def _log2_one(v: float) -> float:
-    """:func:`log2` of one float, step for step as on an array."""
-    mant, exp = math.frexp(v)
-    if mant < _SQRT_HALF:
-        mant, exp = mant * 2.0, exp - 1
-    f = (mant - 1.0) / (mant + 1.0)
-    z = f * f
-    series = z * _LOG2_SERIES[-1]
-    for c in _LOG2_SERIES[-2:0:-1]:
-        series = (series + c) * z
-    return (series + _LOG2_SERIES[0]) * f + exp
 
 
 def libm(fn: Callable[[float], float], x):

@@ -235,15 +235,14 @@ def crossover(mothers: np.ndarray, fathers: np.ndarray, u: np.ndarray) -> np.nda
     return np.where(coins < _CROSSOVER_PROB, blend, mothers)
 
 
-def mutate(
-    genes: np.ndarray, elite_index: int, config: CgaConfig, u: np.ndarray, noise: np.ndarray
-) -> np.ndarray:
+def mutate(genes: np.ndarray, config: CgaConfig, u: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Add the ``noise`` (spread ``mutation_sigma``) to the ``(R, P, 2)``
-    genes where their uniforms ``u`` fall below ``mutation_rate``, sparing
-    each run's elite chromosome; results are clipped to ``[-1, 1]``.
+    genes, ranked best-first, where their uniforms ``u`` fall below
+    ``mutation_rate``, sparing each run's elite (row 0); results are clipped
+    to ``[-1, 1]``.
     """
     mask = u < config.mutation_rate
-    mask[:, elite_index] = False
+    mask[:, 0] = False
     return np.where(mask, (genes + noise).clip(-1.0, 1.0), genes)
 
 
@@ -269,7 +268,7 @@ def _breed(
     rows, cross = np.arange(runs)[:, None], uniform[:, 2 * k : 6 * k].reshape(runs, k, 4)
     offspring = crossover(pool[rows, mothers], pool[rows, fathers], cross)
     genes = np.concatenate([pool[:, :n_survivors], offspring], axis=1)
-    return mutate(genes, 0, config, uniform[:, 6 * k :].reshape(runs, size, 2), noise)
+    return mutate(genes, config, uniform[:, 6 * k :].reshape(runs, size, 2), noise)
 
 
 def _lockstep(

@@ -491,8 +491,11 @@ def _convert(tp: Any, raw: str) -> Any:
 
 def parse_eps_levels(raw: str) -> tuple[float, ...]:
     """A level list, ``[sweep] eps_levels`` or ``--eps``: floats separated by
-    commas and/or whitespace."""
-    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+    commas and/or whitespace.  An empty list raises ``ValueError``: only a
+    spec built in code may leave its levels to the defaults."""
+    if not (levels := tuple(float(tok) for tok in raw.replace(",", " ").split())):
+        raise ValueError("no level given")
+    return levels
 
 
 def _build(section: str, cls: type, kwargs: dict[str, Any], problems: list[str]) -> Any:

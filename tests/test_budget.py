@@ -127,14 +127,16 @@ def test_reconstruct_batch_matches_single_splits():
 
 def test_batch_budget_validated_as_a_whole():
     sec = np.array([6e-6, 7e-6])
-    good = dict(total=1e-5, eps_pe=np.array([1e-6, 1e-6]), eps_cor=np.array([1e-6, 0.0]),
-                eps_sec=sec, family=Family.CV)
+    good = dict(total=np.full(2, 1e-5), eps_pe=np.array([1e-6, 1e-6]),
+                eps_cor=np.array([1e-6, 0.0]), eps_sec=sec, family=Family.CV)
     with pytest.raises(ValueError, match="eps_cor"):
         EpsilonBudget(**good)  # second row below the floor
     with pytest.raises(ValueError, match="1-d arrays of one length"):
         EpsilonBudget(**{**good, "eps_cor": 1e-6})
     with pytest.raises(ValueError, match="close"):
         EpsilonBudget(**{**good, "eps_cor": np.array([1e-6, 1e-6])})  # second row overshoots
+    with pytest.raises(ValueError, match="one total per split"):
+        EpsilonBudget(**{**good, "total": 1e-5})  # arrays take their totals as an array
 
 
 def test_batch_budget_errors_name_one_value_in_one_line():
@@ -270,8 +272,7 @@ def test_log2_exact_cases():
 
 def test_log2_batch_equals_single():
     # an element's value depends on neither its position nor the batch length,
-    # across the tails of every SIMD width and both sides of the size at which
-    # log2 switches from Python floats to numpy
+    # across the tails of every SIMD width
     x = kernel_inputs()
     whole = log2(x).tolist()
     assert [log2(np.array([v]))[0] for v in x.tolist()] == whole

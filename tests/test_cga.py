@@ -48,10 +48,10 @@ def crossover_one(mothers, fathers, rng):
     return crossover(mothers[None], fathers[None], rng.random((len(mothers), 4))[None])[0]
 
 
-def mutate_one(genes, elite_index, config, rng):
+def mutate_one(genes, config, rng):
     u = rng.random(genes.shape)
     noise = rng.normal(0.0, config.mutation_sigma, genes.shape)
-    return mutate(genes[None], elite_index, config, u[None], noise[None])[0]
+    return mutate(genes[None], config, u[None], noise[None])[0]
 
 
 def test_config_validation():
@@ -464,7 +464,7 @@ def test_mutate_zero_rate_is_identity():
     cfg = CgaConfig(population=10, mutation_rate=0.0)
     rng = np.random.default_rng(31)
     population = initialize(cfg, rng)
-    out = mutate_one(population, 0, cfg, rng)
+    out = mutate_one(population, cfg, rng)
     assert np.array_equal(out, population)
 
 
@@ -472,7 +472,7 @@ def test_mutate_spares_elite_and_hits_everyone_else():
     cfg = CgaConfig(population=50, mutation_rate=1.0)
     rng = np.random.default_rng(37)
     population = np.zeros((50, 2))
-    out = mutate_one(population, 0, cfg, rng)
+    out = mutate_one(population, cfg, rng)
     assert out[0].tolist() == [0.0, 0.0]
     assert np.all(out[1:] != 0.0)
     assert np.all((-1.0 <= out) & (out <= 1.0))

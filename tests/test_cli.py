@@ -167,6 +167,20 @@ def test_eps_flag_reads_levels_like_the_config(capsys, tmp_path, monkeypatch):
     assert err.startswith("error: bad --eps value: ")
 
 
+def test_empty_eps_flag_is_rejected(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--family", "cv", "--eps", "", "--seed", "1")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: bad --eps value: ")
+
+
+def test_empty_config_level_list_is_rejected(capsys, tmp_path):
+    cfg = tmp_path / "cv.ini"
+    cfg.write_text("[budget]\nfamily = cv\n\n[sweep]\neps_levels =\n")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--seed", "1")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "bad value for sweep.eps_levels: " in err
+
+
 def test_sweep_writes_deterministic_csv(capsys, tmp_path):
     cfg = tmp_path / "dv.ini"
     cfg.write_text(

@@ -22,8 +22,7 @@ the budget that :func:`reconstruct_sec` returns for float inputs, and a rate
 chain's breakdown of a budget of floats.  :func:`log2` is the chains' one
 logarithm, one array kernel whatever the batch size, a single split
 included: each rate call makes two calls of it, one on the budget's
-components and one on its entropy arguments.  :func:`libm` is the softmax's
-exponential.
+components and one on its entropy arguments.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields
-from typing import Callable
 
 import numpy as np
 
@@ -44,7 +42,6 @@ __all__ = [
     "map_gene",
     "LN2",
     "log2",
-    "libm",
     "check_fields",
 ]
 
@@ -263,19 +260,6 @@ def log2(x) -> np.ndarray:
     series *= f
     series += exp
     return series
-
-
-def libm(fn: Callable[[float], float], x):
-    """``fn(v)`` for every element ``v`` of ``x``, one C-library call each.
-
-    The CGA takes its softmax exponentials through ``math`` here rather than
-    through numpy, whose SIMD ``exp`` may round differently by CPU: a weight
-    is then the same whatever the batch.  ``map`` and ``np.fromiter`` drive
-    the calls from C, with no Python loop around them.  A float is read as a
-    one-row array.
-    """
-    x = _as_batch(x)
-    return np.fromiter(map(fn, x.tolist()), float, x.size)  # positional: numpy parses keywords slowly
 
 
 def check_fields(obj, checks: list[tuple[bool, str]]) -> None:

@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .budget import EpsilonBudget, Family, check_fields, libm, map_gene, reconstruct_sec
+from .budget import EpsilonBudget, Family, check_fields, map_gene, reconstruct_sec
 
 __all__ = [
     "WORST_FITNESS",
@@ -59,6 +60,11 @@ WORST_FITNESS = float("-inf")
 _CROSSOVER_PROB = 0.5
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer (numpy's included) and not a ``bool``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CgaConfig:
     """Hyperparameters of the genetic search.
@@ -78,11 +84,15 @@ class CgaConfig:
     rng_seed: int | None = None
 
     def __post_init__(self) -> None:
-        # the parent pool is judged only from a valid population and rate
-        pool_judged = self.population >= 2 and 0.0 < self.parent_rate <= 1.0
+        # a count's bound is judged only on an integer, and the parent pool
+        # only from a valid population and rate
+        int_pop, int_iter = _is_integer(self.population), _is_integer(self.iterations)
+        pool_judged = int_pop and self.population >= 2 and 0.0 < self.parent_rate <= 1.0
         checks = [
-            (self.population >= 2, "population must hold at least two chromosomes"),
-            (self.iterations >= 1, "iterations must be positive"),
+            (int_pop, f"population must be an integer, got {self.population!r}"),
+            (int_iter, f"iterations must be an integer, got {self.iterations!r}"),
+            (not int_pop or self.population >= 2, "population must hold at least two chromosomes"),
+            (not int_iter or self.iterations >= 1, "iterations must be positive"),
             (0.0 <= self.mutation_rate <= 1.0, "mutation_rate must lie in [0, 1]"),
             (0.0 < self.parent_rate <= 1.0, "parent_rate must lie in (0, 1]"),
             (0.0 <= self.survival_rate <= 1.0, "survival_rate must lie in [0, 1]"),
@@ -93,7 +103,7 @@ class CgaConfig:
                 f"two of {self.population} chromosomes",
             ),
             (
-                self.rng_seed is None or (isinstance(self.rng_seed, int) and self.rng_seed >= 0),
+                self.rng_seed is None or (_is_integer(self.rng_seed) and self.rng_seed >= 0),
                 f"rng_seed must be a non-negative integer, got {self.rng_seed!r}",
             ),
         ]
@@ -159,9 +169,11 @@ def softmax_probabilities(fitness: np.ndarray) -> np.ndarray:
         raise ValueError("no finite-fitness chromosomes to select from")
     span = np.fmax.reduce(fitness, axis=-1, keepdims=True) - lo  # fmax skips NaN
     scaled = (fitness - lo) / np.where(span == 0.0, 1.0, span)  # constant pool: all 0
-    # math.exp, not np.exp: numpy's SIMD exp may round differently by CPU;
-    # exp(-inf) is exactly 0
-    weights = libm(math.exp, np.where(finite, scaled, -np.inf).ravel()).reshape(fitness.shape)
+    # one math.exp per weight, not np.exp: numpy's SIMD exp may round
+    # differently by CPU; exp(-inf) is exactly 0.  map and fromiter drive the
+    # calls from C, with no Python loop around them
+    x = np.where(finite, scaled, -np.inf).ravel()
+    weights = np.fromiter(map(math.exp, x.tolist()), float, x.size).reshape(fitness.shape)
     return weights / weights.cumsum(axis=-1)[..., -1:]
 
 
@@ -334,7 +346,7 @@ def _lockstep(
             best_fitness=float(best_fitness[r]),
             best_budget=None,
             fitness_history=history[r],
-            evaluations=config.population * config.iterations,
+            evaluations=int(config.population * config.iterations),
             reseeds=int(reseeds[r]),
         )
         for r in range(n_runs)

@@ -33,7 +33,7 @@ from .harness import (
     key_rate,
     load_config,
     loads_config,
-    optimize_level,
+    optimize_levels,
     parse_eps_levels,
     run_sweep,
 )
@@ -215,7 +215,7 @@ def _cmd_rate(args: argparse.Namespace) -> None:
 def _cmd_optimize(args: argparse.Namespace) -> None:
     spec = _build_spec(args)
     total = _single_eps(args)
-    best = optimize_level(spec, total, level=0)
+    (best,) = optimize_levels(spec, [(0, total)])
     record = {
         "family": spec.family.value,
         "eps_total": total,

@@ -37,7 +37,7 @@ __all__ = [
     "loads_config",
     "parse_eps_levels",
     "run_sweep",
-    "optimize_level",
+    "optimize_levels",
     "emit_results",
     "grid_csv_text",
     "CSV_COLUMNS",
@@ -173,34 +173,29 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run the optimizer (and comparisons) at every requested eps level.
 
     Every (level, restart) optimizer run of the sweep advances in one
-    lockstep (see :func:`optimize_level`).  A model that cannot run — for
+    lockstep (see :func:`optimize_levels`).  A model that cannot run — for
     instance a block that degenerates at the configured sizes — raises its
     domain error and stops the sweep; only a baseline split too small for
     its total is recorded in a level's ``error`` (see :class:`SweepRecord`).
     """
     rate = spec.rate_fn()
-    best = _optimize_levels(spec, list(enumerate(spec.eps_levels)))
+    best = optimize_levels(spec, list(enumerate(spec.eps_levels)))
     records = [
         _run_level(spec, rate, total, opt) for total, opt in zip(spec.eps_levels, best)
     ]
     return SweepResult(spec=spec, records=records)
 
 
-def optimize_level(spec: SweepSpec, total: float, level: int) -> OptimizationResult:
-    """Best of ``spec.restarts`` optimizer runs at one total budget.
-
-    Restart ``r`` at level index ``level`` draws from its own generator,
-    derived from ``(spec.cga.rng_seed, level, r)``; the restarts advance in
-    lockstep, and the first restart with the highest fitness wins.
-    """
-    return _optimize_levels(spec, [(level, total)])[0]
-
-
-def _optimize_levels(
+def optimize_levels(
     spec: SweepSpec, levels: list[tuple[int, float]]
 ) -> list[OptimizationResult]:
-    """:func:`optimize_level` at each ``(level index, total)``, every run of
-    every level in one :func:`run_lockstep` call."""
+    """Best of ``spec.restarts`` optimizer runs at each ``(level index, total)``.
+
+    Restart ``r`` at level index ``level`` draws from its own generator,
+    derived from ``(spec.cga.rng_seed, level, r)``; every run of every level
+    advances in one :func:`run_lockstep` call, and at each level the first
+    restart with the highest fitness wins.
+    """
     restarts = range(spec.restarts)
     results = run_lockstep(
         spec.cga,

@@ -74,7 +74,9 @@ def grid_search(
     A cell is infeasible when its secrecy remainder falls below the floor or
     its rate is NaN; anything ``rate_fn`` raises propagates.  The best cell
     has the largest rate, then the smallest ``eps_pe``, then the smallest
-    ``eps_cor``, so the winner does not depend on evaluation order.
+    ``eps_cor``, so the winner does not depend on evaluation order; as the
+    cells run ``eps_pe``-major over increasing axes, it is the first maximum
+    in row order.
     """
     axis = spec.axis(total_eps)
     cells = np.full((axis.size**2, 4), np.nan)
@@ -88,8 +90,7 @@ def grid_search(
     cells[np.isnan(cells[:, 3]), 2] = np.nan
     if rated.size == 0:
         return GridSearchResult(None, float("-inf"), 0, cells)
-    pe, cor, _, rate = cells[rated].T
-    best = rated[np.lexsort((cor, pe, -rate))[0]]
+    best = rated[cells[rated, 3].argmax()]
     best_pe, best_cor, _, best_rate = cells[best].tolist()
     return GridSearchResult(
         best_budget=reconstruct_sec(total_eps, best_pe, best_cor, family),

@@ -10,7 +10,6 @@ from qkdopt.budget import (
     EpsilonBudget,
     Family,
     baseline_budgets,
-    libm,
     log2,
     map_gene,
     reconstruct_sec,
@@ -213,14 +212,6 @@ def test_map_gene_per_row_totals_match_float_form():
     # a stack of runs: (R, P, 2) genes against (R, 1, 1) totals
     stacked = map_gene(genes.reshape(3, 100, 2), np.array([3e-21, 1e-17, 1e-9])[:, None, None])
     assert stacked.reshape(-1, 2).tolist() == eps.tolist()
-
-
-def test_libm_calls_math_per_element():
-    # the softmax's weights; numpy's SIMD exp rounds a few in 100 of these differently
-    u = np.random.default_rng(4).uniform(0.0, 1.0, size=100_000)
-    assert libm(math.exp, u).tolist() == [math.exp(v) for v in u.tolist()]
-    assert libm(math.exp, 2.0).tolist() == [math.exp(2.0)]  # a float is a one-row array
-    assert libm(math.exp, np.array([])).shape == (0,)
 
 
 #: Largest relative error of :func:`log2` against a 50-digit reference,

@@ -61,13 +61,31 @@ def test_config_validation():
         CgaConfig(population=4, parent_rate=0.1)  # floor(0.4) < 2 parents
     with pytest.raises(ValueError):
         CgaConfig(mutation_rate=1.5)
-    for seed in (-3, 1.5, "7"):
+    for seed in (-3, 1.5, "7", True):
         with pytest.raises(ValueError, match="rng_seed"):
             CgaConfig(rng_seed=seed)
     assert CgaConfig(rng_seed=0).rng_seed == 0
     cfg = CgaConfig(population=200, parent_rate=0.5, survival_rate=1.0)
     assert cfg.n_parents == 100
     assert cfg.n_survivors == 100
+
+
+@pytest.mark.parametrize("field", ["population", "iterations"])
+@pytest.mark.parametrize("value", [20.0, True, "7"])
+def test_config_counts_must_be_integers(field, value):
+    # numpy cannot size a population or count generations with a float
+    with pytest.raises(ValueError) as err:
+        CgaConfig(**{field: value})
+    assert str(err.value) == f"{field} must be an integer, got {value!r}"
+
+
+def test_config_takes_numpy_integers():
+    cfg = CgaConfig(population=np.int64(20), iterations=np.int64(3), rng_seed=np.int64(3))
+    plain = CgaConfig(population=20, iterations=3, rng_seed=3)
+    rate = dv_rate_fn()
+    result = run(cfg, 1e-12, Family.DV, rate)
+    assert result == run(plain, 1e-12, Family.DV, rate)
+    assert type(result.evaluations) is int  # the result holds plain Python numbers
 
 
 def test_initialize_ranges_and_determinism():
@@ -286,6 +304,15 @@ def test_softmax_normalizes_left_to_right():
     weights = [math.exp((f - lo) / (hi - lo)) for f in fitness.tolist()]
     norm = functools.reduce(operator.add, weights)
     assert math.fsum(weights) != norm
+    assert softmax_probabilities(fitness).tolist() == [w / norm for w in weights]
+
+
+def test_softmax_calls_math_exp_per_weight():
+    # numpy's SIMD exp rounds a few in 100 of these weights differently
+    fitness = np.random.default_rng(4).uniform(-3.0, 7.0, size=100_000)
+    lo, hi = fitness.min(), fitness.max()
+    weights = [math.exp((f - lo) / (hi - lo)) for f in fitness.tolist()]
+    norm = functools.reduce(operator.add, weights)
     assert softmax_probabilities(fitness).tolist() == [w / norm for w in weights]
 
 

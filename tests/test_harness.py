@@ -18,7 +18,7 @@ from qkdopt.harness import (
     emit_results,
     load_config,
     loads_config,
-    optimize_level,
+    optimize_levels,
     run_sweep,
 )
 
@@ -388,7 +388,7 @@ def test_optimize_level_is_the_sweep_level():
     spec = small_dv_spec(restarts=2, include_baselines=False)
     records = run_sweep(spec).records
     for idx, total in enumerate(spec.eps_levels):
-        best = optimize_level(spec, total, idx)
+        (best,) = optimize_levels(spec, [(idx, total)])
         assert best.best_budget == records[idx].budget_opt
         assert best.best_fitness == records[idx].rate_opt
         assert best.fitness_history == records[idx].fitness_history

@@ -28,8 +28,11 @@ components and one on its entropy arguments.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass, fields
+import numbers
+from dataclasses import dataclass
+from typing import Any, Callable, get_args, get_type_hints
 
 import numpy as np
 
@@ -43,6 +46,7 @@ __all__ = [
     "LN2",
     "log2",
     "check_fields",
+    "field_types",
 ]
 
 #: Smallest admissible value for any epsilon component.  Components may sit
@@ -262,13 +266,39 @@ def log2(x) -> np.ndarray:
     return series
 
 
-def check_fields(obj, checks: list[tuple[bool, str]]) -> None:
-    """Raise one ``ValueError`` listing each NaN or infinite float field of dataclass ``obj``
-    or, if none, each failed ``(holds, message)`` check (which may pass NaN or infinity)."""
-    bad = [
-        f"{f.name} must be finite, got {value!r}"
-        for f in fields(obj)
-        if isinstance(value := getattr(obj, f.name), float) and not math.isfinite(value)
-    ] or [message for holds, message in checks if not holds]
-    if bad:
+@functools.cache
+def field_types(cls: type) -> dict[str, tuple[Any, bool]]:
+    """Each field of dataclass ``cls`` as ``(type, optional)``, from its resolved
+    annotation: ``X | None`` reads as ``(X, True)``, any other ``T`` as ``(T, False)``."""
+    types = {}
+    for name, tp in get_type_hints(cls).items():
+        if optional := type(None) in (args := get_args(tp)):
+            (tp,) = (arg for arg in args if arg is not type(None))
+        types[name] = (tp, optional)
+    return types
+
+
+#: The class a field annotated with each checked kind must hold, and its noun.
+_KINDS = {
+    bool: (bool, "a boolean"),
+    int: (numbers.Integral, "an integer"),  # numpy's integers included
+    float: (numbers.Real, "a real number"),
+}
+
+
+def check_fields(obj, checks: Callable[[], list[tuple[bool, str]]]) -> None:
+    """Raise one ``ValueError`` listing each field of dataclass ``obj`` that does not hold
+    the kind its annotation names (a ``bool`` only for ``bool``, a finite value for
+    ``float``, ``None`` too for ``X | None``) or, if none, each failed ``(holds, message)``
+    of ``checks()``: no bound is judged on a mistyped value."""
+    bad = []
+    for name, (kind, optional) in field_types(type(obj)).items():
+        value = getattr(obj, name)
+        if kind in _KINDS and not (optional and value is None):
+            of, noun = _KINDS[kind]
+            if not isinstance(value, of) or (kind is not bool and isinstance(value, bool)):
+                bad.append(f"{name} must be {noun}, got {value!r}")
+            elif kind is float and not -math.inf < value < math.inf:
+                bad.append(f"{name} must be finite, got {value!r}")
+    if bad := bad or [message for holds, message in checks() if not holds]:
         raise ValueError("; ".join(bad))

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
@@ -60,11 +59,6 @@ WORST_FITNESS = float("-inf")
 _CROSSOVER_PROB = 0.5
 
 
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an integer (numpy's included) and not a ``bool``."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class CgaConfig:
     """Hyperparameters of the genetic search.
@@ -84,30 +78,24 @@ class CgaConfig:
     rng_seed: int | None = None
 
     def __post_init__(self) -> None:
-        # a count's bound is judged only on an integer, and the parent pool
-        # only from a valid population and rate
-        int_pop, int_iter = _is_integer(self.population), _is_integer(self.iterations)
-        pool_judged = int_pop and self.population >= 2 and 0.0 < self.parent_rate <= 1.0
-        checks = [
-            (int_pop, f"population must be an integer, got {self.population!r}"),
-            (int_iter, f"iterations must be an integer, got {self.iterations!r}"),
-            (not int_pop or self.population >= 2, "population must hold at least two chromosomes"),
-            (not int_iter or self.iterations >= 1, "iterations must be positive"),
+        # the parent pool is judged only from a valid population and rate
+        check_fields(self, lambda: [
+            (self.population >= 2, "population must hold at least two chromosomes"),
+            (self.iterations >= 1, "iterations must be positive"),
             (0.0 <= self.mutation_rate <= 1.0, "mutation_rate must lie in [0, 1]"),
             (0.0 < self.parent_rate <= 1.0, "parent_rate must lie in (0, 1]"),
             (0.0 <= self.survival_rate <= 1.0, "survival_rate must lie in [0, 1]"),
             (self.mutation_sigma > 0.0, "mutation_sigma must be positive"),
             (
-                not pool_judged or self.n_parents >= 2,
+                self.population < 2 or not 0.0 < self.parent_rate <= 1.0 or self.n_parents >= 2,
                 "parent_rate too small: the parent pool must keep at least "
                 f"two of {self.population} chromosomes",
             ),
             (
-                self.rng_seed is None or (_is_integer(self.rng_seed) and self.rng_seed >= 0),
+                self.rng_seed is None or self.rng_seed >= 0,
                 f"rng_seed must be a non-negative integer, got {self.rng_seed!r}",
             ),
-        ]
-        check_fields(self, checks)
+        ])
 
     # computed once per config: the generation loop reads them every generation
     @cached_property

@@ -22,7 +22,6 @@ from typing import Any, Sequence
 
 from .budget import Family, baseline_budgets, reconstruct_sec
 from .harness import (
-    ConfigError,
     SweepSpec,
     budget_fields,
     clamped,
@@ -42,15 +41,11 @@ from .oracle import GridSpec, grid_search
 __all__ = ["main", "build_parser"]
 
 
-class _UsageError(ValueError):
-    """Bad command line; reported like any other validation error."""
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; the contract here is
     # that validation problems exit 1, so surface them as exceptions.
     def error(self, message: str) -> Any:
-        raise _UsageError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
@@ -134,19 +129,22 @@ def _build_spec(args: argparse.Namespace) -> SweepSpec:
         spec = load_config(args.config)
     else:
         if args.family is None:
-            raise _UsageError("--family is required when no --config is given")
+            raise ValueError("--family is required when no --config is given")
         spec = loads_config(f"[budget]\nfamily = {args.family}\n")  # its defaults
     if args.family is not None and Family(args.family) is not spec.family:
-        raise _UsageError(
+        raise ValueError(
             f"--family {args.family} conflicts with the config's "
             f"{spec.family.value} parameters"
         )
     updates: dict[str, Any] = {}
     if args.eps is not None:
-        updates["eps_levels"] = _parse_eps_list(args.eps)
+        try:
+            updates["eps_levels"] = parse_eps_levels(args.eps)
+        except ValueError as err:
+            raise ValueError(f"bad --eps value: {err}") from err
     if args.paper_sign_xi:
         if spec.family is not Family.CV:
-            raise _UsageError("--paper-sign-xi applies only to the cv family")
+            raise ValueError("--paper-sign-xi applies only to the cv family")
         updates["params"] = replace(spec.params, paper_sign_xi=True)
     if args.out is not None:
         updates["output_path"] = args.out
@@ -161,20 +159,12 @@ def _build_spec(args: argparse.Namespace) -> SweepSpec:
     return replace(spec, **updates) if updates else spec
 
 
-def _parse_eps_list(raw: str) -> tuple[float, ...]:
-    try:
-        return parse_eps_levels(raw)
-    except ValueError as err:
-        raise _UsageError(f"bad --eps value: {err}") from err
-
-
-def _single_eps(args: argparse.Namespace) -> float:
+def _single_eps(args: argparse.Namespace, spec: SweepSpec) -> float:
     if args.eps is None:
-        raise _UsageError("--eps with a single value is required")
-    levels = _parse_eps_list(args.eps)
-    if len(levels) != 1:
-        raise _UsageError(f"expected one --eps value, got {len(levels)}")
-    return levels[0]
+        raise ValueError("--eps with a single value is required")
+    if (count := len(spec.eps_levels)) != 1:
+        raise ValueError(f"expected one --eps value, got {count}")
+    return spec.eps_levels[0]
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -190,15 +180,15 @@ def _write_out(text: str, out: str | None) -> None:
 
 def _cmd_rate(args: argparse.Namespace) -> None:
     spec = _build_spec(args)
-    total = _single_eps(args)
+    total = _single_eps(args, spec)
     if args.eps_pe is not None or args.eps_cor is not None:
         if args.split is not None:
-            raise _UsageError("--split cannot be combined with --eps-pe/--eps-cor")
+            raise ValueError("--split cannot be combined with --eps-pe/--eps-cor")
         if args.eps_pe is None or args.eps_cor is None:
-            raise _UsageError("--eps-pe and --eps-cor must be given together")
+            raise ValueError("--eps-pe and --eps-cor must be given together")
         budget = reconstruct_sec(total, args.eps_pe, args.eps_cor, spec.family)
         if budget is None:
-            raise _UsageError("the requested components leave no room for the secrecy share")
+            raise ValueError("the requested components leave no room for the secrecy share")
     else:
         label = "symmetric" if (args.split or "sym") == "sym" else "asymmetric"
         budget = dict(baseline_budgets(total, spec.family))[label]
@@ -214,7 +204,7 @@ def _cmd_rate(args: argparse.Namespace) -> None:
 
 def _cmd_optimize(args: argparse.Namespace) -> None:
     spec = _build_spec(args)
-    total = _single_eps(args)
+    total = _single_eps(args, spec)
     (best,) = optimize_levels(spec, [(0, total)])
     record = {
         "family": spec.family.value,
@@ -236,7 +226,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 
 def _cmd_oracle(args: argparse.Namespace) -> None:
     spec = _build_spec(args)
-    total = _single_eps(args)
+    total = _single_eps(args, spec)
     grid = grid_search(GridSpec(spec.oracle_points), total, spec.family, spec.rate_fn())
     _write_out(emit_grid(grid, total, spec.family, args.fmt), args.out)
 
@@ -246,7 +236,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         args.func(args)
-    except (_UsageError, ConfigError, ValueError) as err:
+    except ValueError as err:  # ConfigError and bad usage included
         print(f"error: {err}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -90,7 +90,7 @@ class CvProtocolParams:
     paper_sign_xi: bool = False
 
     def __post_init__(self) -> None:
-        checks = [
+        check_fields(self, lambda: [
             (self.length_km >= 0.0, "length_km must be non-negative"),
             (self.attenuation_db_per_km >= 0.0, "attenuation_db_per_km must be non-negative"),
             (0.0 < self.det_efficiency <= 1.0, "det_efficiency must lie in (0, 1]"),
@@ -102,8 +102,7 @@ class CvProtocolParams:
             (self.discretization >= 1, "discretization must be a positive bit count"),
             (0.0 < self.pe_ratio < 1.0, "pe_ratio must lie in (0, 1)"),
             (self.clock_hz > 0.0, "clock_hz must be positive"),
-        ]
-        check_fields(self, checks)
+        ])
 
 
 class EstimatorModel(NamedTuple):

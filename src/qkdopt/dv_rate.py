@@ -73,7 +73,7 @@ class DvProtocolParams:
     qber_override: float | None = None
 
     def __post_init__(self) -> None:
-        checks = [
+        check_fields(self, lambda: [
             (self.length_km >= 0.0, "length_km must be non-negative"),
             (self.attenuation_db_per_km >= 0.0, "attenuation_db_per_km must be non-negative"),
             (0.0 < self.det_efficiency <= 1.0, "det_efficiency must lie in (0, 1]"),
@@ -89,8 +89,7 @@ class DvProtocolParams:
                 self.qber_override is None or 0.0 <= self.qber_override <= 0.5,
                 "qber_override must lie in [0, 0.5] when set",
             ),
-        ]
-        check_fields(self, checks)
+        ])
 
 
 class DetectionStats(NamedTuple):

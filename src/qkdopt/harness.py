@@ -16,11 +16,13 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, get_type_hints
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .budget import EPSILON_FLOOR, EpsilonBudget, Family, baseline_budgets
+from .budget import (
+    EPSILON_FLOOR, EpsilonBudget, Family, baseline_budgets, check_fields, field_types
+)
 from .cga import CgaConfig, OptimizationResult, run_lockstep
 from .cv_rate import CvProtocolParams, cv_key_rate
 from .dv_rate import DvProtocolParams, dv_key_rate
@@ -116,15 +118,14 @@ class SweepSpec:
         if not self.eps_levels:
             object.__setattr__(self, "eps_levels", default_eps_levels(family))
         levels = self.eps_levels
-        for lv in levels:  # the floor bounds every component of a split
-            if not (EPSILON_FLOOR <= lv < 1.0):
-                raise ConfigError(f"eps level {lv!r} outside [{EPSILON_FLOOR!r}, 1)")
-        if any(b <= a for a, b in zip(levels, levels[1:])):
-            raise ConfigError("eps_levels must be strictly increasing")
-        if self.oracle_points < 2:
-            raise ConfigError("oracle_points must be at least 2")
-        if self.restarts < 1:
-            raise ConfigError("restarts must be at least 1")
+        check_fields(self, lambda: [
+            *((EPSILON_FLOOR <= lv < 1.0, f"eps level {lv!r} outside [{EPSILON_FLOOR!r}, 1)")
+              for lv in levels),  # the floor bounds every component of a split
+            (not any(b <= a for a, b in zip(levels, levels[1:])),
+             "eps_levels must be strictly increasing"),
+            (self.oracle_points >= 2, "oracle_points must be at least 2"),
+            (self.restarts >= 1, "restarts must be at least 1"),
+        ])
 
     @property
     def family(self) -> Family:
@@ -375,8 +376,9 @@ def grid_csv_text(cells: np.ndarray) -> str:
 # [protocol] holds the family's physical parameters (any subset — the rest
 # take the family defaults); [cga] the optimizer hyperparameters; [sweep]
 # the level list and output switches.  The keys of a section are the fields
-# of the dataclass it builds, read as the fields' annotated types.  Unknown
-# sections or keys are errors.
+# of the dataclass it builds, read as their ``field_types``; each class checks
+# its values when built, so every section's problems, [sweep]'s too, join one
+# ConfigError.  Unknown sections or keys are errors.
 
 #: The SweepSpec fields that are not [sweep] keys.
 _NOT_SWEEP_KEYS = ("params", "cga")
@@ -402,7 +404,8 @@ def loads_config(text: str) -> SweepSpec:
     try:
         parser.read_string(text)
     except configparser.Error as err:
-        raise ConfigError(f"config parse error: {err}") from err
+        # configparser spreads its message over lines; the error is one line
+        raise ConfigError(f"config parse error: {' '.join(str(err).split())}") from err
 
     problems: list[str] = []
     known_sections = {"budget", "protocol", "cga", "sweep"}
@@ -426,29 +429,22 @@ def loads_config(text: str) -> SweepSpec:
         raise ConfigError("; ".join(problems))
 
     cls = _PROTOCOLS[family][0]
-    protocol = _read_section(parser, "protocol", get_type_hints(cls), problems)
+    protocol = _read_section(parser, "protocol", field_types(cls), problems)
     params = _build("protocol", cls, protocol, problems)
-    cga_kwargs = _read_section(parser, "cga", get_type_hints(CgaConfig), problems)
+    cga_kwargs = _read_section(parser, "cga", field_types(CgaConfig), problems)
     cga = _build("cga", CgaConfig, cga_kwargs, problems)
-    spec_types = get_type_hints(SweepSpec).items()
-    sweep_types = {k: t for k, t in spec_types if k not in _NOT_SWEEP_KEYS}
+    sweep_types = {k: t for k, t in field_types(SweepSpec).items() if k not in _NOT_SWEEP_KEYS}
     sweep = _read_section(parser, "sweep", sweep_types, problems)
-
+    spec = _build("sweep", SweepSpec, sweep, problems, params=params, cga=cga)
     if problems:
         raise ConfigError("; ".join(problems))
-    try:
-        return SweepSpec(params=params, cga=cga, **sweep)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    return spec
 
 
 def _read_section(
-    parser: configparser.ConfigParser,
-    section: str,
-    types: dict[str, Any],
-    problems: list[str],
+    parser: configparser.ConfigParser, section: str, types: dict, problems: list[str]
 ) -> dict[str, Any]:
-    """The keys of ``section`` converted by ``types``, a field-to-type map;
+    """The keys of ``section`` converted by ``types``, a :func:`field_types` map;
     unknown keys and unreadable values go to ``problems``."""
     values: dict[str, Any] = {}
     if not parser.has_section(section):
@@ -458,7 +454,7 @@ def _read_section(
             problems.append(f"unknown key '{key}' in section [{section}]")
             continue
         try:
-            values[key] = _convert(types[key], raw)
+            values[key] = _convert(types[key][0], raw)
         except ValueError as err:
             problems.append(f"bad value for {section}.{key}: {err}")
     return values
@@ -475,12 +471,8 @@ def _convert(tp: Any, raw: str) -> Any:
         raise ValueError(f"expected a boolean, got '{raw}'")
     if tp == tuple[float, ...]:
         return parse_eps_levels(raw)
-    if tp in (int, int | None):
-        return int(raw)
-    if tp in (float, float | None):
-        return float(raw)
-    if tp == str | None:
-        return raw.strip()
+    if tp in (int, float, str):
+        return tp(raw.strip())
     raise TypeError(f"no INI reading for a field of type {tp}")
 
 
@@ -493,10 +485,10 @@ def parse_eps_levels(raw: str) -> tuple[float, ...]:
     return levels
 
 
-def _build(section: str, cls: type, kwargs: dict[str, Any], problems: list[str]) -> Any:
-    """``cls(**kwargs)``, or the defaults with the violated bound in ``problems``."""
+def _build(section: str, cls: type, kwargs: dict, problems: list[str], **fixed: Any) -> Any:
+    """``cls(**fixed, **kwargs)``, or ``cls(**fixed)`` with the violated bounds in ``problems``."""
     try:
-        return cls(**kwargs)
+        return cls(**fixed, **kwargs)
     except ValueError as err:
         problems.append(f"[{section}] {err}")
-        return cls()
+        return cls(**fixed)

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .budget import EPSILON_FLOOR, EpsilonBudget, Family, reconstruct_sec
+from .budget import EPSILON_FLOOR, EpsilonBudget, Family, check_fields, reconstruct_sec
 
 __all__ = [
     "GridSpec",
@@ -35,8 +35,9 @@ class GridSpec:
     points_per_axis: int = 200
 
     def __post_init__(self) -> None:
-        if self.points_per_axis < 2:
-            raise ValueError("points_per_axis must be at least 2")
+        check_fields(
+            self, lambda: [(self.points_per_axis >= 2, "points_per_axis must be at least 2")]
+        )
 
     def axis(self, upper: float) -> np.ndarray:
         if upper < EPSILON_FLOOR:  # on the floor, every point is the floor: no feasible cell

@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from qkdopt import cli
 from qkdopt.cli import main
-from qkdopt.harness import SweepResult
+from qkdopt.harness import SweepResult, loads_config, optimize_levels
 
 SMALL_CGA_INI = "[cga]\npopulation = 24\niterations = 15\nrng_seed = 11\n"
 
@@ -141,6 +142,25 @@ def test_optimize_reports_budget(capsys, tmp_path):
     assert doc["evaluations"] == 24 * 15
 
 
+def test_optimize_restarts_flag_keeps_the_best_run(capsys, tmp_path):
+    text = "[budget]\nfamily = dv\n\n" + SMALL_CGA_INI
+    cfg = tmp_path / "dv.ini"
+    cfg.write_text(text)
+
+    def optimize(*flag):
+        argv = ["optimize", "--config", str(cfg), "--eps", "1e-17", "--format", "json"]
+        code, out, _ = run_cli(capsys, *argv, *flag)
+        assert code == 0
+        return json.loads(out)
+
+    (best,) = optimize_levels(replace(loads_config(text), restarts=2), [(0, 1e-17)])
+    doc = optimize("--restarts", "2")
+    assert doc["rate_bps_raw"] == best.best_fitness
+    assert (doc["eps_pe"], doc["eps_cor"]) == (best.best_budget.eps_pe, best.best_budget.eps_cor)
+    # at this seed and level the second run wins
+    assert doc["rate_bps_raw"] > optimize()["rate_bps_raw"]
+
+
 def test_optimize_needs_single_eps(capsys):
     code, _, err = run_cli(
         capsys, "optimize", "--family", "dv", "--eps", "1e-18,1e-17"
@@ -253,6 +273,45 @@ def test_a_format_the_command_lacks_exits_one_before_any_work(capsys, monkeypatc
     assert code == 1 and out == ""
     assert "--format" in err and err.count("\n") == 1
     assert calls == []  # refused while parsing, before a rate is computed
+
+
+@pytest.mark.parametrize(
+    "argv, config, causes",
+    [
+        (["rate", "--family", "dv"], None, ["--eps with a single value is required"]),
+        (
+            ["rate", "--family", "dv", "--eps", "1e-17", "--eps-pe", "5e-18", "--eps-cor", "5e-18"],
+            None,
+            ["the requested components leave no room for the secrecy share"],
+        ),
+        (["sweep"], "[budget\nfamily = dv\n", ["config parse error"]),
+        (
+            ["sweep"],
+            "[budget]\nfamily = dv\nlevel = 3\n",
+            ["unknown key 'level' in section [budget]"],
+        ),
+        (
+            ["sweep"],
+            "[budget]\nfamily = dv\n\n[sweep]\ninclude_oracle = maybe\n",
+            ["bad value for sweep.include_oracle: expected a boolean, got 'maybe'"],
+        ),
+        (
+            ["sweep"],
+            "[budget]\nfamily = dv\n\n[sweep]\noracle_points = 1\nrestarts = 0\n",
+            ["[sweep] oracle_points must be at least 2", "restarts must be at least 1"],
+        ),
+    ],
+    ids=["no-eps", "no-secrecy-share", "ini-syntax", "budget-key", "boolean", "sweep-bounds"],
+)
+def test_bad_input_exits_one_naming_the_cause(capsys, tmp_path, argv, config, causes):
+    if config is not None:
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(config)
+        argv = [*argv, "--config", str(cfg)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert all(cause in err for cause in causes), err
 
 
 def test_usage_errors_exit_one(capsys):

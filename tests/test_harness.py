@@ -6,7 +6,7 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
-from qkdopt.budget import Family
+from qkdopt.budget import Family, field_types
 from qkdopt.cga import CgaConfig, run
 from qkdopt.cv_rate import CvProtocolParams
 from qkdopt.dv_rate import DvProtocolParams
@@ -21,6 +21,7 @@ from qkdopt.harness import (
     optimize_levels,
     run_sweep,
 )
+from qkdopt.oracle import GridSpec
 
 SMALL_CGA = CgaConfig(population=24, iterations=20, rng_seed=7)
 
@@ -253,6 +254,44 @@ def test_config_objects_reject_non_finite_floats(cls, name, value):
         cls(**{name: value})
 
 
+def test_field_types_reads_optional_annotations():
+    assert field_types(DvProtocolParams)["qber_override"] == (float, True)
+    assert field_types(DvProtocolParams)["block_size"] == (int, False)
+    assert field_types(SweepSpec)["output_path"] == (str, True)
+    assert field_types(SweepSpec)["eps_levels"] == (tuple[float, ...], False)
+
+
+@pytest.mark.parametrize(
+    "cls, name, value",
+    [
+        (CvProtocolParams, "paper_sign_xi", "no"),
+        (CvProtocolParams, "discretization", 7.5),
+        (DvProtocolParams, "block_size", 30_000_000.5),
+        (SweepSpec, "include_oracle", "no"),
+        (SweepSpec, "include_baselines", "false"),
+        (GridSpec, "points_per_axis", 20.0),
+        (SweepSpec, "restarts", 2.0),
+        (SweepSpec, "oracle_points", 20.0),
+    ],
+)
+def test_config_objects_reject_a_value_of_the_wrong_kind(cls, name, value):
+    # each was once accepted: a string read as true, a float count rated or
+    # handed to numpy
+    params = {"params": DvProtocolParams()} if cls is SweepSpec else {}
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        cls(**params, **{name: value})
+
+
+def test_config_objects_take_numpy_numbers():
+    dv = DvProtocolParams(block_size=np.int64(10**6), length_km=np.float64(50.0))
+    assert dv == DvProtocolParams(block_size=10**6, length_km=50.0)
+    cv = CvProtocolParams(discretization=np.int64(5), excess_noise=np.float64(0.02))
+    assert cv == CvProtocolParams(discretization=5, excess_noise=0.02)
+    spec = small_dv_spec(restarts=np.int64(2), oracle_points=np.int64(20))
+    assert spec == small_dv_spec(restarts=2, oracle_points=20)
+    assert GridSpec(np.int64(20)).axis(1e-9).size == 20
+
+
 def test_config_rejects_bad_pe_ratio_by_name():
     text = "[budget]\nfamily = cv\n\n[protocol]\npe_ratio = 1.5\n"
     with pytest.raises(ConfigError, match="pe_ratio"):
@@ -271,6 +310,13 @@ def test_config_lists_every_problem():
     assert "nonsense" in message
     assert "pe_ratio" in message
     assert "mystery" in message
+    # the [sweep] bounds join the others
+    text = "[budget]\nfamily = dv\n\n[cga]\npopulation = 1\n\n[sweep]\nrestarts = 0\n"
+    with pytest.raises(ConfigError) as exc:
+        loads_config(text)
+    message = str(exc.value)
+    assert "[cga] population must hold at least two chromosomes" in message
+    assert "[sweep] restarts must be at least 1" in message
 
 
 def test_config_lists_every_bad_cga_bound():

@@ -19,19 +19,19 @@ arrays of each component and of the total, sharing one family).  The
 functions here and the rate chains compute over 1-d arrays only, reading a
 float as a batch of one; floats come back in one place per public result:
 the budget that :func:`reconstruct_sec` returns for float inputs, and a rate
-chain's breakdown of a budget of floats.  :func:`log2` is the chains' one
-logarithm, one array kernel whatever the batch size, a single split
-included: each rate call makes two calls of it, one on the budget's
-components and one on its entropy arguments.
+chain's breakdown of a budget of floats (:func:`floats_of`).  :func:`log2` is
+the chains' one logarithm, one array kernel whatever the batch size, a single
+split included: each rate call makes two calls of it, one on the budget's
+components and one on its entropy arguments, and so does each oracle grid.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import math
 import numbers
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, is_dataclass, replace
 from typing import Any, Callable, get_args, get_type_hints
 
 import numpy as np
@@ -45,6 +45,7 @@ __all__ = [
     "map_gene",
     "LN2",
     "log2",
+    "floats_of",
     "check_fields",
     "field_types",
 ]
@@ -266,6 +267,13 @@ def log2(x) -> np.ndarray:
     return series
 
 
+def floats_of(breakdown):
+    """A rate chain's ``breakdown`` of one split with each 1-element array field
+    as its float, which prints by ``repr``: the result for a budget of floats."""
+    arrays = {k: v.item() for k, v in vars(breakdown).items() if isinstance(v, np.ndarray)}
+    return replace(breakdown, **arrays)
+
+
 @functools.cache
 def field_types(cls: type) -> dict[str, tuple[Any, bool]]:
     """Each field of dataclass ``cls`` as ``(type, optional)``, from its resolved
@@ -286,19 +294,36 @@ _KINDS = {
 }
 
 
+def _kind_problem(name: str, kind: Any, value: Any) -> str | None:
+    """Why field ``name`` does not hold the annotated ``kind`` with ``value``, or
+    ``None`` if it does or the kind is not checked."""
+    if kind == tuple[float, ...]:
+        if not isinstance(value, tuple):
+            return f"{name} must be a tuple of real numbers, got {value!r}"
+        problems = (_kind_problem(f"{name}[{i}]", float, v) for i, v in enumerate(value))
+        return next(filter(None, problems), None)
+    if kind in _KINDS:
+        of, noun = _KINDS[kind]
+        if not isinstance(value, of) or (kind is not bool and isinstance(value, bool)):
+            return f"{name} must be {noun}, got {value!r}"
+        if kind is float and not abs(value) <= sys.float_info.max:  # NaN, inf, 10**400
+            return f"{name} must be finite, got {value!r}"
+    elif is_dataclass(kind) and not isinstance(value, kind):
+        return f"{name} must be a {kind.__name__}, got {value!r}"
+    return None
+
+
 def check_fields(obj, checks: Callable[[], list[tuple[bool, str]]]) -> None:
     """Raise one ``ValueError`` listing each field of dataclass ``obj`` that does not hold
-    the kind its annotation names (a ``bool`` only for ``bool``, a finite value for
-    ``float``, ``None`` too for ``X | None``) or, if none, each failed ``(holds, message)``
-    of ``checks()``: no bound is judged on a mistyped value."""
+    the kind its annotation names or, if none, each failed ``(holds, message)`` of
+    ``checks()``: no bound is judged on a mistyped value.  A ``bool`` field takes only a
+    ``bool``, an ``int`` or ``float`` field no ``bool``, a ``float`` field a value that is
+    a finite float, each element of a ``tuple[float, ...]`` field a ``float`` field's
+    value, a dataclass field an instance of that class and ``X | None`` also ``None``."""
     bad = []
     for name, (kind, optional) in field_types(type(obj)).items():
         value = getattr(obj, name)
-        if kind in _KINDS and not (optional and value is None):
-            of, noun = _KINDS[kind]
-            if not isinstance(value, of) or (kind is not bool and isinstance(value, bool)):
-                bad.append(f"{name} must be {noun}, got {value!r}")
-            elif kind is float and not -math.inf < value < math.inf:
-                bad.append(f"{name} must be finite, got {value!r}")
+        if not (optional and value is None) and (problem := _kind_problem(name, kind, value)):
+            bad.append(problem)
     if bad := bad or [message for holds, message in checks() if not holds]:
         raise ValueError("; ".join(bad))

@@ -227,7 +227,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 def _cmd_oracle(args: argparse.Namespace) -> None:
     spec = _build_spec(args)
     total = _single_eps(args, spec)
-    grid = grid_search(GridSpec(spec.oracle_points), total, spec.family, spec.rate_fn())
+    grid = grid_search(GridSpec(spec.oracle_points), total, spec.family, spec.params)
     _write_out(emit_grid(grid, total, spec.family, args.fmt), args.out)
 
 

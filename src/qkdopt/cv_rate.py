@@ -21,7 +21,10 @@ Model conventions:
 Only the worst-case channel, its Holevo bound and the finite-size term depend
 on the budget; one :func:`cv_key_rate` call computes the rest once and rates a
 whole batch over 1-d arrays, a single split as a batch of one (see :mod:`qkdopt.budget`),
-through the base-2 logarithms of the budget's components.
+through the base-2 logarithms of the budget's components.  The worst-case
+channel, its Holevo bound and the entropy-estimation penalty depend on
+``eps_pe`` alone: :func:`cv_rate_chain` runs them as one stage, once per
+distinct ``eps_pe`` of a grid.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budget import LN2, EpsilonBudget, Family, check_fields, log2
+from .budget import LN2, EpsilonBudget, Family, check_fields, floats_of, log2
 
 __all__ = [
     "CvProtocolParams",
@@ -47,6 +50,7 @@ __all__ = [
     "bosonic_entropy",
     "holevo_bound",
     "cv_key_rate",
+    "cv_rate_chain",
 ]
 
 #: Worst-case transmissivity is clamped to this floor before use; hitting it
@@ -310,16 +314,20 @@ def holevo_bound(params: CvProtocolParams, t, xi):
     return h_plus + h_minus - h_cond
 
 
-def _finite_size_term(n: int, log2_pe, log2_cor, log2_sec, discretization: int):
+def _finite_size_term(n: int, log2_pe, log2_cor, log2_sec, discretization: int, pe_of=None):
     """Finite-size deduction ``F`` (bits) of each split, from the ``log2`` of its components:
 
     ``F = sqrt(n) * log2(n) * sqrt(2 * ln(2 / eps_pe))
     + 4 * sqrt(n) * log2(sqrt(2^D) + 2) * sqrt(log2(8 / eps_sec^2))
     - log2(eps_sec^2 * eps_cor / 2)``, the entropy-estimation penalty, the
     leftover-hash cost at ``D`` bits per sample and the correctness/secrecy
-    log terms, with ``ln(2 / eps_pe) = ln 2 * (1 - log2(eps_pe))``."""
+    log terms, with ``ln(2 / eps_pe) = ln 2 * (1 - log2(eps_pe))``.  The
+    penalty is the ``eps_pe`` stage: one per element of ``log2_pe``, split
+    ``k`` taking penalty ``pe_of[k]`` when ``pe_of`` is given."""
     root_n = math.sqrt(n)
     ent_term = root_n * math.log2(n) * np.sqrt(2.0 * LN2 * (1.0 - log2_pe))
+    if pe_of is not None:
+        ent_term = ent_term[pe_of]
     hash_term = (
         4.0
         * root_n
@@ -346,13 +354,30 @@ def cv_key_rate(params: CvProtocolParams, budget: EpsilonBudget) -> CvRateBreakd
     strictly negative at ``-F / N``.  A batch budget gives one rate per
     split, each equal to the rate of that split alone.  The call takes two
     logarithms: :func:`~qkdopt.budget.log2` of the budget's components, from
-    which every ``eps`` term is written, and one in :func:`bosonic_entropy`
-    of every symplectic eigenvalue of the Holevo bounds.
+    which :func:`cv_rate_chain` writes every ``eps`` term, and one in
+    :func:`bosonic_entropy` of every symplectic eigenvalue of the Holevo bounds.
 
     :param budget: feasible budget with ``family == Family.CV``
     """
     if budget.family is not Family.CV:
         raise ValueError(f"budget family must be CV, got {budget.family}")
+    breakdown = cv_rate_chain(params, *log2(budget.components))
+    return floats_of(breakdown) if isinstance(budget.eps_pe, float) else breakdown
+
+
+def cv_rate_chain(
+    params: CvProtocolParams, log2_pe, log2_cor, log2_sec, pe_of=None
+) -> CvRateBreakdown:
+    """The breakdown of :func:`cv_key_rate` from 1-d arrays of the ``log2`` of
+    the components, in two stages.
+
+    The ``eps_pe`` stage, the worst-case channel, its Holevo bound, ``R_pe``
+    and the entropy-estimation penalty of ``F``, runs once per element of
+    ``log2_pe``; the remainder runs once per split, split ``k`` taking stage
+    ``pe_of[k]`` (stage ``k`` without ``pe_of``).  A grid passes its axis
+    once with ``pe_of`` indexing it, and rates each cell exactly as a budget
+    of that cell alone.  The one logarithm is in :func:`bosonic_entropy`.
+    """
     m = math.floor(params.pe_ratio * params.block_size)
     n = params.block_size - m
     if m < 1 or n < 2:
@@ -363,21 +388,19 @@ def cv_key_rate(params: CvProtocolParams, budget: EpsilonBudget) -> CvRateBreakd
     est = ml_estimator_model(params, t_true, params.excess_noise, m)
     info = mutual_information(params, est.t_hat, est.xi_hat)
 
-    log2_pe, log2_cor, log2_sec = log2(budget.components)
     wc = worst_case_estimators(est, log2_pe, subtractive_xi=params.paper_sign_xi)
     chi = holevo_bound(params, wc.t, wc.xi)
     r_pe = np.where(wc.degenerate, 0.0, params.recon_efficiency * info - chi)
-    fs = _finite_size_term(n, log2_pe, log2_cor, log2_sec, params.discretization)
+    if pe_of is not None:
+        chi, r_pe = chi[pe_of], r_pe[pe_of]
+
+    fs = _finite_size_term(n, log2_pe, log2_cor, log2_sec, params.discretization, pe_of)
     rate_per_use = (n * r_pe - fs) / params.block_size
-    varying = (chi, r_pe, fs, rate_per_use, params.clock_hz * rate_per_use)
-    if isinstance(budget.eps_pe, float):  # one split: floats, printed by repr
-        varying = [v.item() for v in varying]
-    chi, r_pe, fs, rate_per_use, rate_bits_per_sec = varying
     return CvRateBreakdown(
         mutual_info_bits=info,
         holevo_bits=chi,
         r_pe_bits=r_pe,
         finite_term_bits=fs,
         rate_per_use=rate_per_use,
-        rate_bits_per_sec=rate_bits_per_sec,
+        rate_bits_per_sec=params.clock_hz * rate_per_use,
     )

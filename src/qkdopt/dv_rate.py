@@ -13,7 +13,9 @@ estimation (``m``) and key generation (``n``).
 Only the worst-case error rate and the log and AEP terms depend on the
 budget; one :func:`dv_key_rate` call computes the rest once and rates a whole
 batch over 1-d arrays, a single split as a batch of one (see :mod:`qkdopt.budget`),
-through the base-2 logarithms of the budget's components.
+through the base-2 logarithms of the budget's components.  The worst-case
+error rate and its entropy depend on ``eps_pe`` alone: :func:`dv_rate_chain`
+runs them as one stage, once per distinct ``eps_pe`` of a grid.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budget import LN2, EpsilonBudget, Family, check_fields, log2
+from .budget import LN2, EpsilonBudget, Family, check_fields, floats_of, log2
 from .cv_rate import transmissivity
 
 __all__ = [
@@ -37,6 +39,7 @@ __all__ = [
     "aep_term",
     "binary_entropy",
     "dv_key_rate",
+    "dv_rate_chain",
 ]
 
 
@@ -225,9 +228,8 @@ def dv_key_rate(params: DvProtocolParams, budget: EpsilonBudget) -> DvRateBreakd
     ``c_dt = 1 / (1 + Q1 * t_dt * clock)`` deflates the clock for bits/s.
     A batch budget gives one rate per split, each equal to the rate of that
     split alone.  The call takes two logarithms: :func:`~qkdopt.budget.log2`
-    of the budget's components, from which every ``eps`` term is written
-    (``log2(eps_h) = log2(eps_sec) - 1``), and one in :func:`binary_entropy`
-    of every ``E_wc`` and ``E``.
+    of the budget's components, from which :func:`dv_rate_chain` writes every
+    ``eps`` term, and one in :func:`binary_entropy` of every ``E_wc`` and ``E``.
 
     Raises ``ValueError`` when the detected block degenerates
     (``n < 2`` or ``m < 1``).
@@ -236,6 +238,23 @@ def dv_key_rate(params: DvProtocolParams, budget: EpsilonBudget) -> DvRateBreakd
     """
     if budget.family is not Family.DV:
         raise ValueError(f"budget family must be DV, got {budget.family}")
+    breakdown = dv_rate_chain(params, *log2(budget.components))
+    return floats_of(breakdown) if isinstance(budget.eps_pe, float) else breakdown
+
+
+def dv_rate_chain(
+    params: DvProtocolParams, log2_pe, log2_cor, log2_sec, pe_of=None
+) -> DvRateBreakdown:
+    """The breakdown of :func:`dv_key_rate` from 1-d arrays of the ``log2`` of
+    the components, in two stages.
+
+    The ``eps_pe`` stage, ``E_wc`` and ``1 - h(E_wc) - f_EC * h(E)``, runs once
+    per element of ``log2_pe``; the remainder runs once per split, split ``k``
+    taking stage ``pe_of[k]`` (stage ``k`` without ``pe_of``).  A grid passes
+    its axis once with ``pe_of`` indexing it, and rates each cell exactly as
+    a budget of that cell alone.  The one logarithm is in
+    :func:`binary_entropy`; ``log2(eps_h) = log2(eps_sec) - 1``.
+    """
     stats = detection_stats(params)
     sifted = params.block_size * stats.p_sift * stats.q1
     n = math.floor((1.0 - params.pe_ratio) * sifted)
@@ -248,18 +267,16 @@ def dv_key_rate(params: DvProtocolParams, budget: EpsilonBudget) -> DvRateBreakd
     kappa = (1.0 - params.pe_ratio) * stats.p_sift * stats.q1
     c_dt = 1.0 / (1.0 + stats.q1 * params.dead_time_s * params.clock_hz)
 
-    log2_pe, log2_cor, log2_sec = log2(budget.components)
-    log2_h = log2_sec - 1.0  # eps_h = eps_s = eps_sec / 2
     qber_wc = worst_case_qber(qber, m, log2_pe)
     h = binary_entropy(np.concatenate((qber_wc, [qber])))  # each h(E_wc), then h(E)
     head = 1.0 - h[:-1] - params.recon_efficiency * h[-1]
+    if pe_of is not None:
+        qber_wc, head = qber_wc[pe_of], head[pe_of]
+
+    log2_h = log2_sec - 1.0  # eps_h = eps_s = eps_sec / 2
     log_term = (1.0 + log2_cor + 2.0 * log2_h) / n  # log2(eps_cor * eps_h^2)
     secret_fraction = head + log_term - aep_term(log2_h) / math.sqrt(n)
     rate_per_use = kappa * secret_fraction
-    varying = (qber_wc, secret_fraction, rate_per_use, c_dt * params.clock_hz * rate_per_use)
-    if isinstance(budget.eps_pe, float):  # one split: floats, printed by repr
-        varying = [v.item() for v in varying]
-    qber_wc, secret_fraction, rate_per_use, rate_bits_per_sec = varying
     return DvRateBreakdown(
         eta_tot=stats.eta_tot,
         p_sift=stats.p_sift,
@@ -270,5 +287,5 @@ def dv_key_rate(params: DvProtocolParams, budget: EpsilonBudget) -> DvRateBreakd
         secret_fraction=secret_fraction,
         c_dt=c_dt,
         rate_per_use=rate_per_use,
-        rate_bits_per_sec=rate_bits_per_sec,
+        rate_bits_per_sec=c_dt * params.clock_hz * rate_per_use,
     )

@@ -174,15 +174,17 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run the optimizer (and comparisons) at every requested eps level.
 
     Every (level, restart) optimizer run of the sweep advances in one
-    lockstep (see :func:`optimize_levels`).  A model that cannot run — for
-    instance a block that degenerates at the configured sizes — raises its
-    domain error and stops the sweep; only a baseline split too small for
-    its total is recorded in a level's ``error`` (see :class:`SweepRecord`).
+    lockstep (see :func:`optimize_levels`), and every level's baseline splits
+    are rated in one batch call.  A model that cannot run — for instance a
+    block that degenerates at the configured sizes — raises its domain error
+    and stops the sweep; only a baseline split too small for its total is
+    recorded in a level's ``error`` (see :class:`SweepRecord`).
     """
-    rate = spec.rate_fn()
     best = optimize_levels(spec, list(enumerate(spec.eps_levels)))
+    baselines = _baselines(spec) if spec.include_baselines else [(None, None, None)] * len(best)
     records = [
-        _run_level(spec, rate, total, opt) for total, opt in zip(spec.eps_levels, best)
+        _run_level(spec, total, opt, *base)
+        for total, opt, base in zip(spec.eps_levels, best, baselines)
     ]
     return SweepResult(spec=spec, records=records)
 
@@ -211,34 +213,45 @@ def optimize_levels(
     ]
 
 
+def _baselines(spec: SweepSpec) -> list[tuple[float | None, float | None, str | None]]:
+    """Each level's symmetric and asymmetric rates, or the message of a total
+    too small for the baseline splits; every level's splits in one rate call."""
+    splits, errors = [], []
+    for total in spec.eps_levels:
+        try:  # a total too small for a baseline split loses only the baselines
+            splits += [budget for _, budget in baseline_budgets(total, spec.family)]
+        except ValueError as err:
+            errors.append(str(err))
+        else:
+            errors.append(None)
+    rates = []
+    if splits:
+        columns = np.array([(b.total, b.eps_pe, b.eps_cor, b.eps_sec) for b in splits]).T
+        rates = spec.rate_fn()(EpsilonBudget(*columns, spec.family)).tolist()
+    pairs = zip(rates[::2], rates[1::2])  # (symmetric, asymmetric) of each level with splits
+    return [(None, None, error) if error else (*next(pairs), None) for error in errors]
+
+
 def _run_level(
     spec: SweepSpec,
-    rate: Callable[[EpsilonBudget], float],
     total: float,
     best: OptimizationResult,
+    rate_sym: float | None,
+    rate_asym: float | None,
+    error: str | None,
 ) -> SweepRecord:
-    """The record of one level: ``best`` from the optimizer, plus the
-    baseline and oracle rates."""
-    rate_opt = best.best_fitness if best.best_budget is not None else None
-    rate_sym = rate_asym = error = None
-    if spec.include_baselines:
-        # a total too small for a baseline split loses only the baselines
-        try:
-            (_, sym), (_, asym) = baseline_budgets(total, spec.family)
-        except ValueError as err:
-            error = str(err)
-        else:
-            rate_sym, rate_asym = rate(sym), rate(asym)
+    """The record of one level: ``best`` from the optimizer, the baseline
+    rates or ``error``, and the oracle's rate."""
     rate_oracle = None
     if spec.include_oracle:
         grid = grid_search(
-            GridSpec(points_per_axis=spec.oracle_points), total, spec.family, rate
+            GridSpec(points_per_axis=spec.oracle_points), total, spec.family, spec.params
         )
         rate_oracle = grid.best_fitness if grid.best_budget is not None else None
     return SweepRecord(
         eps_total=total,
         budget_opt=best.best_budget,
-        rate_opt=rate_opt,
+        rate_opt=best.best_fitness if best.best_budget is not None else None,
         rate_sym=rate_sym,
         rate_asym=rate_asym,
         rate_oracle=rate_oracle,

@@ -1,9 +1,12 @@
 """Brute-force grid search over budget splits, used to validate the optimizer.
 
-Rates every point of a two-dimensional log grid over the free components
-``(eps_pe, eps_cor)`` in one call of the rate function, on one batch budget
-of the feasible cells, and keeps the best.  Exhaustive and deterministic: the
-genetic search is trusted only because it matches this.
+Rates every feasible point of a two-dimensional log grid over the free
+components ``(eps_pe, eps_cor)`` at once and keeps the best.  Given the
+protocol parameters, it runs the rate chain's ``eps_pe`` stage once per axis
+value, as a grid has only as many distinct ``eps_pe`` as axis points; given a
+rate function, it makes one call on a batch budget of the feasible cells.
+Both rate each cell bit for bit as a budget of that cell alone.  Exhaustive
+and deterministic: the genetic search is trusted only because it matches this.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .budget import EPSILON_FLOOR, EpsilonBudget, Family, check_fields, reconstruct_sec
+from .budget import EPSILON_FLOOR, EpsilonBudget, Family, check_fields, log2, reconstruct_sec
+from .cv_rate import CvProtocolParams, cv_rate_chain
+from .dv_rate import DvProtocolParams, dv_rate_chain
 
 __all__ = [
     "GridSpec",
@@ -64,21 +69,37 @@ class GridSearchResult:
     cells: np.ndarray = field(repr=False)
 
 
+#: Each family's parameters class and its rate chain on logarithms.
+_CHAINS = {
+    Family.CV: (CvProtocolParams, cv_rate_chain),
+    Family.DV: (DvProtocolParams, dv_rate_chain),
+}
+
+
 def grid_search(
     spec: GridSpec,
     total_eps: float,
     family: Family,
-    rate_fn: Callable[[EpsilonBudget], float | np.ndarray],
+    rate: CvProtocolParams | DvProtocolParams | Callable[[EpsilonBudget], np.ndarray],
 ) -> GridSearchResult:
     """Rate every grid point and return the best feasible split.
 
+    ``rate`` is the protocol parameters of ``family``, whose rate chain
+    takes one :func:`~qkdopt.budget.log2` of the axis (it serves ``eps_pe``
+    and ``eps_cor``) with the feasible cells' ``eps_sec`` and runs its
+    ``eps_pe`` stage once per axis value; or a function from a batch budget
+    of the feasible cells to their rates, called once.  Parameters of
+    another family raise ``ValueError``.
+
     A cell is infeasible when its secrecy remainder falls below the floor or
-    its rate is NaN; anything ``rate_fn`` raises propagates.  The best cell
+    its rate is NaN; anything the rate raises propagates.  The best cell
     has the largest rate, then the smallest ``eps_pe``, then the smallest
     ``eps_cor``, so the winner does not depend on evaluation order; as the
     cells run ``eps_pe``-major over increasing axes, it is the first maximum
     in row order.
     """
+    if not callable(rate) and not isinstance(rate, _CHAINS[family][0]):
+        raise ValueError(f"parameters {type(rate).__name__} cannot rate a {family.value} grid")
     axis = spec.axis(total_eps)
     cells = np.full((axis.size**2, 4), np.nan)
     cells[:, 0] = np.repeat(axis, axis.size)
@@ -86,7 +107,14 @@ def grid_search(
     feasible, budget = reconstruct_sec(total_eps, cells[:, 0], cells[:, 1], family)
     if budget is not None:
         cells[feasible, 2] = budget.eps_sec
-        cells[feasible, 3] = rate_fn(budget)
+        if callable(rate):
+            cells[feasible, 3] = rate(budget)
+        else:  # cell k of the feasible rows sits on axis points pe_of[k] and cor_of[k]
+            logs = log2(np.concatenate((axis, budget.eps_sec)))
+            log2_axis, log2_sec = logs[: axis.size], logs[axis.size :]
+            pe_of, cor_of = np.divmod(np.flatnonzero(feasible), axis.size)
+            breakdown = _CHAINS[family][1](rate, log2_axis, log2_axis[cor_of], log2_sec, pe_of)
+            cells[feasible, 3] = breakdown.rate_bits_per_sec
     rated = np.flatnonzero(~np.isnan(cells[:, 3]))
     cells[np.isnan(cells[:, 3]), 2] = np.nan
     if rated.size == 0:

@@ -6,7 +6,7 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
-from qkdopt.budget import Family, field_types
+from qkdopt.budget import Family, baseline_budgets, field_types
 from qkdopt.cga import CgaConfig, run
 from qkdopt.cv_rate import CvProtocolParams
 from qkdopt.dv_rate import DvProtocolParams
@@ -282,6 +282,25 @@ def test_config_objects_reject_a_value_of_the_wrong_kind(cls, name, value):
         cls(**params, **{name: value})
 
 
+@pytest.mark.parametrize(
+    "cls, values, message",
+    [
+        (SweepSpec, {"eps_levels": ("1e-17",)}, "eps_levels[0] must be a real number, got '1e-17'"),
+        (SweepSpec, {"eps_levels": [1e-17]}, "eps_levels must be a tuple of real numbers"),
+        (SweepSpec, {"cga": "x"}, "cga must be a CgaConfig, got 'x'"),
+        (DvProtocolParams, {"length_km": 10**400}, "length_km must be finite, got 1000"),
+    ],
+    ids=["level-of-text", "level-list", "cga-of-text", "int-beyond-float"],
+)
+def test_config_objects_built_in_code_fail_like_ini_ones(cls, values, message):
+    # the INI reader cannot make these; built in code, each once raised a
+    # TypeError from a level bound, or was accepted and failed when run
+    params = {"params": DvProtocolParams()} if cls is SweepSpec else {}
+    with pytest.raises(ValueError) as err:
+        cls(**params, **values)
+    assert str(err.value).startswith(message)
+
+
 def test_config_objects_take_numpy_numbers():
     dv = DvProtocolParams(block_size=np.int64(10**6), length_km=np.float64(50.0))
     assert dv == DvProtocolParams(block_size=10**6, length_km=50.0)
@@ -467,18 +486,25 @@ def test_sweep_runs_equal_their_runs_alone(monkeypatch):
     assert records[0].rate_opt is None and None not in [r.rate_opt for r in records[1:]]
 
 
+def baseline_rows(budget):
+    """Which rows of a batch ``budget`` are a baseline split of 1e-17, the
+    one level of the three tests below: a sweep rates them all in one call."""
+    splits = baseline_budgets(1e-17, Family.DV)
+    return np.isin(budget.eps_pe, [split.eps_pe for _, split in splits])
+
+
 def test_a_baseline_rate_that_raises_stops_the_sweep(monkeypatch):
     # only a total too small for the baseline splits becomes a level's error;
-    # a rate function that fails on one split must not be written down as one
+    # a rate function that fails on the baseline splits must not be written down as one
     rate = small_dv_spec().rate_fn()
 
-    def raise_for_one_split(budget):
-        if np.ndim(budget.eps_pe) == 0:
-            raise ValueError("one-split rate failed")
+    def raise_for_baselines(budget):
+        if baseline_rows(budget).any():
+            raise ValueError("baseline rate failed")
         return rate(budget)
 
-    monkeypatch.setattr(SweepSpec, "rate_fn", lambda self: raise_for_one_split)
-    with pytest.raises(ValueError, match="one-split rate failed"):
+    monkeypatch.setattr(SweepSpec, "rate_fn", lambda self: raise_for_baselines)
+    with pytest.raises(ValueError, match="baseline rate failed"):
         run_sweep(small_dv_spec(eps_levels=(1e-17,)))
 
 
@@ -486,10 +512,10 @@ def test_emit_json_writes_a_nan_rate_as_null(monkeypatch):
     # a NaN baseline rate must not reach the JSON text as the bare token NaN
     rate = small_dv_spec().rate_fn()
 
-    def nan_for_one_split(budget):
-        return float("nan") if np.ndim(budget.eps_pe) == 0 else rate(budget)
+    def nan_for_baselines(budget):
+        return np.where(baseline_rows(budget), np.nan, rate(budget))
 
-    monkeypatch.setattr(SweepSpec, "rate_fn", lambda self: nan_for_one_split)
+    monkeypatch.setattr(SweepSpec, "rate_fn", lambda self: nan_for_baselines)
     result = run_sweep(small_dv_spec(eps_levels=(1e-17,)))
     assert math.isnan(result.records[0].rate_sym)
 
@@ -506,10 +532,10 @@ def test_emit_csv_leaves_a_nan_rate_empty(monkeypatch):
     # the CSV shares the JSON's rule: a rate that is not finite has no cell
     rate = small_dv_spec().rate_fn()
 
-    def nan_for_one_split(budget):
-        return float("nan") if np.ndim(budget.eps_pe) == 0 else rate(budget)
+    def nan_for_baselines(budget):
+        return np.where(baseline_rows(budget), np.nan, rate(budget))
 
-    monkeypatch.setattr(SweepSpec, "rate_fn", lambda self: nan_for_one_split)
+    monkeypatch.setattr(SweepSpec, "rate_fn", lambda self: nan_for_baselines)
     result = run_sweep(small_dv_spec(eps_levels=(1e-17,)))
     assert math.isnan(result.records[0].rate_sym) and math.isnan(result.records[0].rate_asym)
     header, row = emit_results(result, fmt="csv").splitlines()

@@ -1,9 +1,12 @@
 """Batches as the CGA and the grid oracle rate them.
 
 A grid's rows repeat ``eps_pe`` values; every row must still equal, bit for
-bit, the rate of its split alone.  Whatever the batch size, a rate call takes
-two calls of the logarithm kernel, one on the budget's components and one on
-the entropy arguments, and no per-element ``math`` logarithm or power.
+bit, the rate of its split alone, and so must every cell that the oracle rates
+from the protocol parameters, with each ``eps_pe`` stage run once per axis
+value.  Whatever the batch size, a rate call takes two calls of the logarithm
+kernel, one on the budget's components (on a grid, its axis and the cells'
+``eps_sec``) and one on the entropy arguments, and no per-element ``math``
+logarithm or power.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from qkdopt import cv_rate, dv_rate
-from qkdopt.budget import Family, log2, reconstruct_sec
+from qkdopt import cv_rate, dv_rate, oracle
+from qkdopt.budget import EPSILON_FLOOR, Family, log2, reconstruct_sec
 from qkdopt.harness import key_rate
-from qkdopt.oracle import GridSpec
+from qkdopt.oracle import GridSpec, grid_search
 
 CASES = [
     pytest.param(Family.DV, dv_rate.DvProtocolParams(), 1e-15, id="dv"),
@@ -98,3 +101,46 @@ def test_each_rate_call_makes_two_kernel_calls(monkeypatch, family, params, tota
         assert all(size == 1 for size in scalar)  # model constants, never an array
         scalar_calls.add(len(scalar))
     assert len(scalar_calls) == 1  # the same few whatever the batch size
+
+
+@pytest.mark.parametrize("points", [60, 200])
+@pytest.mark.parametrize("family, params, total", CASES)
+def test_grid_of_parameters_equals_grid_of_the_rate_function(family, params, total, points):
+    # the rate function rates the feasible cells as one batch budget: the
+    # reference for the eps_pe stage run once per axis value and gathered
+    for level in (total, EPSILON_FLOOR):  # the floor has no feasible cell
+        spec = GridSpec(points_per_axis=points)
+        got = grid_search(spec, level, family, params)
+        want = grid_search(spec, level, family, lambda b: key_rate(params, b).rate_bits_per_sec)
+        assert got.cells.tobytes() == want.cells.tobytes()
+        assert got.best_budget == want.best_budget
+        assert got.best_fitness == want.best_fitness
+        assert got.feasible_count == want.feasible_count
+        if level == total:  # some cells feasible, the corner past the total not
+            assert 0 < got.feasible_count < points**2
+        else:
+            assert got.best_budget is None and got.feasible_count == 0
+
+
+@pytest.mark.parametrize("family, params, total", CASES)
+def test_grid_of_parameters_makes_two_kernel_calls(monkeypatch, family, params, total):
+    kernel = []
+    for module in (oracle, dv_rate, cv_rate):
+        monkeypatch.setattr(module, "log2", counting(log2, kernel))
+    points = 60
+    result = grid_search(GridSpec(points_per_axis=points), total, family, params)
+    # the axis with each feasible cell's eps_sec, then the entropy arguments
+    # of one eps_pe stage per axis value
+    entropy_args = 2 * (points + 1) if family is Family.DV else 2 * 3 * points
+    assert kernel == [points + result.feasible_count, entropy_args]
+    kernel.clear()
+    grid_search(GridSpec(points_per_axis=points), EPSILON_FLOOR, family, params)
+    assert kernel == []  # no feasible cell, nothing rated
+
+
+@pytest.mark.parametrize("family, params, total", CASES)
+def test_grid_of_parameters_of_another_family_raises(family, params, total):
+    other = Family.CV if family is Family.DV else Family.DV
+    for level in (total, EPSILON_FLOOR):
+        with pytest.raises(ValueError, match=f"cannot rate a {other.value} grid"):
+            grid_search(GridSpec(points_per_axis=8), level, other, params)

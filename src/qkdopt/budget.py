@@ -31,7 +31,7 @@ import enum
 import functools
 import numbers
 import sys
-from dataclasses import dataclass, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Any, Callable, get_args, get_type_hints
 
 import numpy as np
@@ -277,10 +277,12 @@ def floats_of(breakdown):
 @functools.cache
 def field_types(cls: type) -> dict[str, tuple[Any, bool]]:
     """Each field of dataclass ``cls`` as ``(type, optional)``, from its resolved
-    annotation: ``X | None`` reads as ``(X, True)``, any other ``T`` as ``(T, False)``."""
+    annotation: ``X | None`` reads as ``(X, True)``, any other ``T`` as ``(T, False)``.
+    A ``ClassVar``, such as a parameters class's ``family``, is not a field."""
+    hints = get_type_hints(cls)
     types = {}
-    for name, tp in get_type_hints(cls).items():
-        if optional := type(None) in (args := get_args(tp)):
+    for name in (f.name for f in fields(cls)):
+        if optional := type(None) in (args := get_args(tp := hints[name])):
             (tp,) = (arg for arg in args if arg is not type(None))
         types[name] = (tp, optional)
     return types
@@ -308,8 +310,9 @@ def _kind_problem(name: str, kind: Any, value: Any) -> str | None:
             return f"{name} must be {noun}, got {value!r}"
         if kind is float and not abs(value) <= sys.float_info.max:  # NaN, inf, 10**400
             return f"{name} must be finite, got {value!r}"
-    elif is_dataclass(kind) and not isinstance(value, kind):
-        return f"{name} must be a {kind.__name__}, got {value!r}"
+    elif all(map(is_dataclass, classes := get_args(kind) or (kind,))):  # one or a union
+        if not isinstance(value, classes):
+            return f"{name} must be a {' or '.join(c.__name__ for c in classes)}, got {value!r}"
     return None
 
 
@@ -319,7 +322,8 @@ def check_fields(obj, checks: Callable[[], list[tuple[bool, str]]]) -> None:
     ``checks()``: no bound is judged on a mistyped value.  A ``bool`` field takes only a
     ``bool``, an ``int`` or ``float`` field no ``bool``, a ``float`` field a value that is
     a finite float, each element of a ``tuple[float, ...]`` field a ``float`` field's
-    value, a dataclass field an instance of that class and ``X | None`` also ``None``."""
+    value, a dataclass field an instance of that class, a union of dataclasses an instance
+    of one of them, and ``X | None`` also ``None``."""
     bad = []
     for name, (kind, optional) in field_types(type(obj)).items():
         value = getattr(obj, name)

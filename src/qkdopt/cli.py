@@ -167,19 +167,10 @@ def _single_eps(args: argparse.Namespace, spec: SweepSpec) -> float:
     return spec.eps_levels[0]
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
-
-
 # --- subcommands -----------------------------------------------------------
 
 
-def _cmd_rate(args: argparse.Namespace) -> None:
-    spec = _build_spec(args)
+def _cmd_rate(args: argparse.Namespace, spec: SweepSpec) -> str:
     total = _single_eps(args, spec)
     if args.eps_pe is not None or args.eps_cor is not None:
         if args.split is not None:
@@ -199,11 +190,10 @@ def _cmd_rate(args: argparse.Namespace) -> None:
         **budget_fields(budget),
         **asdict(breakdown),
     }
-    _write_out(emit_record(record, args.fmt), args.out)
+    return emit_record(record, args.fmt)
 
 
-def _cmd_optimize(args: argparse.Namespace) -> None:
-    spec = _build_spec(args)
+def _cmd_optimize(args: argparse.Namespace, spec: SweepSpec) -> str:
     total = _single_eps(args, spec)
     (best,) = optimize_levels(spec, [(0, total)])
     record = {
@@ -216,26 +206,30 @@ def _cmd_optimize(args: argparse.Namespace) -> None:
         "evaluations": best.evaluations,
         "reseeds": best.reseeds,
     }
-    _write_out(emit_record(record, args.fmt), args.out)
+    return emit_record(record, args.fmt)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> None:
-    spec = _build_spec(args)
-    _write_out(emit_results(run_sweep(spec), fmt=args.fmt), spec.output_path)
+def _cmd_sweep(args: argparse.Namespace, spec: SweepSpec) -> str:
+    return emit_results(run_sweep(spec), fmt=args.fmt)
 
 
-def _cmd_oracle(args: argparse.Namespace) -> None:
-    spec = _build_spec(args)
+def _cmd_oracle(args: argparse.Namespace, spec: SweepSpec) -> str:
     total = _single_eps(args, spec)
     grid = grid_search(GridSpec(spec.oracle_points), total, spec.family, spec.params)
-    _write_out(emit_grid(grid, total, spec.family, args.fmt), args.out)
+    return emit_grid(grid, total, spec.family, args.fmt)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.func(args)
+        spec = _build_spec(args)
+        text = args.func(args, spec)
+        if spec.output_path is None:  # set by --out or [sweep] output_path
+            sys.stdout.write(text)
+        else:
+            with open(spec.output_path, "w", newline="") as fh:
+                fh.write(text)
     except ValueError as err:  # ConfigError and bad usage included
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -80,6 +80,8 @@ class CvProtocolParams:
     :param paper_sign_xi: use the optimistic, subtractive worst-case excess noise
     """
 
+    #: The protocol these parameters describe: a class attribute, not a field.
+    family: ClassVar[Family] = Family.CV
     length_km: float = 4.0
     attenuation_db_per_km: float = 0.2
     det_efficiency: float = 0.85

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -62,6 +62,8 @@ class DvProtocolParams:
         value directly as the estimated error rate
     """
 
+    #: The protocol these parameters describe: a class attribute, not a field.
+    family: ClassVar[Family] = Family.DV
     length_km: float = 100.0
     attenuation_db_per_km: float = 0.2
     det_efficiency: float = 0.92

@@ -24,9 +24,9 @@ from .budget import (
     EPSILON_FLOOR, EpsilonBudget, Family, baseline_budgets, check_fields, field_types
 )
 from .cga import CgaConfig, OptimizationResult, run_lockstep
-from .cv_rate import CvProtocolParams, cv_key_rate
-from .dv_rate import DvProtocolParams, dv_key_rate
-from .oracle import GridSearchResult, GridSpec, grid_search
+from .cv_rate import CvProtocolParams
+from .dv_rate import DvProtocolParams
+from .oracle import PROTOCOLS, GridSearchResult, GridSpec, grid_search
 
 __all__ = [
     "ConfigError",
@@ -56,10 +56,10 @@ CSV_COLUMNS = [
     "rate_oracle_bps",
 ]
 
-#: Sweep levels used when a config gives none: one level per decade.
+#: Sweep levels used when a config gives none: each decade read as a literal, not by pow.
 _DEFAULT_LEVELS = {
-    Family.CV: tuple(10.0**e for e in range(-12, -4)),
-    Family.DV: tuple(10.0**e for e in range(-17, -4)),
+    Family.CV: tuple(float(f"1e{e}") for e in range(-12, -4)),
+    Family.DV: tuple(float(f"1e{e}") for e in range(-17, -4)),
 }
 
 
@@ -72,32 +72,17 @@ def default_eps_levels(family: Family) -> tuple[float, ...]:
     return _DEFAULT_LEVELS[family]
 
 
-#: Each family's protocol: its parameters class and its rate breakdown, called
-#: through this module's names so that a wrapper set on one sees every call.
-_PROTOCOLS = {
-    Family.CV: (CvProtocolParams, lambda params, budget: cv_key_rate(params, budget)),
-    Family.DV: (DvProtocolParams, lambda params, budget: dv_key_rate(params, budget)),
-}
-
-
-def _family_of(params: CvProtocolParams | DvProtocolParams) -> Family:
-    for family, (cls, _) in _PROTOCOLS.items():
-        if isinstance(params, cls):
-            return family
-    raise TypeError(f"no protocol family has parameters of type {type(params).__name__}")
-
-
 def key_rate(params: CvProtocolParams | DvProtocolParams, budget: EpsilonBudget):
     """The rate breakdown of ``budget`` under the protocol that ``params``
-    describe: :func:`cv_key_rate` or :func:`dv_key_rate`."""
-    return _PROTOCOLS[_family_of(params)][1](params, budget)
+    describe: ``cv_key_rate`` or ``dv_key_rate``."""
+    return PROTOCOLS[params.family].key_rate(params, budget)
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """Everything needed to reproduce one sweep, bit for bit.
 
-    ``params`` are the protocol: their class gives :attr:`family`.
+    ``params`` are the protocol: their class carries :attr:`family`.
     ``restarts`` independent optimizer runs are made per level (best kept).
     With a fixed ``cga.rng_seed`` the per-level generators derive
     deterministically from ``(seed, level index, restart index)``, so two
@@ -114,9 +99,6 @@ class SweepSpec:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
-        family = self.family  # params of no protocol raise here
-        if not self.eps_levels:
-            object.__setattr__(self, "eps_levels", default_eps_levels(family))
         levels = self.eps_levels
         check_fields(self, lambda: [
             *((EPSILON_FLOOR <= lv < 1.0, f"eps level {lv!r} outside [{EPSILON_FLOOR!r}, 1)")
@@ -126,16 +108,18 @@ class SweepSpec:
             (self.oracle_points >= 2, "oracle_points must be at least 2"),
             (self.restarts >= 1, "restarts must be at least 1"),
         ])
+        if not levels:  # the checked params now name the family
+            object.__setattr__(self, "eps_levels", default_eps_levels(self.family))
 
     @property
     def family(self) -> Family:
         """The protocol family of :attr:`params`."""
-        return _family_of(self.params)
+        return self.params.family
 
     def rate_fn(self) -> Callable[[EpsilonBudget], float | np.ndarray]:
         """Budget-to-bits/s closure for this spec's protocol: a float for a
         one-split budget of floats, a 1-d array for a batch budget."""
-        params, rate = self.params, _PROTOCOLS[self.family][1]  # dispatched once
+        params, rate = self.params, PROTOCOLS[self.family].key_rate  # dispatched once
         return lambda budget: rate(params, budget).rate_bits_per_sec
 
 
@@ -441,7 +425,7 @@ def loads_config(text: str) -> SweepSpec:
     if family is None:
         raise ConfigError("; ".join(problems))
 
-    cls = _PROTOCOLS[family][0]
+    cls = PROTOCOLS[family].params
     protocol = _read_section(parser, "protocol", field_types(cls), problems)
     params = _build("protocol", cls, protocol, problems)
     cga_kwargs = _read_section(parser, "cga", field_types(CgaConfig), problems)

@@ -13,19 +13,38 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .budget import EPSILON_FLOOR, EpsilonBudget, Family, check_fields, log2, reconstruct_sec
-from .cv_rate import CvProtocolParams, cv_rate_chain
-from .dv_rate import DvProtocolParams, dv_rate_chain
+from .cv_rate import CvProtocolParams, cv_key_rate, cv_rate_chain
+from .dv_rate import DvProtocolParams, dv_key_rate, dv_rate_chain
 
 __all__ = [
     "GridSpec",
     "GridSearchResult",
+    "PROTOCOLS",
     "grid_search",
 ]
+
+
+class Protocol(NamedTuple):
+    """One family's parameters class (whose ``family`` it is), its rate breakdown
+    ``key_rate(params, budget)`` and its rate chain on logarithms."""
+
+    params: type
+    key_rate: Callable
+    chain: Callable
+
+
+#: The one table of the protocol families, kept in the lowest module that imports
+#: both rate modules.  A rate breakdown is called through this module's names, so
+#: that a wrapper set on one sees every call.
+PROTOCOLS = {
+    Family.CV: Protocol(CvProtocolParams, lambda p, budget: cv_key_rate(p, budget), cv_rate_chain),
+    Family.DV: Protocol(DvProtocolParams, lambda p, budget: dv_key_rate(p, budget), dv_rate_chain),
+}
 
 
 @dataclass(frozen=True)
@@ -69,13 +88,6 @@ class GridSearchResult:
     cells: np.ndarray = field(repr=False)
 
 
-#: Each family's parameters class and its rate chain on logarithms.
-_CHAINS = {
-    Family.CV: (CvProtocolParams, cv_rate_chain),
-    Family.DV: (DvProtocolParams, dv_rate_chain),
-}
-
-
 def grid_search(
     spec: GridSpec,
     total_eps: float,
@@ -98,7 +110,8 @@ def grid_search(
     cells run ``eps_pe``-major over increasing axes, it is the first maximum
     in row order.
     """
-    if not callable(rate) and not isinstance(rate, _CHAINS[family][0]):
+    protocol = PROTOCOLS[family]
+    if not callable(rate) and not isinstance(rate, protocol.params):
         raise ValueError(f"parameters {type(rate).__name__} cannot rate a {family.value} grid")
     axis = spec.axis(total_eps)
     cells = np.full((axis.size**2, 4), np.nan)
@@ -113,7 +126,7 @@ def grid_search(
             logs = log2(np.concatenate((axis, budget.eps_sec)))
             log2_axis, log2_sec = logs[: axis.size], logs[axis.size :]
             pe_of, cor_of = np.divmod(np.flatnonzero(feasible), axis.size)
-            breakdown = _CHAINS[family][1](rate, log2_axis, log2_axis[cor_of], log2_sec, pe_of)
+            breakdown = protocol.chain(rate, log2_axis, log2_axis[cor_of], log2_sec, pe_of)
             cells[feasible, 3] = breakdown.rate_bits_per_sec
     rated = np.flatnonzero(~np.isnan(cells[:, 3]))
     cells[np.isnan(cells[:, 3]), 2] = np.nan

@@ -32,6 +32,7 @@ from qkdopt.dv_rate import (
     dv_key_rate,
     worst_case_qber,
 )
+from qkdopt.harness import key_rate
 
 PROPERTY = settings(max_examples=150, deadline=None, database=None)
 
@@ -133,14 +134,13 @@ def test_large_batch_equals_single_splits(family):
     total = 1e-12 if family is Family.DV else 1e-9
     pe, cor = 10.0 ** rng.uniform(-21.0, math.log10(total), size=(2, 12_000))
     params = DvProtocolParams() if family is Family.DV else CvProtocolParams()
-    rate = dv_key_rate if family is Family.DV else cv_key_rate
     feasible, batch = reconstruct_sec(total, pe, cor, family)
     assert feasible.sum() > 4_000
-    whole = rate(params, batch)
+    whole = key_rate(params, batch)
     varying = [f.name for f in fields(whole) if np.ndim(getattr(whole, f.name)) == 1]
     columns = zip(*(getattr(whole, name).tolist() for name in varying))
     for p, c, row in zip(pe[feasible].tolist(), cor[feasible].tolist(), columns):
-        single = rate(params, reconstruct_sec(total, p, c, family))
+        single = key_rate(params, reconstruct_sec(total, p, c, family))
         assert tuple(getattr(single, name) for name in varying) == row
 
 
@@ -150,11 +150,10 @@ def test_a_float_split_is_a_json_ready_budget(family):
     # a record of the components and the rate that goes through json.dumps
     total = 1e-18 if family is Family.DV else 1e-9
     params = DvProtocolParams() if family is Family.DV else CvProtocolParams()
-    rate = dv_key_rate if family is Family.DV else cv_key_rate
     budget = reconstruct_sec(total, total / 5, total / 5, family)
     assert isinstance(budget, EpsilonBudget)
     record = {name: getattr(budget, name) for name in ("eps_pe", "eps_cor", "eps_sec")}
-    record["rate_bps_raw"] = rate(params, budget).rate_bits_per_sec
+    record["rate_bps_raw"] = key_rate(params, budget).rate_bits_per_sec
     assert all(type(value) is float for value in record.values())
     assert json.loads(json.dumps(record)) == record
     assert reconstruct_sec(total, total / 2, total / 2, family) is None

@@ -217,6 +217,23 @@ def test_sweep_writes_deterministic_csv(capsys, tmp_path):
     assert header.split(",")[0] == "eps_total"
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [("rate", ()), ("optimize", ()), ("sweep", ()), ("oracle", ("--points", "8"))],
+)
+def test_config_output_path_applies_to_every_command(capsys, tmp_path, command, extra):
+    # rate, optimize and oracle once wrote to stdout whatever [sweep] output_path said
+    from_config, from_flag = tmp_path / "config.out", tmp_path / "flag.out"
+    cfg = tmp_path / "dv.ini"
+    cfg.write_text(
+        "[budget]\nfamily = dv\n\n" + SMALL_CGA_INI + f"\n[sweep]\noutput_path = {from_config}\n"
+    )
+    argv = (command, "--config", str(cfg), "--eps", "1e-17", *extra)
+    assert run_cli(capsys, *argv) == (0, "", "")
+    assert run_cli(capsys, *argv, "--out", str(from_flag)) == (0, "", "")
+    assert from_config.read_text() == from_flag.read_text() != ""
+
+
 def test_sweep_family_conflict_with_config(capsys, tmp_path):
     cfg = tmp_path / "dv.ini"
     cfg.write_text("[budget]\nfamily = dv\n")

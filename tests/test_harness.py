@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import fields
+from dataclasses import asdict, fields
 from typing import get_type_hints
 
 import numpy as np
@@ -53,6 +53,11 @@ def test_default_levels_are_decade_grids():
     assert cv[0] == 1e-12 and cv[-1] == 1e-5 and len(cv) == 8
     dv = default_eps_levels(Family.DV)
     assert dv[0] == 1e-17 and dv[-1] == 1e-5 and len(dv) == 13
+    # each level is its decimal literal, whatever the host's pow
+    assert cv == (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5)
+    assert dv == (
+        1e-17, 1e-16, 1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5
+    )
 
 
 CV_EVERY_KEY_INI = """
@@ -379,9 +384,23 @@ def test_config_paper_sign_is_cv_only():
 def test_sweep_spec_family_is_the_type_of_its_params():
     assert SweepSpec(params=CvProtocolParams()).family is Family.CV
     assert SweepSpec(params=DvProtocolParams()).family is Family.DV
-    # parameters of neither protocol do not fall through to DV
-    with pytest.raises(TypeError, match="CgaConfig"):
-        SweepSpec(params=CgaConfig(), eps_levels=(1e-17,))
+    # parameters of no protocol are refused by name, with or without levels,
+    # before a family is read from them
+    for params in ("x", None, CgaConfig()):
+        for levels in ((), (1e-17,)):
+            with pytest.raises(ValueError) as err:
+                SweepSpec(params=params, eps_levels=levels)
+            message = f"params must be a CvProtocolParams or DvProtocolParams, got {params!r}"
+            assert str(err.value) == message
+
+
+def test_the_family_is_no_protocol_key():
+    # a parameters class carries its family as a class attribute, not a field
+    with pytest.raises(ConfigError, match=r"unknown key 'family' in section \[protocol\]"):
+        loads_config("[budget]\nfamily = cv\n\n[protocol]\nfamily = cv\n")
+    for cls in (CvProtocolParams, DvProtocolParams):
+        assert "family" not in field_types(cls)
+        assert "family" not in asdict(cls())
 
 
 def test_run_sweep_records_and_ordering():

@@ -19,6 +19,7 @@ import pytest
 
 from qkdopt import cv_rate, dv_rate, oracle
 from qkdopt.budget import EPSILON_FLOOR, Family, log2, reconstruct_sec
+from qkdopt.cga import CgaConfig
 from qkdopt.harness import key_rate
 from qkdopt.oracle import GridSpec, grid_search
 
@@ -142,5 +143,6 @@ def test_grid_of_parameters_makes_two_kernel_calls(monkeypatch, family, params, 
 def test_grid_of_parameters_of_another_family_raises(family, params, total):
     other = Family.CV if family is Family.DV else Family.DV
     for level in (total, EPSILON_FLOOR):
-        with pytest.raises(ValueError, match=f"cannot rate a {other.value} grid"):
-            grid_search(GridSpec(points_per_axis=8), level, other, params)
+        for grid_family, rate in ((other, params), (family, CgaConfig())):  # or of no family
+            with pytest.raises(ValueError, match=f"cannot rate a {grid_family.value} grid"):
+                grid_search(GridSpec(points_per_axis=8), level, grid_family, rate)

@@ -345,18 +345,18 @@ def run_lockstep(
     config: CgaConfig,
     totals: list[float],
     family: Family,
-    rate_fn: Callable[[EpsilonBudget], float | np.ndarray],
+    rate: Callable[[EpsilonBudget], float | np.ndarray],
     rngs: list[np.random.Generator],
 ) -> list[OptimizationResult]:
     """Optimize the split of each of ``totals`` together, run ``r`` drawing
     from ``rngs[r]``; each result equals that of :func:`run` alone.
 
-    Each generation makes one ``rate_fn`` call, on a batch budget holding
+    Each generation makes one ``rate`` call, on a batch budget holding
     the feasible splits of every run, each row with its own run's total;
     it returns their rates (an array, or one number for all).  Splits whose
     secrecy remainder falls below the floor and NaN rates score
     :data:`WORST_FITNESS`, so selection discards them without aborting a
-    run; anything ``rate_fn`` raises propagates.
+    run; anything ``rate`` raises propagates.
     """
     gene_totals = np.array(totals, dtype=float)[:, None, None]
     row_totals = np.repeat(gene_totals.ravel(), config.population)
@@ -367,7 +367,7 @@ def run_lockstep(
         feasible, budget = reconstruct_sec(row_totals, eps[:, 0], eps[:, 1], family)
         scores = worst.copy()
         if budget is not None:
-            scores[feasible] = rate_fn(budget)
+            scores[feasible] = rate(budget)
         return scores.reshape(genes.shape[:2])
 
     results = _lockstep(config, fitness, rngs)
@@ -383,16 +383,16 @@ def run(
     config: CgaConfig,
     total_eps: float,
     family: Family,
-    rate_fn: Callable[[EpsilonBudget], float | np.ndarray],
+    rate: Callable[[EpsilonBudget], float | np.ndarray],
     rng: np.random.Generator | None = None,
 ) -> OptimizationResult:
     """Optimize the split of ``total_eps`` against a key-rate function.
 
     Genes map linearly onto ``[component floor, total_eps]``.  Each
-    generation makes one ``rate_fn`` call on the feasible splits (see
+    generation makes one ``rate`` call on the feasible splits (see
     :func:`run_lockstep`, of which this is the single-run case).  The
     winning genes are resolved back into a budget (``None`` if the search
     never found a feasible split).
     """
     rng = np.random.default_rng(config.rng_seed) if rng is None else rng
-    return run_lockstep(config, [total_eps], family, rate_fn, [rng])[0]
+    return run_lockstep(config, [total_eps], family, rate, [rng])[0]

@@ -31,12 +31,11 @@ from .harness import (
     finite,
     key_rate,
     load_config,
-    loads_config,
     optimize_levels,
     parse_eps_levels,
     run_sweep,
 )
-from .oracle import GridSpec, grid_search
+from .oracle import PROTOCOLS, GridSpec, grid_search
 
 __all__ = ["main", "build_parser"]
 
@@ -57,9 +56,6 @@ def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> No
         "--eps",
         metavar="LIST",
         help="total budget level(s), comma separated (overrides config)",
-    )
-    parser.add_argument(
-        "--seed", type=int, metavar="U64", help="optimizer RNG seed (overrides config)"
     )
     parser.add_argument(
         "--format",
@@ -117,6 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_oracle.set_defaults(func=_cmd_oracle)
 
+    for p_cga in (p_opt, p_sweep):  # the commands that run the optimizer
+        p_cga.add_argument(
+            "--seed", type=int, metavar="U64", help="optimizer RNG seed (overrides config)"
+        )
     return parser
 
 
@@ -130,7 +130,7 @@ def _build_spec(args: argparse.Namespace) -> SweepSpec:
     else:
         if args.family is None:
             raise ValueError("--family is required when no --config is given")
-        spec = loads_config(f"[budget]\nfamily = {args.family}\n")  # its defaults
+        spec = SweepSpec(params=PROTOCOLS[Family(args.family)].params())
     if args.family is not None and Family(args.family) is not spec.family:
         raise ValueError(
             f"--family {args.family} conflicts with the config's "
@@ -154,7 +154,7 @@ def _build_spec(args: argparse.Namespace) -> SweepSpec:
         updates["oracle_points"] = args.points
     if getattr(args, "restarts", None) is not None:
         updates["restarts"] = args.restarts
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         updates["cga"] = replace(spec.cga, rng_seed=args.seed)
     return replace(spec, **updates) if updates else spec
 
@@ -195,7 +195,7 @@ def _cmd_rate(args: argparse.Namespace, spec: SweepSpec) -> str:
 
 def _cmd_optimize(args: argparse.Namespace, spec: SweepSpec) -> str:
     total = _single_eps(args, spec)
-    (best,) = optimize_levels(spec, [(0, total)])
+    (best,) = optimize_levels(spec)
     record = {
         "family": spec.family.value,
         "eps_total": total,

@@ -116,12 +116,6 @@ class SweepSpec:
         """The protocol family of :attr:`params`."""
         return self.params.family
 
-    def rate_fn(self) -> Callable[[EpsilonBudget], float | np.ndarray]:
-        """Budget-to-bits/s closure for this spec's protocol: a float for a
-        one-split budget of floats, a 1-d array for a batch budget."""
-        params, rate = self.params, PROTOCOLS[self.family].key_rate  # dispatched once
-        return lambda budget: rate(params, budget).rate_bits_per_sec
-
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -164,7 +158,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     and stops the sweep; only a baseline split too small for its total is
     recorded in a level's ``error`` (see :class:`SweepRecord`).
     """
-    best = optimize_levels(spec, list(enumerate(spec.eps_levels)))
+    best = optimize_levels(spec)
     baselines = _baselines(spec) if spec.include_baselines else [(None, None, None)] * len(best)
     records = [
         _run_level(spec, total, opt, *base)
@@ -173,23 +167,21 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(spec=spec, records=records)
 
 
-def optimize_levels(
-    spec: SweepSpec, levels: list[tuple[int, float]]
-) -> list[OptimizationResult]:
-    """Best of ``spec.restarts`` optimizer runs at each ``(level index, total)``.
+def optimize_levels(spec: SweepSpec) -> list[OptimizationResult]:
+    """Best of ``spec.restarts`` optimizer runs at each of ``spec.eps_levels``.
 
     Restart ``r`` at level index ``level`` draws from its own generator,
     derived from ``(spec.cga.rng_seed, level, r)``; every run of every level
-    advances in one :func:`run_lockstep` call, and at each level the first
-    restart with the highest fitness wins.
+    advances in one :func:`run_lockstep` call, rated by :func:`key_rate`, and
+    at each level the first restart with the highest fitness wins.
     """
-    restarts = range(spec.restarts)
+    runs = [(idx, r) for idx in range(len(spec.eps_levels)) for r in range(spec.restarts)]
     results = run_lockstep(
         spec.cga,
-        [total for _, total in levels for _ in restarts],
+        [spec.eps_levels[idx] for idx, _ in runs],
         spec.family,
-        spec.rate_fn(),
-        [_level_rng(spec.cga.rng_seed, idx, r) for idx, _ in levels for r in restarts],
+        lambda budget: key_rate(spec.params, budget).rate_bits_per_sec,
+        [_level_rng(spec.cga.rng_seed, idx, r) for idx, r in runs],
     )
     return [
         max(results[k : k + spec.restarts], key=lambda result: result.best_fitness)
@@ -211,7 +203,8 @@ def _baselines(spec: SweepSpec) -> list[tuple[float | None, float | None, str | 
     rates = []
     if splits:
         columns = np.array([(b.total, b.eps_pe, b.eps_cor, b.eps_sec) for b in splits]).T
-        rates = spec.rate_fn()(EpsilonBudget(*columns, spec.family)).tolist()
+        budget = EpsilonBudget(*columns, spec.family)
+        rates = key_rate(spec.params, budget).rate_bits_per_sec.tolist()
     pairs = zip(rates[::2], rates[1::2])  # (symmetric, asymmetric) of each level with splits
     return [(None, None, error) if error else (*next(pairs), None) for error in errors]
 

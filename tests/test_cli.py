@@ -153,7 +153,7 @@ def test_optimize_restarts_flag_keeps_the_best_run(capsys, tmp_path):
         assert code == 0
         return json.loads(out)
 
-    (best,) = optimize_levels(replace(loads_config(text), restarts=2), [(0, 1e-17)])
+    (best,) = optimize_levels(replace(loads_config(text), restarts=2, eps_levels=(1e-17,)))
     doc = optimize("--restarts", "2")
     assert doc["rate_bps_raw"] == best.best_fitness
     assert (doc["eps_pe"], doc["eps_cor"]) == (best.best_budget.eps_pe, best.best_budget.eps_cor)
@@ -403,6 +403,23 @@ def test_negative_seed_exits_one(capsys, tmp_path):
     code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
     assert code == 1
     assert "rng_seed" in err
+
+
+def test_seed_belongs_to_the_optimizer_commands(capsys, tmp_path):
+    # rate and oracle run no optimizer: a --seed there is refused, not ignored
+    for command in ("rate", "oracle"):
+        code, out, err = run_cli(
+            capsys, command, "--family", "dv", "--eps", "1e-17", "--seed", "1"
+        )
+        assert code == 1 and out == ""
+        assert "--seed" in err and err.count("\n") == 1
+    cfg = tmp_path / "dv.ini"
+    cfg.write_text("[budget]\nfamily = dv\n\n" + SMALL_CGA_INI)
+    for command in ("optimize", "sweep"):
+        code, out, err = run_cli(
+            capsys, command, "--config", str(cfg), "--eps", "1e-17", "--seed", "1"
+        )
+        assert code == 0 and out and err == ""
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,13 @@
 import json
 import math
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
+from types import SimpleNamespace
 from typing import get_type_hints
 
 import numpy as np
 import pytest
 
+from qkdopt import harness
 from qkdopt.budget import Family, baseline_budgets, field_types
 from qkdopt.cga import CgaConfig, run
 from qkdopt.cv_rate import CvProtocolParams
@@ -16,6 +18,7 @@ from qkdopt.harness import (
     SweepSpec,
     default_eps_levels,
     emit_results,
+    key_rate,
     load_config,
     loads_config,
     optimize_levels,
@@ -24,6 +27,17 @@ from qkdopt.harness import (
 from qkdopt.oracle import GridSpec
 
 SMALL_CGA = CgaConfig(population=24, iterations=20, rng_seed=7)
+
+
+def dv_rate(budget):
+    return key_rate(DvProtocolParams(), budget).rate_bits_per_sec
+
+
+def route_rates(monkeypatch, rate):
+    """Make ``rate(budget)`` the bits/s of every rate call of the harness."""
+    monkeypatch.setattr(
+        harness, "key_rate", lambda params, budget: SimpleNamespace(rate_bits_per_sec=rate(budget))
+    )
 
 
 def small_dv_spec(**overrides):
@@ -471,30 +485,30 @@ def test_run_sweep_keeps_optimum_when_baselines_fail():
 def test_optimize_level_is_the_sweep_level():
     spec = small_dv_spec(restarts=2, include_baselines=False)
     records = run_sweep(spec).records
-    for idx, total in enumerate(spec.eps_levels):
-        (best,) = optimize_levels(spec, [(idx, total)])
-        assert best.best_budget == records[idx].budget_opt
-        assert best.best_fitness == records[idx].rate_opt
-        assert best.fitness_history == records[idx].fitness_history
+    # the first level alone draws from the same generators as in the sweep
+    first_alone = optimize_levels(replace(spec, eps_levels=spec.eps_levels[:1]))
+    for best, record in [*zip(optimize_levels(spec), records), (*first_alone, records[0])]:
+        assert best.best_budget == record.budget_opt
+        assert best.best_fitness == record.rate_opt
+        assert best.fitness_history == record.fitness_history
 
 
 def test_sweep_runs_equal_their_runs_alone(monkeypatch):
     # every (level, restart) run advances in one lockstep; each must end as
     # the same run made alone from its (seed, level, restart) generator
     spec = small_dv_spec(eps_levels=(3e-21, 1e-18, 1e-12), restarts=2, include_baselines=False)
-    rate = spec.rate_fn()
     calls = []
 
     def counting(budget):
         calls.append(np.size(budget.eps_pe))
-        return rate(budget)
+        return dv_rate(budget)
 
-    monkeypatch.setattr(SweepSpec, "rate_fn", lambda self: counting)
+    route_rates(monkeypatch, counting)
     records = run_sweep(spec).records
     assert len(calls) == SMALL_CGA.iterations
     for idx, (total, record) in enumerate(zip(spec.eps_levels, records)):
         first, second = (
-            run(SMALL_CGA, total, Family.DV, rate, rng=np.random.default_rng([7, idx, r]))
+            run(SMALL_CGA, total, Family.DV, dv_rate, rng=np.random.default_rng([7, idx, r]))
             for r in range(2)
         )
         best = second if second.best_fitness > first.best_fitness else first
@@ -515,26 +529,22 @@ def baseline_rows(budget):
 def test_a_baseline_rate_that_raises_stops_the_sweep(monkeypatch):
     # only a total too small for the baseline splits becomes a level's error;
     # a rate function that fails on the baseline splits must not be written down as one
-    rate = small_dv_spec().rate_fn()
-
     def raise_for_baselines(budget):
         if baseline_rows(budget).any():
             raise ValueError("baseline rate failed")
-        return rate(budget)
+        return dv_rate(budget)
 
-    monkeypatch.setattr(SweepSpec, "rate_fn", lambda self: raise_for_baselines)
+    route_rates(monkeypatch, raise_for_baselines)
     with pytest.raises(ValueError, match="baseline rate failed"):
         run_sweep(small_dv_spec(eps_levels=(1e-17,)))
 
 
 def test_emit_json_writes_a_nan_rate_as_null(monkeypatch):
     # a NaN baseline rate must not reach the JSON text as the bare token NaN
-    rate = small_dv_spec().rate_fn()
-
     def nan_for_baselines(budget):
-        return np.where(baseline_rows(budget), np.nan, rate(budget))
+        return np.where(baseline_rows(budget), np.nan, dv_rate(budget))
 
-    monkeypatch.setattr(SweepSpec, "rate_fn", lambda self: nan_for_baselines)
+    route_rates(monkeypatch, nan_for_baselines)
     result = run_sweep(small_dv_spec(eps_levels=(1e-17,)))
     assert math.isnan(result.records[0].rate_sym)
 
@@ -549,12 +559,10 @@ def test_emit_json_writes_a_nan_rate_as_null(monkeypatch):
 
 def test_emit_csv_leaves_a_nan_rate_empty(monkeypatch):
     # the CSV shares the JSON's rule: a rate that is not finite has no cell
-    rate = small_dv_spec().rate_fn()
-
     def nan_for_baselines(budget):
-        return np.where(baseline_rows(budget), np.nan, rate(budget))
+        return np.where(baseline_rows(budget), np.nan, dv_rate(budget))
 
-    monkeypatch.setattr(SweepSpec, "rate_fn", lambda self: nan_for_baselines)
+    route_rates(monkeypatch, nan_for_baselines)
     result = run_sweep(small_dv_spec(eps_levels=(1e-17,)))
     assert math.isnan(result.records[0].rate_sym) and math.isnan(result.records[0].rate_asym)
     header, row = emit_results(result, fmt="csv").splitlines()

@@ -29,7 +29,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -58,53 +57,39 @@ WORST_FITNESS = float("-inf")
 #: Per-gene probability that crossover blends instead of copying the mother.
 _CROSSOVER_PROB = 0.5
 
+#: Per-gene probability that a chromosome other than the elite is mutated.
+_MUTATION_RATE = 0.5
+
+#: Spread of the mutation noise on the normalized gene scale.
+_MUTATION_SIGMA = 0.2
+
 
 @dataclass(frozen=True)
 class CgaConfig:
-    """Hyperparameters of the genetic search.
+    """Size, length and seed of the genetic search.
 
-    Defaults follow the tuning used for all shipped experiments: population
-    200, 300 generations, half the population eligible as parents, every
-    parent surviving, and a 50% per-gene mutation probability with noise
-    spread 0.2 on the normalized scale.
+    The tuning is the paper's and fixed: the better half of each generation
+    is the parent pool and survives whole; offspring of softmax-drawn parent
+    pairs refill the population, each gene blending with probability 0.5;
+    and every chromosome but the elite mutates each gene with probability
+    0.5, by Gaussian noise of spread 0.2 on the normalized scale.  Defaults
+    are those of all shipped experiments: population 200, 300 generations.
     """
 
     population: int = 200
     iterations: int = 300
-    mutation_rate: float = 0.5
-    parent_rate: float = 0.5
-    survival_rate: float = 1.0
-    mutation_sigma: float = 0.2
     rng_seed: int | None = None
 
     def __post_init__(self) -> None:
-        # the parent pool is judged only from a valid population and rate
         check_fields(self, lambda: [
-            (self.population >= 2, "population must hold at least two chromosomes"),
+            # a pool of half the population must hold two parents
+            (self.population >= 4, "population must hold at least four chromosomes"),
             (self.iterations >= 1, "iterations must be positive"),
-            (0.0 <= self.mutation_rate <= 1.0, "mutation_rate must lie in [0, 1]"),
-            (0.0 < self.parent_rate <= 1.0, "parent_rate must lie in (0, 1]"),
-            (0.0 <= self.survival_rate <= 1.0, "survival_rate must lie in [0, 1]"),
-            (self.mutation_sigma > 0.0, "mutation_sigma must be positive"),
-            (
-                self.population < 2 or not 0.0 < self.parent_rate <= 1.0 or self.n_parents >= 2,
-                "parent_rate too small: the parent pool must keep at least "
-                f"two of {self.population} chromosomes",
-            ),
             (
                 self.rng_seed is None or self.rng_seed >= 0,
                 f"rng_seed must be a non-negative integer, got {self.rng_seed!r}",
             ),
         ])
-
-    # computed once per config: the generation loop reads them every generation
-    @cached_property
-    def n_parents(self) -> int:
-        return math.floor(self.population * self.parent_rate)
-
-    @cached_property
-    def n_survivors(self) -> int:
-        return max(1, math.floor(self.n_parents * self.survival_rate))
 
 
 @dataclass(frozen=True)
@@ -132,14 +117,13 @@ def initialize(config: CgaConfig, rng: np.random.Generator) -> np.ndarray:
 
 
 def select(fitness: np.ndarray, config: CgaConfig) -> np.ndarray:
-    """Return the parent pool as indices into ``fitness``: the first
-    ``n_parents`` of a best-first ranking, in which equal fitness keeps the
-    original (stable) order.  The survivors are the pool's first
-    ``n_survivors``.  A stack of runs, one fitness row each, is ranked row
-    by row.
+    """Return the parent pool as indices into ``fitness``: the better half,
+    ``population // 2``, of a best-first ranking, in which equal fitness
+    keeps the original (stable) order.  A stack of runs, one fitness row
+    each, is ranked row by row.
     """
     ranked = (-np.asarray(fitness, dtype=float)).argsort(axis=-1, kind="stable")
-    return ranked[..., : config.n_parents]
+    return ranked[..., : config.population // 2]
 
 
 def softmax_probabilities(fitness: np.ndarray) -> np.ndarray:
@@ -235,13 +219,12 @@ def crossover(mothers: np.ndarray, fathers: np.ndarray, u: np.ndarray) -> np.nda
     return np.where(coins < _CROSSOVER_PROB, blend, mothers)
 
 
-def mutate(genes: np.ndarray, config: CgaConfig, u: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Add the ``noise`` (spread ``mutation_sigma``) to the ``(R, P, 2)``
-    genes, ranked best-first, where their uniforms ``u`` fall below
-    ``mutation_rate``, sparing each run's elite (row 0); results are clipped
-    to ``[-1, 1]``.
+def mutate(genes: np.ndarray, u: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Add the ``noise`` to the ``(R, P, 2)`` genes, ranked best-first, where
+    their uniforms ``u`` fall below 0.5, sparing each run's elite (row 0);
+    results are clipped to ``[-1, 1]``.
     """
-    mask = u < config.mutation_rate
+    mask = u < _MUTATION_RATE
     mask[:, 0] = False
     return np.where(mask, (genes + noise).clip(-1.0, 1.0), genes)
 
@@ -250,25 +233,24 @@ def _breed(
     pool: np.ndarray, pool_fitness: np.ndarray, config: CgaConfig, rngs: list
 ) -> np.ndarray:
     """The next ``(R, population, 2)`` genes of a stack of runs from their
-    parent pools, ranked best-first: the survivors (the pool's first
-    ``n_survivors``), then offspring of softmax-drawn parent pairs, all
-    mutated except each run's elite (row 0).
+    parent pools, ranked best-first: the whole pool, then offspring of
+    softmax-drawn parent pairs, all mutated except each run's elite (row 0).
 
     Run ``r`` draws ``6 k + 2 P`` uniforms from ``rngs[r]`` (``k``
     offspring, population ``P``), split into ``(k, 2)`` pairing, ``(k, 4)``
     crossover and ``(P, 2)`` mutation draws, then ``(P, 2)`` normals.
     """
-    size, n_survivors, runs = config.population, config.n_survivors, len(rngs)
-    k = size - n_survivors
+    size, runs = config.population, len(rngs)
+    k = size - pool.shape[1]
     uniform, noise = np.empty((runs, 6 * k + 2 * size)), np.empty((runs, size, 2))
     for r, rng in enumerate(rngs):
         rng.random(out=uniform[r])
-        noise[r] = rng.normal(0.0, config.mutation_sigma, (size, 2))
+        noise[r] = rng.normal(0.0, _MUTATION_SIGMA, (size, 2))
     mothers, fathers = pair(pool_fitness, uniform[:, : 2 * k].reshape(runs, k, 2))
     rows, cross = np.arange(runs)[:, None], uniform[:, 2 * k : 6 * k].reshape(runs, k, 4)
     offspring = crossover(pool[rows, mothers], pool[rows, fathers], cross)
-    genes = np.concatenate([pool[:, :n_survivors], offspring], axis=1)
-    return mutate(genes, config, uniform[:, 6 * k :].reshape(runs, size, 2), noise)
+    genes = np.concatenate([pool, offspring], axis=1)
+    return mutate(genes, uniform[:, 6 * k :].reshape(runs, size, 2), noise)
 
 
 def _lockstep(
@@ -282,13 +264,13 @@ def _lockstep(
     ``(R, population, 2)`` genes of a generation, must not modify them, must
     be deterministic, and returns an ``(R, population)`` fitness array;
     :data:`WORST_FITNESS` (or NaN, read as the same) marks infeasible genes.
-    Each generation: evaluate, rank, record each run's best, select parents
-    and survivors, draw all pairs, breed offspring to refill each
-    population, then mutate everything except each elite.  A run with fewer
-    than two feasible parents is re-drawn uniformly around its sole best
-    chromosome and skips breeding for that generation.  Run ``r`` draws
-    only from ``rngs[r]``, in the order a run alone would, so it ends
-    exactly as it would alone.
+    Each generation: evaluate, rank, record each run's best, select the
+    parent pool (which survives whole), draw all pairs, breed offspring to
+    refill each population, then mutate everything except each elite.  A
+    run with fewer than two feasible parents is re-drawn uniformly around
+    its sole best chromosome and skips breeding for that generation.  Run
+    ``r`` draws only from ``rngs[r]``, in the order a run alone would, so
+    it ends exactly as it would alone.
     """
     n_runs = len(rngs)
     runs = np.arange(n_runs)[:, None]

@@ -15,6 +15,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -177,6 +178,9 @@ def _cmd_rate(args: argparse.Namespace, spec: SweepSpec) -> str:
             raise ValueError("--split cannot be combined with --eps-pe/--eps-cor")
         if args.eps_pe is None or args.eps_cor is None:
             raise ValueError("--eps-pe and --eps-cor must be given together")
+        for flag, value in (("--eps-pe", args.eps_pe), ("--eps-cor", args.eps_cor)):
+            if not math.isfinite(value):
+                raise ValueError(f"{flag} must be a finite number, got {value!r}")
         budget = reconstruct_sec(total, args.eps_pe, args.eps_cor, spec.family)
         if budget is None:
             raise ValueError("the requested components leave no room for the secrecy share")

@@ -107,6 +107,7 @@ class SweepSpec:
              "eps_levels must be strictly increasing"),
             (self.oracle_points >= 2, "oracle_points must be at least 2"),
             (self.restarts >= 1, "restarts must be at least 1"),
+            (self.output_path != "", "output_path must not be empty"),
         ])
         if not levels:  # the checked params now name the family
             object.__setattr__(self, "eps_levels", default_eps_levels(self.family))

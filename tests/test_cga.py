@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qkdopt import cga
-from qkdopt.budget import Family, map_gene, reconstruct_sec
+from qkdopt.budget import Family, field_types, map_gene, reconstruct_sec
 from qkdopt.cga import (
     WORST_FITNESS,
     CgaConfig,
@@ -33,7 +33,7 @@ def dv_rate_fn():
 def fixed_population(monkeypatch, *genes):
     """Make every (re-)initialization of a run draw exactly ``genes``."""
     monkeypatch.setattr(cga, "initialize", lambda config, rng: np.array(genes, dtype=float))
-    return CgaConfig(population=len(genes), iterations=1, parent_rate=1.0, rng_seed=0)
+    return CgaConfig(population=len(genes), iterations=1, rng_seed=0)
 
 
 def pair_one(fitness, n_pairs, rng):
@@ -48,26 +48,27 @@ def crossover_one(mothers, fathers, rng):
     return crossover(mothers[None], fathers[None], rng.random((len(mothers), 4))[None])[0]
 
 
-def mutate_one(genes, config, rng):
-    u = rng.random(genes.shape)
-    noise = rng.normal(0.0, config.mutation_sigma, genes.shape)
-    return mutate(genes[None], config, u[None], noise[None])[0]
+def mutate_one(genes, u, rng):
+    """``mutate`` for one run, each gene masked where its ``u`` is below the
+    mutation rate, with ``rng``'s next normals as the noise."""
+    noise = rng.normal(0.0, cga._MUTATION_SIGMA, genes.shape)
+    return mutate(genes[None], np.broadcast_to(u, genes.shape)[None], noise[None])[0]
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    # the parent pool, half the population, must hold two parents
+    with pytest.raises(ValueError, match="population must hold at least four chromosomes"):
         CgaConfig(population=3)
-    with pytest.raises(ValueError):
-        CgaConfig(population=4, parent_rate=0.1)  # floor(0.4) < 2 parents
-    with pytest.raises(ValueError):
-        CgaConfig(mutation_rate=1.5)
+    assert CgaConfig(population=4).population == 4
     for seed in (-3, 1.5, "7", True):
         with pytest.raises(ValueError, match="rng_seed"):
             CgaConfig(rng_seed=seed)
     assert CgaConfig(rng_seed=0).rng_seed == 0
-    cfg = CgaConfig(population=200, parent_rate=0.5, survival_rate=1.0)
-    assert cfg.n_parents == 100
-    assert cfg.n_survivors == 100
+
+
+def test_config_sets_only_size_length_and_seed():
+    # the tuning is fixed in the module, not a field to set
+    assert list(field_types(CgaConfig)) == ["population", "iterations", "rng_seed"]
 
 
 @pytest.mark.parametrize("field", ["population", "iterations"])
@@ -101,10 +102,10 @@ def test_initialize_ranges_and_determinism():
 
 def test_run_scores_feasibility_corners(monkeypatch):
     # genes (1, 1) put eps_pe and eps_cor on the total: no secrecy share left.
-    # With one of two chromosomes feasible the generation re-seeds, and the
+    # With one of the two parents feasible the generation re-seeds, and the
     # feasible corner (-1, -1) is the best.
     rate = dv_rate_fn()
-    cfg = fixed_population(monkeypatch, (1.0, 1.0), (-1.0, -1.0))
+    cfg = fixed_population(monkeypatch, (1.0, 1.0), (-1.0, -1.0), (1.0, 1.0), (1.0, 1.0))
     for family, total, fn in ((Family.CV, 1e-9, lambda b: 1.0), (Family.DV, 1e-17, rate)):
         result = run(cfg, total, family, fn)
         assert result.reseeds == 1
@@ -117,7 +118,7 @@ def test_run_scores_feasibility_corners(monkeypatch):
 def test_run_fitness_matches_direct_rate(monkeypatch):
     rate = dv_rate_fn()
     total = 1e-17
-    cfg = fixed_population(monkeypatch, (-0.9, -0.95), (-0.9, -0.95))
+    cfg = fixed_population(monkeypatch, *[(-0.9, -0.95)] * 4)
     result = run(cfg, total, Family.DV, rate)
     eps_pe, eps_cor = map_gene(np.array([-0.9, -0.95]), total).tolist()
     budget = reconstruct_sec(total, eps_pe, eps_cor, Family.DV)
@@ -131,7 +132,7 @@ def test_run_scores_nan_rates_worst(monkeypatch):
     def nan_rows(budget):
         return np.full(len(budget.eps_pe), float("nan"))
 
-    cfg = fixed_population(monkeypatch, (-0.5, -0.5), (-0.4, -0.6))
+    cfg = fixed_population(monkeypatch, (-0.5, -0.5), (-0.4, -0.6), (-0.6, -0.4), (-0.3, -0.7))
     for fn in (nan_rows, lambda b: float("nan")):
         result = run(cfg, 1e-9, Family.CV, fn)
         assert result.best_fitness == WORST_FITNESS
@@ -238,38 +239,32 @@ def test_lockstep_of_one_is_run():
 
 
 def test_select_counts():
-    cfg = CgaConfig(population=200, parent_rate=0.5, survival_rate=1.0)
+    cfg = CgaConfig(population=200)
     fitness = np.arange(200.0)
     parents = select(fitness, cfg)
     assert len(parents) == 100
     assert fitness[parents[0]] == 199
-    # the survivors are the pool's first n_survivors: all of it here, and
-    # never none
-    assert cfg.n_survivors == 100
-    assert CgaConfig(population=200, parent_rate=0.5, survival_rate=0.0).n_survivors == 1
 
 
-def test_breed_keeps_the_ranked_survivors():
-    # two runs, each pool ranked best-first
+def test_breed_keeps_the_ranked_survivors(monkeypatch):
+    # two runs, each pool ranked best-first; the whole pool survives
     pool = np.random.default_rng(11).uniform(-0.5, 0.5, size=(2, 4, 2))
     pool_fitness = np.array([[4.0, 3.0, 2.0, 1.0], [9.0, 8.0, 7.0, 6.0]])
-    for survival_rate, n_survivors in ((0.5, 2), (0.0, 1)):
-        cfg = CgaConfig(
-            population=8, parent_rate=0.5, survival_rate=survival_rate, mutation_rate=0.0
-        )
-        rngs = [np.random.default_rng(s) for s in (1, 2)]
-        genes = cga._breed(pool, pool_fitness, cfg, rngs)
-        assert genes.shape == (2, 8, 2)
-        assert np.array_equal(genes[:, :n_survivors], pool[:, :n_survivors])
+    cfg = CgaConfig(population=8)
+    # no uniform below the mutation rate: nothing mutates
+    monkeypatch.setattr(cga, "mutate", lambda genes, u, noise: mutate(genes, u + 1.0, noise))
+    genes = cga._breed(pool, pool_fitness, cfg, [np.random.default_rng(s) for s in (1, 2)])
+    assert genes.shape == (2, 8, 2)
+    assert np.array_equal(genes[:, :4], pool)
     # mutating every gene still spares each run's elite, the pool's best
-    cfg = CgaConfig(population=8, parent_rate=0.5, survival_rate=0.5, mutation_rate=1.0)
+    monkeypatch.setattr(cga, "mutate", lambda genes, u, noise: mutate(genes, u * 0.0, noise))
     genes = cga._breed(pool, pool_fitness, cfg, [np.random.default_rng(s) for s in (1, 2)])
     assert np.array_equal(genes[:, 0], pool[:, 0])
     assert not np.isclose(genes[:, 1], pool[:, 1]).any()
 
 
 def test_select_stable_ties():
-    cfg = CgaConfig(population=6, parent_rate=0.5, survival_rate=1.0)
+    cfg = CgaConfig(population=6)
     parents = select(np.full(6, 5.0), cfg)
     assert parents.tolist() == [0, 1, 2]
     parents = select(np.array([1.0, 5.0, 1.0, 5.0, 5.0, 1.0]), cfg)
@@ -277,7 +272,7 @@ def test_select_stable_ties():
 
 
 def test_select_prefers_finite_over_worst():
-    cfg = CgaConfig(population=8, parent_rate=0.5, survival_rate=1.0)
+    cfg = CgaConfig(population=8)
     fitness = np.array(
         [WORST_FITNESS, 1.0, WORST_FITNESS, 2.0, 3.0, WORST_FITNESS, 4.0, WORST_FITNESS]
     )
@@ -488,18 +483,18 @@ def test_crossover_consumes_coins_then_gammas():
 
 
 def test_mutate_zero_rate_is_identity():
-    cfg = CgaConfig(population=10, mutation_rate=0.0)
+    # every uniform at or above the rate: no gene is masked
+    cfg = CgaConfig(population=10)
     rng = np.random.default_rng(31)
     population = initialize(cfg, rng)
-    out = mutate_one(population, cfg, rng)
+    out = mutate_one(population, cga._MUTATION_RATE, rng)
     assert np.array_equal(out, population)
 
 
 def test_mutate_spares_elite_and_hits_everyone_else():
-    cfg = CgaConfig(population=50, mutation_rate=1.0)
     rng = np.random.default_rng(37)
     population = np.zeros((50, 2))
-    out = mutate_one(population, cfg, rng)
+    out = mutate_one(population, 0.0, rng)
     assert out[0].tolist() == [0.0, 0.0]
     assert np.all(out[1:] != 0.0)
     assert np.all((-1.0 <= out) & (out <= 1.0))
@@ -510,8 +505,8 @@ def test_each_generation_draws_one_uniform_then_one_normal_block():
     # two runs, one generation: the bred run draws its pairing, crossover and
     # mutation-mask uniforms as one block, then its noise; the re-seeded run
     # (no feasible chromosome) draws only a fresh population
-    cfg = CgaConfig(population=10, iterations=1, parent_rate=0.5, survival_rate=0.4)
-    size, k = cfg.population, cfg.population - cfg.n_survivors
+    cfg = CgaConfig(population=10, iterations=1)
+    size, k = cfg.population, cfg.population - cfg.population // 2
     rngs = [np.random.default_rng(s) for s in (1, 2)]
     cga._lockstep(cfg, lambda genes: np.stack([genes[0, :, 0], np.full(size, -np.inf)]), rngs)
     bred, reseeded = (np.random.default_rng(s) for s in (1, 2))

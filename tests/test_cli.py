@@ -429,7 +429,6 @@ def test_seed_belongs_to_the_optimizer_commands(capsys, tmp_path):
         ("dv", "[protocol]\nblock_size = 100", "detected block degenerate"),
         ("cv", "[protocol]\nsignal_variance = 1", "require modulation"),
         # a number no range check would otherwise catch
-        ("dv", "[cga]\nmutation_sigma = nan", "[cga] mutation_sigma must be finite"),
         ("dv", "[protocol]\nclock_hz = inf", "[protocol] clock_hz must be finite"),
         ("cv", "[protocol]\nsignal_variance = inf", "signal_variance must be finite"),
     ],
@@ -444,6 +443,48 @@ def test_config_that_cannot_run_exits_one(capsys, tmp_path, family, section, cau
     assert code == 1
     assert out == ""
     assert cause in err and err.count("\n") == 1
+
+
+def test_removed_cga_tuning_keys_are_unknown(capsys, tmp_path):
+    # the CGA's tuning is fixed: an old config that sets it is refused, not
+    # silently run with other values
+    keys = ("mutation_rate", "parent_rate", "survival_rate", "mutation_sigma")
+    cfg = tmp_path / "old.ini"
+    cfg.write_text("[budget]\nfamily = dv\n\n[cga]\n" + "".join(f"{k} = 0.5\n" for k in keys))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--eps", "1e-17")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert all(f"unknown key '{key}' in section [cga]" in err for key in keys), err
+
+
+@pytest.mark.parametrize("flag", ["--eps-pe", "--eps-cor"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_rate_names_a_non_finite_component(capsys, flag, value):
+    # inf once read as leaving no secrecy share, nan as a value below the floor
+    other = "--eps-cor" if flag == "--eps-pe" else "--eps-pe"
+    code, out, err = run_cli(
+        capsys, "rate", "--family", "dv", "--eps", "1e-17", flag, value, other, "1e-18"
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: {flag} must be a finite number, got {value}\n"
+
+
+@pytest.mark.parametrize("route", ["--out", "[sweep] output_path"])
+def test_empty_output_path_exits_one_before_any_rate(capsys, tmp_path, monkeypatch, route):
+    # it once ran the whole command, then failed to open '' with exit 2
+    calls = []
+    for name in ("key_rate", "optimize_levels", "run_sweep", "grid_search"):
+        monkeypatch.setattr(cli, name, lambda *args: calls.append(args))
+    if route == "--out":
+        argv = ("rate", "--family", "dv", "--eps", "1e-17", "--out", "")
+    else:
+        cfg = tmp_path / "dv.ini"
+        cfg.write_text("[budget]\nfamily = dv\n\n[sweep]\noutput_path =\n")
+        argv = ("sweep", "--config", str(cfg), "--eps", "1e-17")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "output_path must not be empty" in err and err.count("\n") == 1
+    assert calls == []
 
 
 def test_io_errors_exit_two(capsys):

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 from dataclasses import asdict, fields, replace
+from pathlib import Path
 from types import SimpleNamespace
 from typing import get_type_hints
 
@@ -95,10 +97,6 @@ paper_sign_xi = yes
 [cga]
 population = 50
 iterations = 25
-mutation_rate = 0.3
-parent_rate = 0.6
-survival_rate = 0.75
-mutation_sigma = 0.1
 rng_seed = 3
 
 [sweep]
@@ -131,10 +129,6 @@ qber_override = 0.03
 [cga]
 population = 30
 iterations = 40
-mutation_rate = 0.25
-parent_rate = 0.8
-survival_rate = 0.5
-mutation_sigma = 0.3
 rng_seed = 0
 
 [sweep]
@@ -164,15 +158,7 @@ EVERY_KEY_SPECS = {
                 clock_hz=5e8,
                 paper_sign_xi=True,
             ),
-            cga=CgaConfig(
-                population=50,
-                iterations=25,
-                mutation_rate=0.3,
-                parent_rate=0.6,
-                survival_rate=0.75,
-                mutation_sigma=0.1,
-                rng_seed=3,
-            ),
+            cga=CgaConfig(population=50, iterations=25, rng_seed=3),
             eps_levels=(1e-12, 1e-11),
             include_baselines=False,
             include_oracle=True,
@@ -198,15 +184,7 @@ EVERY_KEY_SPECS = {
                 intrinsic_error=0.01,
                 qber_override=0.03,
             ),
-            cga=CgaConfig(
-                population=30,
-                iterations=40,
-                mutation_rate=0.25,
-                parent_rate=0.8,
-                survival_rate=0.5,
-                mutation_sigma=0.3,
-                rng_seed=0,
-            ),
+            cga=CgaConfig(population=30, iterations=40, rng_seed=0),
             eps_levels=(1e-18, 1e-17, 1e-16),
             include_baselines=False,
             include_oracle=True,
@@ -254,14 +232,14 @@ def _float_fields(cls):
 
 FLOAT_FIELDS = [
     (cls, name)
-    for cls in (CvProtocolParams, DvProtocolParams, CgaConfig)
+    for cls in (CvProtocolParams, DvProtocolParams)
     for name in _float_fields(cls)
 ]
 
 
 def test_float_field_list_covers_the_config_classes():
-    assert len(FLOAT_FIELDS) == 9 + 11 + 4  # CV, DV and CGA float fields
-    assert (CgaConfig, "mutation_sigma") in FLOAT_FIELDS
+    assert len(FLOAT_FIELDS) == 9 + 11  # CV and DV float fields
+    assert _float_fields(CgaConfig) == []  # its tuning is fixed, not configured
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -353,23 +331,27 @@ def test_config_lists_every_problem():
     with pytest.raises(ConfigError) as exc:
         loads_config(text)
     message = str(exc.value)
-    assert "[cga] population must hold at least two chromosomes" in message
+    assert "[cga] population must hold at least four chromosomes" in message
     assert "[sweep] restarts must be at least 1" in message
 
 
 def test_config_lists_every_bad_cga_bound():
-    text = (
-        "[budget]\nfamily = dv\n\n"
-        "[cga]\npopulation = 1\niterations = 0\nmutation_sigma = -1\n"
-    )
+    text = "[budget]\nfamily = dv\n\n[cga]\npopulation = 1\niterations = 0\n"
     with pytest.raises(ConfigError) as exc:
         loads_config(text)
     message = str(exc.value)
-    assert "population must hold at least two chromosomes" in message
+    assert "population must hold at least four chromosomes" in message
     assert "iterations must be positive" in message
-    assert "mutation_sigma must be positive" in message
-    # a population too small for any pool says nothing of the parent rate
-    assert "parent_rate" not in message
+
+
+def test_readme_config_example_loads():
+    # the README's one INI example is a config the reader takes, and its
+    # [cga] block shows the defaults
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    spec = loads_config(example)
+    assert spec.family is Family.DV
+    assert replace(spec.cga, rng_seed=None) == CgaConfig()
 
 
 def test_config_requires_family():

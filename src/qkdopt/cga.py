@@ -5,12 +5,13 @@ components (estimation and correctness shares); the secrecy share is whatever
 the total leaves over.  A population is a ``(P, 2)`` gene array scored by a
 length-``P`` fitness vector.  Selection is elitist and softmax-weighted,
 crossover blends genes convexly, and mutation adds clipped Gaussian noise.
-Several runs advance in lockstep as an ``(R, P, 2)`` stack, and each
-generation of the stack is scored in one call: :func:`run_lockstep` rates
-the feasible splits of every run as one batch budget, each row with its own
-run's total; :func:`run` is the stack of one.  Infeasible splits are not
-errors: they score the worst-fitness marker ``-inf`` and are simply never
-selected while anything feasible exists.
+:func:`run_lockstep` is the one generational loop.  Several runs advance in
+it as an ``(R, P, 2)`` stack, and its only seam is the ``rate`` callable
+over budgets: each generation of the stack is scored in one call, which
+rates the feasible splits of every run as one batch budget, each row with
+its own run's total; :func:`run` is the stack of one.  Infeasible splits are
+not errors: they score the worst-fitness marker ``-inf`` and are simply
+never selected while anything feasible exists.
 
 Determinism: every run consumes its own ``numpy`` generator in a fixed
 stream order — one uniform block for initialization, then per generation one
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -253,27 +254,34 @@ def _breed(
     return mutate(genes, uniform[:, 6 * k :].reshape(runs, size, 2), noise)
 
 
-def _lockstep(
+def run_lockstep(
     config: CgaConfig,
-    fitness_fn: Callable[[np.ndarray], np.ndarray],
+    totals: list[float],
+    family: Family,
+    rate: Callable[[EpsilonBudget], float | np.ndarray],
     rngs: list[np.random.Generator],
 ) -> list[OptimizationResult]:
-    """The generational loop, for ``len(rngs)`` independent runs at once.
+    """Optimize the split of each of ``totals`` together, run ``r`` drawing
+    only from ``rngs[r]``, in the order a run alone would, so each result
+    equals that of :func:`run` alone.  This is the CGA's one loop.
 
-    The runs are stacked along a leading axis: ``fitness_fn`` receives the
-    ``(R, population, 2)`` genes of a generation, must not modify them, must
-    be deterministic, and returns an ``(R, population)`` fitness array;
-    :data:`WORST_FITNESS` (or NaN, read as the same) marks infeasible genes.
-    Each generation: evaluate, rank, record each run's best, select the
-    parent pool (which survives whole), draw all pairs, breed offspring to
-    refill each population, then mutate everything except each elite.  A
-    run with fewer than two feasible parents is re-drawn uniformly around
-    its sole best chromosome and skips breeding for that generation.  Run
-    ``r`` draws only from ``rngs[r]``, in the order a run alone would, so
-    it ends exactly as it would alone.
+    The runs are stacked as ``(R, population, 2)`` genes.  Each generation
+    maps them onto splits and makes one ``rate`` call, on a batch budget
+    holding the feasible splits of every run, each row with its own run's
+    total; ``rate`` returns their rates (an array, or one number for all).
+    Splits whose secrecy remainder falls below the floor and NaN rates score
+    :data:`WORST_FITNESS`, so selection discards them without aborting a
+    run; anything ``rate`` raises propagates.  Then: rank, record each run's
+    best, select the parent pool (which survives whole), draw all pairs,
+    breed offspring to refill each population, and mutate everything except
+    each elite.  A run with fewer than two feasible parents is re-drawn
+    uniformly around its sole best chromosome and skips breeding for that
+    generation.
     """
     n_runs = len(rngs)
     runs = np.arange(n_runs)[:, None]
+    gene_totals = np.array(totals, dtype=float)[:, None, None]
+    row_totals = np.repeat(gene_totals.ravel(), config.population)
     genes = np.stack([initialize(config, rng) for rng in rngs])
     history = np.empty((config.iterations, n_runs))
     reseeds = np.zeros(n_runs, dtype=int)
@@ -281,12 +289,12 @@ def _lockstep(
     best_fitness = np.full(n_runs, np.nan)  # NaN until the first generation
 
     for generation in range(config.iterations):
-        fitness = np.array(fitness_fn(genes), dtype=float)
-        if fitness.shape != genes.shape[:2]:
-            raise ValueError(
-                f"fitness_fn returned shape {fitness.shape} for "
-                f"{genes.shape[:2]} runs by chromosomes"
-            )
+        eps = map_gene(genes, gene_totals).reshape(-1, 2)
+        feasible, budget = reconstruct_sec(row_totals, eps[:, 0], eps[:, 1], family)
+        fitness = np.full(row_totals.shape, WORST_FITNESS)
+        if budget is not None:
+            fitness[feasible] = rate(budget)
+        fitness = fitness.reshape(genes.shape[:2])
         fitness[np.isnan(fitness)] = WORST_FITNESS
         parents = select(fitness, config)
         pool, pool_fitness = genes[runs, parents], fitness[runs, parents]
@@ -314,51 +322,15 @@ def _lockstep(
         OptimizationResult(
             best_genes=tuple(best_genes[r].tolist()),
             best_fitness=float(best_fitness[r]),
-            best_budget=None,
+            best_budget=None if best_fitness[r] == WORST_FITNESS else reconstruct_sec(
+                total, *map_gene(best_genes[r], total).tolist(), family
+            ),
             fitness_history=history[r],
             evaluations=int(config.population * config.iterations),
             reseeds=int(reseeds[r]),
         )
-        for r in range(n_runs)
+        for r, total in enumerate(totals)
     ]
-
-
-def run_lockstep(
-    config: CgaConfig,
-    totals: list[float],
-    family: Family,
-    rate: Callable[[EpsilonBudget], float | np.ndarray],
-    rngs: list[np.random.Generator],
-) -> list[OptimizationResult]:
-    """Optimize the split of each of ``totals`` together, run ``r`` drawing
-    from ``rngs[r]``; each result equals that of :func:`run` alone.
-
-    Each generation makes one ``rate`` call, on a batch budget holding
-    the feasible splits of every run, each row with its own run's total;
-    it returns their rates (an array, or one number for all).  Splits whose
-    secrecy remainder falls below the floor and NaN rates score
-    :data:`WORST_FITNESS`, so selection discards them without aborting a
-    run; anything ``rate`` raises propagates.
-    """
-    gene_totals = np.array(totals, dtype=float)[:, None, None]
-    row_totals = np.repeat(gene_totals.ravel(), config.population)
-    worst = np.full(row_totals.shape, WORST_FITNESS)
-
-    def fitness(genes: np.ndarray) -> np.ndarray:
-        eps = map_gene(genes, gene_totals).reshape(-1, 2)
-        feasible, budget = reconstruct_sec(row_totals, eps[:, 0], eps[:, 1], family)
-        scores = worst.copy()
-        if budget is not None:
-            scores[feasible] = rate(budget)
-        return scores.reshape(genes.shape[:2])
-
-    results = _lockstep(config, fitness, rngs)
-    for i, (total, result) in enumerate(zip(totals, results)):
-        if result.best_fitness != WORST_FITNESS:
-            eps_pe, eps_cor = map_gene(np.array(result.best_genes), total).tolist()
-            budget = reconstruct_sec(total, eps_pe, eps_cor, family)
-            results[i] = replace(result, best_budget=budget)
-    return results
 
 
 def run(

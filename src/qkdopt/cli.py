@@ -15,6 +15,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -160,6 +161,15 @@ def _build_spec(args: argparse.Namespace) -> SweepSpec:
     return replace(spec, **updates) if updates else spec
 
 
+def _check_output_path(path: str) -> None:
+    """Raise the ``OSError`` of a ``path`` that is a directory or that has no
+    directory to go in.  Nothing is opened, so a file already at ``path``
+    stays as it is until the output exists."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        code = errno.EISDIR if os.path.isdir(path) else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
+
+
 def _single_eps(args: argparse.Namespace, spec: SweepSpec) -> float:
     if args.eps is None:
         raise ValueError("--eps with a single value is required")
@@ -228,8 +238,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         spec = _build_spec(args)
+        if spec.output_path is not None:  # set by --out or [sweep] output_path
+            _check_output_path(spec.output_path)  # before the command's work
         text = args.func(args, spec)
-        if spec.output_path is None:  # set by --out or [sweep] output_path
+        if spec.output_path is None:
             sys.stdout.write(text)
         else:
             with open(spec.output_path, "w", newline="") as fh:

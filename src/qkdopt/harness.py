@@ -143,28 +143,36 @@ class SweepResult:
     records: list[SweepRecord]
 
 
-def _level_rng(seed: int | None, level: int, restart: int) -> np.random.Generator:
-    if seed is None:
-        return np.random.default_rng()
-    return np.random.default_rng([seed, level, restart])
-
-
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run the optimizer (and comparisons) at every requested eps level.
 
     Every (level, restart) optimizer run of the sweep advances in one
     lockstep (see :func:`optimize_levels`), and every level's baseline splits
-    are rated in one batch call.  A model that cannot run — for instance a
+    are rated in one batch call.  Each level's record then takes its best
+    run, its baseline rates or their ``error``, and, with the oracle on, the
+    rate of the grid's best split.  A model that cannot run — for instance a
     block that degenerates at the configured sizes — raises its domain error
     and stops the sweep; only a baseline split too small for its total is
     recorded in a level's ``error`` (see :class:`SweepRecord`).
     """
     best = optimize_levels(spec)
     baselines = _baselines(spec) if spec.include_baselines else [(None, None, None)] * len(best)
-    records = [
-        _run_level(spec, total, opt, *base)
-        for total, opt, base in zip(spec.eps_levels, best, baselines)
-    ]
+    records = []
+    for total, opt, (rate_sym, rate_asym, error) in zip(spec.eps_levels, best, baselines):
+        rate_oracle = None
+        if spec.include_oracle:
+            grid = grid_search(GridSpec(spec.oracle_points), total, spec.family, spec.params)
+            rate_oracle = grid.best_fitness if grid.best_budget is not None else None
+        records.append(SweepRecord(
+            eps_total=total,
+            budget_opt=opt.best_budget,
+            rate_opt=opt.best_fitness if opt.best_budget is not None else None,
+            rate_sym=rate_sym,
+            rate_asym=rate_asym,
+            rate_oracle=rate_oracle,
+            fitness_history=list(opt.fitness_history),
+            error=error,
+        ))
     return SweepResult(spec=spec, records=records)
 
 
@@ -176,13 +184,14 @@ def optimize_levels(spec: SweepSpec) -> list[OptimizationResult]:
     advances in one :func:`run_lockstep` call, rated by :func:`key_rate`, and
     at each level the first restart with the highest fitness wins.
     """
+    seed = spec.cga.rng_seed
     runs = [(idx, r) for idx in range(len(spec.eps_levels)) for r in range(spec.restarts)]
     results = run_lockstep(
         spec.cga,
         [spec.eps_levels[idx] for idx, _ in runs],
         spec.family,
         lambda budget: key_rate(spec.params, budget).rate_bits_per_sec,
-        [_level_rng(spec.cga.rng_seed, idx, r) for idx, r in runs],
+        [np.random.default_rng(None if seed is None else [seed, idx, r]) for idx, r in runs],
     )
     return [
         max(results[k : k + spec.restarts], key=lambda result: result.best_fitness)
@@ -208,34 +217,6 @@ def _baselines(spec: SweepSpec) -> list[tuple[float | None, float | None, str | 
         rates = key_rate(spec.params, budget).rate_bits_per_sec.tolist()
     pairs = zip(rates[::2], rates[1::2])  # (symmetric, asymmetric) of each level with splits
     return [(None, None, error) if error else (*next(pairs), None) for error in errors]
-
-
-def _run_level(
-    spec: SweepSpec,
-    total: float,
-    best: OptimizationResult,
-    rate_sym: float | None,
-    rate_asym: float | None,
-    error: str | None,
-) -> SweepRecord:
-    """The record of one level: ``best`` from the optimizer, the baseline
-    rates or ``error``, and the oracle's rate."""
-    rate_oracle = None
-    if spec.include_oracle:
-        grid = grid_search(
-            GridSpec(points_per_axis=spec.oracle_points), total, spec.family, spec.params
-        )
-        rate_oracle = grid.best_fitness if grid.best_budget is not None else None
-    return SweepRecord(
-        eps_total=total,
-        budget_opt=best.best_budget,
-        rate_opt=best.best_fitness if best.best_budget is not None else None,
-        rate_sym=rate_sym,
-        rate_asym=rate_asym,
-        rate_oracle=rate_oracle,
-        fitness_history=list(best.fitness_history),
-        error=error,
-    )
 
 
 # --- output: the rules by which every command's result becomes bytes ---------

@@ -508,7 +508,12 @@ def test_each_generation_draws_one_uniform_then_one_normal_block():
     cfg = CgaConfig(population=10, iterations=1)
     size, k = cfg.population, cfg.population - cfg.population // 2
     rngs = [np.random.default_rng(s) for s in (1, 2)]
-    cga._lockstep(cfg, lambda genes: np.stack([genes[0, :, 0], np.full(size, -np.inf)]), rngs)
+
+    def rate(budget):  # finite on the first run's rows, NaN on the second's
+        return np.where(budget.total == 1e-12, budget.eps_pe, np.nan)
+
+    results = run_lockstep(cfg, [1e-12, 1e-10], Family.DV, rate, rngs)
+    assert [result.reseeds for result in results] == [0, 1]
     bred, reseeded = (np.random.default_rng(s) for s in (1, 2))
     initialize(cfg, bred)
     bred.random(6 * k + 2 * size)
@@ -519,41 +524,46 @@ def test_each_generation_draws_one_uniform_then_one_normal_block():
     assert rngs[1].bit_generator.state == reseeded.bit_generator.state
 
 
-def run_genetic(config, fitness_fn):
-    """The generational loop of one run over a gene-space fitness of its
-    ``(population, 2)`` genes."""
-    rngs = [np.random.default_rng(config.rng_seed)]
-    (result,) = cga._lockstep(config, lambda genes: [fitness_fn(genes[0])], rngs)
-    return result
+def on_shares(landscape):
+    """A rate that is ``landscape`` of each split's estimation and
+    correctness shares of its total."""
+    return lambda budget: landscape(budget.eps_pe / budget.total, budget.eps_cor / budget.total)
 
 
 def test_run_genetic_quadratic_convergence():
-    # separable concave landscape with its peak inside the gene square
-    def quad(genes):
-        return -((genes[:, 0] - 0.3) ** 2) - (genes[:, 1] - 0.7) ** 2
+    # separable concave landscape with its peak inside the feasible triangle
+    def quad(pe, cor):
+        return -((pe - 0.3) ** 2) - (cor - 0.2) ** 2
 
+    total = 1e-12
     for seed in range(10):
-        result = run_genetic(CgaConfig(rng_seed=seed), quad)
-        assert abs(result.best_genes[0] - 0.3) < 0.02
-        assert abs(result.best_genes[1] - 0.7) < 0.02
+        best = run(CgaConfig(rng_seed=seed), total, Family.DV, on_shares(quad)).best_budget
+        assert abs(best.eps_pe - 0.3 * total) < 0.01 * total
+        assert abs(best.eps_cor - 0.2 * total) < 0.01 * total
 
 
 def test_run_genetic_constant_landscape():
     cfg = CgaConfig(population=20, iterations=15, rng_seed=41)
-    result = run_genetic(cfg, lambda genes: np.full(len(genes), 3.25))
+    result = run(cfg, 1e-12, Family.DV, on_shares(lambda pe, cor: np.full(len(pe), 3.25)))
     assert result.fitness_history == [3.25] * 15
     assert result.best_fitness == 3.25
 
 
 def test_run_genetic_history_non_decreasing():
-    def bumpy(genes):
-        return np.sin(7.0 * genes[:, 0]) + np.cos(5.0 * genes[:, 1])
+    def bumpy(pe, cor):
+        return np.sin(7.0 * pe) + np.cos(5.0 * cor)
 
     for seed in (1, 2, 3):
         cfg = CgaConfig(population=30, iterations=40, rng_seed=seed)
-        history = run_genetic(cfg, bumpy).fitness_history
+        history = run(cfg, 1e-12, Family.DV, on_shares(bumpy)).fitness_history
         assert len(history) == 40
         assert all(b >= a for a, b in zip(history, history[1:]))
+
+
+def test_a_rate_of_the_wrong_length_raises():
+    cfg = CgaConfig(population=20, iterations=2, rng_seed=0)
+    with pytest.raises(ValueError):
+        run(cfg, 1e-12, Family.DV, lambda budget: np.zeros(len(budget.eps_pe) + 1))
 
 
 def test_run_deterministic_and_consistent():

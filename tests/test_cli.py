@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from qkdopt import cli
+from qkdopt import cli, harness
 from qkdopt.cli import main
 from qkdopt.harness import SweepResult, loads_config, optimize_levels
 
@@ -485,6 +485,39 @@ def test_empty_output_path_exits_one_before_any_rate(capsys, tmp_path, monkeypat
     assert code == 1 and out == ""
     assert "output_path must not be empty" in err and err.count("\n") == 1
     assert calls == []
+
+
+@pytest.mark.parametrize("route", ["--out", "[sweep] output_path"])
+@pytest.mark.parametrize("path", ["missing/x.csv", "."])
+def test_unwritable_output_path_exits_two_before_any_rate(
+    capsys, tmp_path, monkeypatch, route, path
+):
+    # the path is refused before the sweep's work, not after it
+    calls = []
+    monkeypatch.setattr(harness, "key_rate", lambda *args: calls.append(args))
+    out = tmp_path / path
+    cfg = tmp_path / "dv.ini"
+    cfg.write_text(
+        "[budget]\nfamily = dv\n\n" + SMALL_CGA_INI
+        + ("" if route == "--out" else f"\n[sweep]\noutput_path = {out}\n")
+    )
+    argv = ["sweep", "--config", str(cfg), "--eps", "1e-17"]
+    if route == "--out":
+        argv += ["--out", str(out)]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2 and stdout == ""
+    assert err.startswith("i/o error: ") and str(out) in err and err.count("\n") == 1
+    assert calls == []
+
+
+def test_a_failed_command_leaves_an_existing_output_file(capsys, tmp_path):
+    out = tmp_path / "kept.txt"
+    out.write_text("earlier output\n")
+    code, _, err = run_cli(
+        capsys, "rate", "--family", "dv", "--eps", "1e-17,1e-16", "--out", str(out)
+    )
+    assert code == 1 and "expected one --eps value" in err
+    assert out.read_text() == "earlier output\n"
 
 
 def test_io_errors_exit_two(capsys):

@@ -501,6 +501,12 @@ def test_sweep_runs_equal_their_runs_alone(monkeypatch):
     assert records[0].rate_opt is None and None not in [r.rate_opt for r in records[1:]]
 
 
+def test_an_unseeded_sweep_draws_fresh_streams():
+    spec = small_dv_spec(cga=CgaConfig(population=8, iterations=3), eps_levels=(1e-12,))
+    (first,), (second,) = optimize_levels(spec), optimize_levels(spec)
+    assert first.fitness_history != second.fitness_history
+
+
 def baseline_rows(budget):
     """Which rows of a batch ``budget`` are a baseline split of 1e-17, the
     one level of the three tests below: a sweep rates them all in one call."""

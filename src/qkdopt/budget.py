@@ -275,6 +275,19 @@ def floats_of(breakdown):
     return replace(breakdown, **arrays)
 
 
+def refuse_overflow(chain):
+    """Rate chain ``chain``, raising a ``ValueError`` that names an overflow of its
+    arithmetic: a rate of ``±inf`` would score a feasible split as infeasible."""
+    @functools.wraps(chain)
+    def checked(*args):
+        try:
+            with np.errstate(over="raise"):  # an exception, not numpy's warning
+                return chain(*args)
+        except (FloatingPointError, OverflowError) as err:
+            raise ValueError(f"the rate overflows the float range: {err}") from err
+    return checked
+
+
 @functools.cache
 def field_types(cls: type) -> dict[str, tuple[Any, bool]]:
     """Each field of dataclass ``cls`` as ``(type, optional)``, from its resolved

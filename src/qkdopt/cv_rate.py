@@ -22,9 +22,10 @@ Only the worst-case channel, its Holevo bound and the finite-size term depend
 on the budget; one :func:`cv_key_rate` call computes the rest once and rates a
 whole batch over 1-d arrays, a single split as a batch of one (see :mod:`qkdopt.budget`),
 through the base-2 logarithms of the budget's components.  The worst-case
-channel, its Holevo bound and the entropy-estimation penalty depend on
-``eps_pe`` alone: :func:`cv_rate_chain` runs them as one stage, once per
-distinct ``eps_pe`` of a grid.
+channel, its Holevo bound and the finite-size term's entropy-estimation penalty
+depend on ``eps_pe`` alone: :func:`cv_rate_chain` runs them as one stage, once
+per distinct ``eps_pe`` of a grid.  Its leftover-hash cost depends on
+``eps_sec`` alone, and only its log term mixes ``eps_cor`` and ``eps_sec``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .budget import LN2, EpsilonBudget, Family, check_fields, floats_of, log2
+from .budget import LN2, EpsilonBudget, Family, check_fields, floats_of, log2, refuse_overflow
 
 __all__ = [
     "CvProtocolParams",
@@ -74,7 +75,7 @@ class CvProtocolParams:
     :param signal_variance: modulation variance ``mu`` (shot-noise units, >= 1)
     :param block_size: total number of transmitted signals ``N``
     :param recon_efficiency: reconciliation efficiency ``beta``, in (0, 1]
-    :param discretization: bits per quadrature sample in key generation
+    :param discretization: bits per quadrature sample in key generation, in [1, 1023]
     :param pe_ratio: fraction of the block sacrificed for parameter estimation
     :param clock_hz: repetition rate converting rate/use into bits per second
     :param paper_sign_xi: use the optimistic, subtractive worst-case excess noise
@@ -105,7 +106,8 @@ class CvProtocolParams:
             (self.signal_variance >= 1.0, "signal_variance must be at least 1 (shot noise)"),
             (self.block_size >= 2, "block_size must be at least 2"),
             (0.0 < self.recon_efficiency <= 1.0, "recon_efficiency must lie in (0, 1]"),
-            (self.discretization >= 1, "discretization must be a positive bit count"),
+            (1 <= self.discretization <= 1023,
+             "discretization must lie in [1, 1023], so that 2**discretization is a finite float"),
             (0.0 < self.pe_ratio < 1.0, "pe_ratio must lie in (0, 1)"),
             (self.clock_hz > 0.0, "clock_hz must be positive"),
         ])
@@ -316,30 +318,6 @@ def holevo_bound(params: CvProtocolParams, t, xi):
     return h_plus + h_minus - h_cond
 
 
-def _finite_size_term(n: int, log2_pe, log2_cor, log2_sec, discretization: int, pe_of=None):
-    """Finite-size deduction ``F`` (bits) of each split, from the ``log2`` of its components:
-
-    ``F = sqrt(n) * log2(n) * sqrt(2 * ln(2 / eps_pe))
-    + 4 * sqrt(n) * log2(sqrt(2^D) + 2) * sqrt(log2(8 / eps_sec^2))
-    - log2(eps_sec^2 * eps_cor / 2)``, the entropy-estimation penalty, the
-    leftover-hash cost at ``D`` bits per sample and the correctness/secrecy
-    log terms, with ``ln(2 / eps_pe) = ln 2 * (1 - log2(eps_pe))``.  The
-    penalty is the ``eps_pe`` stage: one per element of ``log2_pe``, split
-    ``k`` taking penalty ``pe_of[k]`` when ``pe_of`` is given."""
-    root_n = math.sqrt(n)
-    ent_term = root_n * math.log2(n) * np.sqrt(2.0 * LN2 * (1.0 - log2_pe))
-    if pe_of is not None:
-        ent_term = ent_term[pe_of]
-    hash_term = (
-        4.0
-        * root_n
-        * math.log2(math.sqrt(2.0**discretization) + 2.0)
-        * np.sqrt(3.0 - 2.0 * log2_sec)
-    )
-    log_term = 2.0 * log2_sec + log2_cor - 1.0
-    return ent_term + hash_term - log_term
-
-
 def cv_key_rate(params: CvProtocolParams, budget: EpsilonBudget) -> CvRateBreakdown:
     """Composable secret-key rate of the coherent-state protocol.
 
@@ -347,7 +325,7 @@ def cv_key_rate(params: CvProtocolParams, budget: EpsilonBudget) -> CvRateBreakd
     estimation signals and ``n = N - m`` key signals.  Estimation is
     forecast at the true channel values; the asymptotic secret fraction
     ``beta * I(t_hat, xi_hat) - chi(t_wc, xi_wc)`` is then charged the
-    finite-size deduction ``F``:
+    finite-size deduction ``F`` of :func:`cv_rate_chain`:
 
         ``R = (n * R_pe - F) / N``,  bits/s = ``clock_hz * R``.
 
@@ -367,18 +345,24 @@ def cv_key_rate(params: CvProtocolParams, budget: EpsilonBudget) -> CvRateBreakd
     return floats_of(breakdown) if isinstance(budget.eps_pe, float) else breakdown
 
 
+@refuse_overflow
 def cv_rate_chain(
     params: CvProtocolParams, log2_pe, log2_cor, log2_sec, pe_of=None
 ) -> CvRateBreakdown:
     """The breakdown of :func:`cv_key_rate` from 1-d arrays of the ``log2`` of
-    the components, in two stages.
+    the components, in two stages, with the finite-size deduction of each split
 
-    The ``eps_pe`` stage, the worst-case channel, its Holevo bound, ``R_pe``
-    and the entropy-estimation penalty of ``F``, runs once per element of
-    ``log2_pe``; the remainder runs once per split, split ``k`` taking stage
-    ``pe_of[k]`` (stage ``k`` without ``pe_of``).  A grid passes its axis
-    once with ``pe_of`` indexing it, and rates each cell exactly as a budget
-    of that cell alone.  The one logarithm is in :func:`bosonic_entropy`.
+        ``F = sqrt(n) log2(n) sqrt(2 ln(2 / eps_pe))
+        + 4 sqrt(n) log2(sqrt(2^D) + 2) sqrt(log2(8 / eps_sec^2)) - log2(eps_sec^2 eps_cor / 2)``:
+
+    the entropy-estimation penalty (``ln(2 / eps_pe) = ln 2 (1 - log2 eps_pe)``),
+    the leftover-hash cost at ``D`` bits per sample and the log term.  The
+    ``eps_pe`` stage, the worst-case channel, its Holevo bound, ``R_pe`` and the
+    entropy-estimation penalty, runs once per element of ``log2_pe``; the
+    remainder once per split, split ``k`` taking stage ``pe_of[k]`` (stage ``k``
+    without ``pe_of``).  A grid passes its axis once with ``pe_of`` indexing it,
+    and rates each cell exactly as a budget of that cell alone.  The one
+    logarithm is in :func:`bosonic_entropy`.
     """
     m = math.floor(params.pe_ratio * params.block_size)
     n = params.block_size - m
@@ -386,6 +370,7 @@ def cv_rate_chain(
         raise ValueError(
             f"block split degenerate: m = {m} estimation and n = {n} key signals"
         )
+    root_n = math.sqrt(n)
     t_true = transmissivity(params.length_km, params.attenuation_db_per_km)
     est = ml_estimator_model(params, t_true, params.excess_noise, m)
     info = mutual_information(params, est.t_hat, est.xi_hat)
@@ -393,10 +378,12 @@ def cv_rate_chain(
     wc = worst_case_estimators(est, log2_pe, subtractive_xi=params.paper_sign_xi)
     chi = holevo_bound(params, wc.t, wc.xi)
     r_pe = np.where(wc.degenerate, 0.0, params.recon_efficiency * info - chi)
+    ent = root_n * math.log2(n) * np.sqrt(2.0 * LN2 * (1.0 - log2_pe))
     if pe_of is not None:
-        chi, r_pe = chi[pe_of], r_pe[pe_of]
+        chi, r_pe, ent = chi[pe_of], r_pe[pe_of], ent[pe_of]
 
-    fs = _finite_size_term(n, log2_pe, log2_cor, log2_sec, params.discretization, pe_of)
+    hashing = 4.0 * root_n * math.log2(math.sqrt(2.0**params.discretization) + 2.0)
+    fs = ent + hashing * np.sqrt(3.0 - 2.0 * log2_sec) - (2.0 * log2_sec + log2_cor - 1.0)
     rate_per_use = (n * r_pe - fs) / params.block_size
     return CvRateBreakdown(
         mutual_info_bits=info,

@@ -26,7 +26,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .budget import LN2, EpsilonBudget, Family, check_fields, floats_of, log2
+from .budget import LN2, EpsilonBudget, Family, check_fields, floats_of, log2, refuse_overflow
 from .cv_rate import transmissivity
 
 __all__ = [
@@ -233,8 +233,8 @@ def dv_key_rate(params: DvProtocolParams, budget: EpsilonBudget) -> DvRateBreakd
     of the budget's components, from which :func:`dv_rate_chain` writes every
     ``eps`` term, and one in :func:`binary_entropy` of every ``E_wc`` and ``E``.
 
-    Raises ``ValueError`` when the detected block degenerates
-    (``n < 2`` or ``m < 1``).
+    Raises ``ValueError`` when the detected block degenerates (``n < 2`` or
+    ``m < 1``) or the rate overflows the float range.
 
     :param budget: feasible budget with ``family == Family.DV``
     """
@@ -244,6 +244,7 @@ def dv_key_rate(params: DvProtocolParams, budget: EpsilonBudget) -> DvRateBreakd
     return floats_of(breakdown) if isinstance(budget.eps_pe, float) else breakdown
 
 
+@refuse_overflow
 def dv_rate_chain(
     params: DvProtocolParams, log2_pe, log2_cor, log2_sec, pe_of=None
 ) -> DvRateBreakdown:

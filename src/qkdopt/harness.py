@@ -347,10 +347,10 @@ def grid_csv_text(cells: np.ndarray) -> str:
 # INI-style text with four sections.  [budget] names the protocol family;
 # [protocol] holds the family's physical parameters (any subset — the rest
 # take the family defaults); [cga] the optimizer hyperparameters; [sweep]
-# the level list and output switches.  The keys of a section are the fields
-# of the dataclass it builds, read as their ``field_types``; each class checks
-# its values when built, so every section's problems, [sweep]'s too, join one
-# ConfigError.  Unknown sections or keys are errors.
+# the level list and output switches.  One reader takes each section's keys:
+# [budget]'s one key as a Family, the others' as the ``field_types`` of the
+# dataclass each builds, which checks its values when built, so every
+# section's problems join one ConfigError.  Unknown sections or keys are errors.
 
 #: The SweepSpec fields that are not [sweep] keys.
 _NOT_SWEEP_KEYS = ("params", "cga")
@@ -385,19 +385,10 @@ def loads_config(text: str) -> SweepSpec:
         if section not in known_sections:
             problems.append(f"unknown section [{section}]")
 
-    family = None
-    if not parser.has_section("budget") or not parser.has_option("budget", "family"):
-        problems.append("missing required key 'family' in section [budget]")
-    else:
-        for key in parser["budget"]:
-            if key != "family":
-                problems.append(f"unknown key '{key}' in section [budget]")
-        raw = parser.get("budget", "family").strip().lower()
-        if raw in ("cv", "dv"):
-            family = Family(raw)
-        else:
-            problems.append(f"family must be 'cv' or 'dv', got '{raw}'")
+    family = _read_section(parser, "budget", {"family": (Family, False)}, problems).get("family")
     if family is None:
+        if not parser.has_option("budget", "family"):
+            problems.append("missing required key 'family' in section [budget]")
         raise ConfigError("; ".join(problems))
 
     cls = PROTOCOLS[family].params
@@ -443,6 +434,10 @@ def _convert(tp: Any, raw: str) -> Any:
         raise ValueError(f"expected a boolean, got '{raw}'")
     if tp == tuple[float, ...]:
         return parse_eps_levels(raw)
+    if tp is Family:
+        if (name := raw.strip().lower()) in ("cv", "dv"):
+            return Family(name)
+        raise ValueError(f"must be 'cv' or 'dv', got '{name}'")
     if tp in (int, float, str):
         return tp(raw.strip())
     raise TypeError(f"no INI reading for a field of type {tp}")

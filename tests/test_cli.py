@@ -309,6 +309,16 @@ def test_a_format_the_command_lacks_exits_one_before_any_work(capsys, monkeypatc
         ),
         (
             ["sweep"],
+            "[budget]\nfamily = QV\nlevel = 3\n",
+            ["bad value for budget.family: must be 'cv' or 'dv', got 'qv'", "unknown key 'level'"],
+        ),
+        (
+            ["sweep"],
+            "[protocol]\nlength_km = 1\n",
+            ["missing required key 'family' in section [budget]"],
+        ),
+        (
+            ["sweep"],
             "[budget]\nfamily = dv\n\n[sweep]\ninclude_oracle = maybe\n",
             ["bad value for sweep.include_oracle: expected a boolean, got 'maybe'"],
         ),
@@ -318,7 +328,10 @@ def test_a_format_the_command_lacks_exits_one_before_any_work(capsys, monkeypatc
             ["[sweep] oracle_points must be at least 2", "restarts must be at least 1"],
         ),
     ],
-    ids=["no-eps", "no-secrecy-share", "ini-syntax", "budget-key", "boolean", "sweep-bounds"],
+    ids=[
+        "no-eps", "no-secrecy-share", "ini-syntax", "budget-key", "budget-family", "no-family",
+        "boolean", "sweep-bounds",
+    ],
 )
 def test_bad_input_exits_one_naming_the_cause(capsys, tmp_path, argv, config, causes):
     if config is not None:
@@ -431,6 +444,9 @@ def test_seed_belongs_to_the_optimizer_commands(capsys, tmp_path):
         # a number no range check would otherwise catch
         ("dv", "[protocol]\nclock_hz = inf", "[protocol] clock_hz must be finite"),
         ("cv", "[protocol]\nsignal_variance = inf", "signal_variance must be finite"),
+        # 2**discretization must stay a finite float
+        ("cv", "[protocol]\ndiscretization = 1024", "discretization must lie in [1, 1023]"),
+        ("cv", f"[protocol]\ndiscretization = {10**22}", "discretization must lie in [1, 1023]"),
     ],
 )
 def test_config_that_cannot_run_exits_one(capsys, tmp_path, family, section, cause):
@@ -443,6 +459,20 @@ def test_config_that_cannot_run_exits_one(capsys, tmp_path, family, section, cau
     assert code == 1
     assert out == ""
     assert cause in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["rate"], ["optimize", "--seed", "1"], ["oracle", "--points", "20"]],
+    ids=["rate", "optimize", "oracle"],
+)
+def test_a_rate_past_the_float_range_exits_one(capsys, tmp_path, command):
+    # not a rate of -inf, an infeasible optimum or infeasible cells, with exit 0
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text("[budget]\nfamily = dv\n\n[protocol]\nrecon_efficiency = 1e308\n")
+    code, out, err = run_cli(capsys, *command, "--config", str(cfg), "--eps", "1e-17")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "overflows the float range" in err, err
 
 
 def test_removed_cga_tuning_keys_are_unknown(capsys, tmp_path):

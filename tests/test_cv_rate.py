@@ -8,9 +8,9 @@ from qkdopt.budget import Family, baseline_budgets, log2, reconstruct_sec
 from qkdopt.cv_rate import (
     CvProtocolParams,
     EstimatorModel,
-    _finite_size_term,
     bosonic_entropy,
     cv_key_rate,
+    cv_rate_chain,
     holevo_bound,
     ml_estimator_model,
     mutual_information,
@@ -210,32 +210,37 @@ def component_budget(eps_pe, eps_cor, eps_sec):
     return cv_budget(3.0 * eps_pe + eps_cor + eps_sec, eps_pe, eps_cor)
 
 
-def finite_size_term(n, budget, discretization):
-    """The finite-size deduction ``F`` as the rate chain assembles it."""
-    log2_pe, log2_cor, log2_sec = log2(budget.components)
-    return _finite_size_term(n, log2_pe, log2_cor, log2_sec, discretization)
+def finite_size_term(block_size, n, budget):
+    """The finite-size deduction ``F`` of ``budget`` from the rate chain, for a block
+    of ``block_size`` signals, of which ``n`` are key signals at the default
+    ``pe_ratio`` 0.3, and the default ``discretization`` 7."""
+    params = CvProtocolParams(block_size=block_size)
+    assert (params.pe_ratio, params.discretization) == (0.3, 7)
+    assert block_size - math.floor(params.pe_ratio * block_size) == n
+    (fs,) = cv_rate_chain(params, *log2(budget.components)).finite_term_bits
+    return fs
 
 
 def test_finite_size_term_frozen_value():
     budget = component_budget(2e-13, 2e-13, 2e-13)
-    assert finite_size_term(280_000, budget, 7) == pytest.approx(F_280K, rel=1e-12)
+    assert finite_size_term(400_000, 280_000, budget) == pytest.approx(F_280K, rel=1e-12)
 
 
 def test_finite_size_term_monotone_in_each_component():
     base = (2e-13, 2e-13, 2e-13)
-    f0 = finite_size_term(280_000, component_budget(*base), 7)
+    f0 = finite_size_term(400_000, 280_000, component_budget(*base))
     for i in range(3):
         grown = list(base)
         grown[i] *= 10.0
-        f1 = finite_size_term(280_000, component_budget(*grown), 7)
+        f1 = finite_size_term(400_000, 280_000, component_budget(*grown))
         assert f1 < f0
 
 
 def test_finite_size_term_block_doubling():
     budget = component_budget(2e-13, 2e-13, 2e-13)
     n = 280_000
-    f1 = finite_size_term(n, budget, 7)
-    f2 = finite_size_term(2 * n, budget, 7)
+    f1 = finite_size_term(400_000, n, budget)
+    f2 = finite_size_term(800_000, 2 * n, budget)
     # predicted change, term by term: the sqrt(n).log2(n) head picks up a
     # factor sqrt(2).(1 + 1/log2 n), the middle term a plain sqrt(2), the
     # log tail is n-free
@@ -348,6 +353,15 @@ def test_cv_rate_bounds_random_draws():
     assert out.r_pe_bits <= params.recon_efficiency * out.mutual_info_bits
 
 
+def test_a_rate_past_the_float_range_raises():
+    # the largest discretization, 1023 bits, rates finitely at about -22 bits
+    # per use, which passes the float range at a clock of 1e308 Hz
+    budget = cv_budget(1e-9, 2e-10, 2e-10)
+    assert cv_key_rate(table_params(discretization=1023), budget).rate_per_use < -20
+    with pytest.raises(ValueError, match="overflows the float range"):
+        cv_key_rate(table_params(discretization=1023, clock_hz=1e308), budget)
+
+
 def test_cv_params_validation_collects_problems():
     with pytest.raises(ValueError) as exc:
         CvProtocolParams(det_efficiency=1.5, pe_ratio=2.0, signal_variance=0.5)
@@ -355,3 +369,4 @@ def test_cv_params_validation_collects_problems():
     assert "det_efficiency" in message
     assert "pe_ratio" in message
     assert "signal_variance" in message
+

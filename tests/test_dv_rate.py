@@ -241,6 +241,16 @@ def test_dv_key_rate_degenerate_block():
         )
 
 
+def test_a_rate_past_the_float_range_raises():
+    # with f_EC = 1e308 every term is finite until the rate is scaled to bits/s;
+    # -inf would score a feasible split as infeasible
+    params = table_params(recon_efficiency=1e308)
+    _, batch = reconstruct_sec(1e-17, np.full(3, 3e-18), np.full(3, 3e-18), Family.DV)
+    for budget in (dv_budget(1e-17, 3e-18, 3e-18), batch):
+        with pytest.raises(ValueError, match="overflows the float range"):
+            dv_key_rate(params, budget)
+
+
 def test_dv_params_validation_collects_problems():
     with pytest.raises(ValueError) as exc:
         DvProtocolParams(x_basis_prob=0.0, recon_efficiency=0.5, pe_ratio=1.5)

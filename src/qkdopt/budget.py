@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 import numbers
 import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -345,3 +346,15 @@ def check_fields(obj, checks: Callable[[], list[tuple[bool, str]]]) -> None:
             bad.append(problem)
     if bad := bad or [message for holds, message in checks() if not holds]:
         raise ValueError("; ".join(bad))
+
+
+#: The most bytes that one float array sized by a configuration may take; a
+#: larger one is refused when the configuration is built, before any is made.
+MAX_ARRAY_BYTES = 2**27
+
+
+def fits(name: str, array: str, *shape: int) -> tuple[bool, str]:
+    """A :func:`check_fields` check that the float ``array`` of ``shape``, sized
+    by field ``name``, takes at most :data:`MAX_ARRAY_BYTES`."""
+    too_large = f"{name} too large: the {array} would take over {MAX_ARRAY_BYTES} bytes"
+    return 8 * math.prod(shape) <= MAX_ARRAY_BYTES, too_large

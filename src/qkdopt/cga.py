@@ -5,13 +5,13 @@ components (estimation and correctness shares); the secrecy share is whatever
 the total leaves over.  A population is a ``(P, 2)`` gene array scored by a
 length-``P`` fitness vector.  Selection is elitist and softmax-weighted,
 crossover blends genes convexly, and mutation adds clipped Gaussian noise.
-:func:`run_lockstep` is the one generational loop.  Several runs advance in
-it as an ``(R, P, 2)`` stack, and its only seam is the ``rate`` callable
-over budgets: each generation of the stack is scored in one call, which
-rates the feasible splits of every run as one batch budget, each row with
-its own run's total; :func:`run` is the stack of one.  Infeasible splits are
-not errors: they score the worst-fitness marker ``-inf`` and are simply
-never selected while anything feasible exists.
+:func:`run` is the one generational loop.  It advances one run, or several
+as an ``(R, P, 2)`` stack, and its only seam is the ``rate`` callable over
+budgets: each generation of the stack is scored in one call, which rates the
+feasible splits of every run as one batch budget, each row with its own
+run's total.  Infeasible splits are not errors: they score the worst-fitness
+marker ``-inf`` and are simply never selected while anything feasible
+exists.
 
 Determinism: every run consumes its own ``numpy`` generator in a fixed
 stream order — one uniform block for initialization, then per generation one
@@ -30,11 +30,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .budget import EpsilonBudget, Family, check_fields, map_gene, reconstruct_sec
+from .budget import EpsilonBudget, Family, check_fields, fits, map_gene, reconstruct_sec
 
 __all__ = [
     "WORST_FITNESS",
@@ -47,7 +47,6 @@ __all__ = [
     "crossover",
     "mutate",
     "run",
-    "run_lockstep",
 ]
 
 logger = logging.getLogger(__name__)
@@ -86,6 +85,8 @@ class CgaConfig:
             # a pool of half the population must hold two parents
             (self.population >= 4, "population must hold at least four chromosomes"),
             (self.iterations >= 1, "iterations must be positive"),
+            fits("population", "gene array", self.population, 2),
+            fits("iterations", "fitness history", self.iterations),
             (
                 self.rng_seed is None or self.rng_seed >= 0,
                 f"rng_seed must be a non-negative integer, got {self.rng_seed!r}",
@@ -117,14 +118,14 @@ def initialize(config: CgaConfig, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=(config.population, 2))
 
 
-def select(fitness: np.ndarray, config: CgaConfig) -> np.ndarray:
-    """Return the parent pool as indices into ``fitness``: the better half,
-    ``population // 2``, of a best-first ranking, in which equal fitness
-    keeps the original (stable) order.  A stack of runs, one fitness row
-    each, is ranked row by row.
+def select(fitness: np.ndarray) -> np.ndarray:
+    """Return the parent pool as indices into ``fitness``: the better half
+    of a best-first ranking, in which equal fitness keeps the original
+    (stable) order.  A stack of runs, one fitness row each, is ranked row by
+    row.
     """
-    ranked = (-np.asarray(fitness, dtype=float)).argsort(axis=-1, kind="stable")
-    return ranked[..., : config.population // 2]
+    fitness = np.asarray(fitness, dtype=float)
+    return (-fitness).argsort(axis=-1, kind="stable")[..., : fitness.shape[-1] // 2]
 
 
 def softmax_probabilities(fitness: np.ndarray) -> np.ndarray:
@@ -254,34 +255,44 @@ def _breed(
     return mutate(genes, uniform[:, 6 * k :].reshape(runs, size, 2), noise)
 
 
-def run_lockstep(
+def run(
     config: CgaConfig,
-    totals: list[float],
+    total_eps: float | Sequence[float],
     family: Family,
     rate: Callable[[EpsilonBudget], float | np.ndarray],
-    rngs: list[np.random.Generator],
-) -> list[OptimizationResult]:
-    """Optimize the split of each of ``totals`` together, run ``r`` drawing
-    only from ``rngs[r]``, in the order a run alone would, so each result
-    equals that of :func:`run` alone.  This is the CGA's one loop.
+    rng: np.random.Generator | list[np.random.Generator] | None = None,
+) -> OptimizationResult | list[OptimizationResult]:
+    """Optimize the split of ``total_eps`` against a key-rate function.
 
-    The runs are stacked as ``(R, population, 2)`` genes.  Each generation
-    maps them onto splits and makes one ``rate`` call, on a batch budget
-    holding the feasible splits of every run, each row with its own run's
-    total; ``rate`` returns their rates (an array, or one number for all).
-    Splits whose secrecy remainder falls below the floor and NaN rates score
+    One total, with one generator (``default_rng(config.rng_seed)`` if none
+    is given), gives one result.  A sequence of totals, with a list of as
+    many generators, gives a list: run ``r`` draws only from ``rng[r]``, in
+    the order it would alone, so each result equals that of its run alone.
+
+    The runs are stacked as ``(R, population, 2)`` genes, mapped linearly
+    onto ``[component floor, total]``.  Each generation maps them onto
+    splits and makes one ``rate`` call, on a batch budget holding the
+    feasible splits of every run, each row with its own run's total;
+    ``rate`` returns their rates (an array, or one number for all).  Splits
+    whose secrecy remainder falls below the floor and NaN rates score
     :data:`WORST_FITNESS`, so selection discards them without aborting a
     run; anything ``rate`` raises propagates.  Then: rank, record each run's
     best, select the parent pool (which survives whole), draw all pairs,
     breed offspring to refill each population, and mutate everything except
     each elite.  A run with fewer than two feasible parents is re-drawn
     uniformly around its sole best chromosome and skips breeding for that
-    generation.
+    generation.  The winning genes are resolved back into a budget
+    (``None`` if the run never found a feasible split).
     """
-    n_runs = len(rngs)
+    one = np.ndim(total_eps) == 0  # a scalar is a batch of one
+    totals = np.atleast_1d(np.asarray(total_eps, dtype=float))
+    rngs = [np.random.default_rng(config.rng_seed) if rng is None else rng] if one else rng
+    if rngs is None or len(rngs) != totals.size:
+        raise ValueError(f"{totals.size} totals need as many generators")
+    n_runs = totals.size
     runs = np.arange(n_runs)[:, None]
-    gene_totals = np.array(totals, dtype=float)[:, None, None]
-    row_totals = np.repeat(gene_totals.ravel(), config.population)
+    gene_totals = totals[:, None, None]
+    row_totals = np.repeat(totals, config.population)
     genes = np.stack([initialize(config, rng) for rng in rngs])
     history = np.empty((config.iterations, n_runs))
     reseeds = np.zeros(n_runs, dtype=int)
@@ -296,7 +307,7 @@ def run_lockstep(
             fitness[feasible] = rate(budget)
         fitness = fitness.reshape(genes.shape[:2])
         fitness[np.isnan(fitness)] = WORST_FITNESS
-        parents = select(fitness, config)
+        parents = select(fitness)
         pool, pool_fitness = genes[runs, parents], fitness[runs, parents]
         elite = pool_fitness[:, 0]
         better = ~(elite <= best_fitness)  # always in the first generation
@@ -318,7 +329,7 @@ def run_lockstep(
             genes[r, 0] = best_genes[r]
 
     history = history.T.tolist()
-    return [
+    results = [
         OptimizationResult(
             best_genes=tuple(best_genes[r].tolist()),
             best_fitness=float(best_fitness[r]),
@@ -329,24 +340,6 @@ def run_lockstep(
             evaluations=int(config.population * config.iterations),
             reseeds=int(reseeds[r]),
         )
-        for r, total in enumerate(totals)
+        for r, total in enumerate(totals.tolist())
     ]
-
-
-def run(
-    config: CgaConfig,
-    total_eps: float,
-    family: Family,
-    rate: Callable[[EpsilonBudget], float | np.ndarray],
-    rng: np.random.Generator | None = None,
-) -> OptimizationResult:
-    """Optimize the split of ``total_eps`` against a key-rate function.
-
-    Genes map linearly onto ``[component floor, total_eps]``.  Each
-    generation makes one ``rate`` call on the feasible splits (see
-    :func:`run_lockstep`, of which this is the single-run case).  The
-    winning genes are resolved back into a budget (``None`` if the search
-    never found a feasible split).
-    """
-    rng = np.random.default_rng(config.rng_seed) if rng is None else rng
-    return run_lockstep(config, [total_eps], family, rate, [rng])[0]
+    return results[0] if one else results

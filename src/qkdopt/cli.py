@@ -51,9 +51,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     parser.add_argument("--config", metavar="PATH", help="INI config file")
-    parser.add_argument(
-        "--family", choices=["cv", "dv"], help="protocol family (overrides config)"
-    )
+    parser.add_argument("--family", choices=["cv", "dv"], help="protocol family (overrides config)")
     parser.add_argument(
         "--eps",
         metavar="LIST",
@@ -81,38 +79,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate = sub.add_parser("rate", help="evaluate a single budget split")
     _add_common(p_rate, ("text", "csv", "json"))
     p_rate.add_argument(
-        "--split",
-        choices=["sym", "asym"],
-        default=None,
-        help="use a named baseline split (default: sym)",
+        "--split", choices=["sym", "asym"], help="use a named baseline split (default: sym)"
     )
-    p_rate.add_argument(
-        "--eps-pe", type=float, metavar="X", help="explicit estimation component"
-    )
-    p_rate.add_argument(
-        "--eps-cor", type=float, metavar="X", help="explicit correctness component"
-    )
+    p_rate.add_argument("--eps-pe", type=float, metavar="X", help="explicit estimation component")
+    p_rate.add_argument("--eps-cor", type=float, metavar="X", help="explicit correctness component")
     p_rate.set_defaults(func=_cmd_rate)
 
     p_opt = sub.add_parser("optimize", help="optimize the split at one total budget")
     _add_common(p_opt, ("text", "csv", "json"))
-    p_opt.add_argument(
-        "--restarts", type=int, default=None, help="independent runs, best kept"
-    )
+    p_opt.add_argument("--restarts", type=int, help="independent runs, best kept")
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_sweep = sub.add_parser("sweep", help="optimize across a grid of total budgets")
     _add_common(p_sweep, ("csv", "json"))
-    p_sweep.add_argument(
-        "--oracle", action="store_true", help="also run the grid oracle per level"
-    )
+    p_sweep.add_argument("--oracle", action="store_true", help="also run the grid oracle per level")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_oracle = sub.add_parser("oracle", help="dump the brute-force grid")
     _add_common(p_oracle, ("csv", "json"))
-    p_oracle.add_argument(
-        "--points", type=int, default=None, help="grid points per axis"
-    )
+    p_oracle.add_argument("--points", type=int, help="grid points per axis")
     p_oracle.set_defaults(func=_cmd_oracle)
 
     for p_cga in (p_opt, p_sweep):  # the commands that run the optimizer

@@ -72,7 +72,7 @@ class CvProtocolParams:
     :param det_efficiency: homodyne detector efficiency, in (0, 1]
     :param excess_noise: channel excess noise at the channel input
     :param electronic_noise: detector electronic noise (shot-noise units)
-    :param signal_variance: modulation variance ``mu`` (shot-noise units, >= 1)
+    :param signal_variance: modulation variance ``mu`` (shot-noise units, in [1, 1e4])
     :param block_size: total number of transmitted signals ``N``
     :param recon_efficiency: reconciliation efficiency ``beta``, in (0, 1]
     :param discretization: bits per quadrature sample in key generation, in [1, 1023]
@@ -103,7 +103,8 @@ class CvProtocolParams:
             (0.0 < self.det_efficiency <= 1.0, "det_efficiency must lie in (0, 1]"),
             (self.excess_noise >= 0.0, "excess_noise must be non-negative"),
             (self.electronic_noise >= 0.0, "electronic_noise must be non-negative"),
-            (self.signal_variance >= 1.0, "signal_variance must be at least 1 (shot noise)"),
+            (1.0 <= self.signal_variance <= 1e4, "signal_variance must lie in [1, 1e4], "
+             "from shot noise to where the Holevo bound keeps its float precision"),
             (self.block_size >= 2, "block_size must be at least 2"),
             (0.0 < self.recon_efficiency <= 1.0, "recon_efficiency must lie in (0, 1]"),
             (1 <= self.discretization <= 1023,

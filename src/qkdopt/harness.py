@@ -21,9 +21,9 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from .budget import (
-    EPSILON_FLOOR, EpsilonBudget, Family, baseline_budgets, check_fields, field_types
+    EPSILON_FLOOR, EpsilonBudget, Family, baseline_budgets, check_fields, field_types, fits
 )
-from .cga import CgaConfig, OptimizationResult, run_lockstep
+from .cga import CgaConfig, OptimizationResult, run as run_cga
 from .cv_rate import CvProtocolParams
 from .dv_rate import DvProtocolParams
 from .oracle import PROTOCOLS, GridSearchResult, GridSpec, grid_search
@@ -99,7 +99,7 @@ class SweepSpec:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
-        levels = self.eps_levels
+        levels, cga = self.eps_levels, self.cga
         check_fields(self, lambda: [
             *((EPSILON_FLOOR <= lv < 1.0, f"eps level {lv!r} outside [{EPSILON_FLOOR!r}, 1)")
               for lv in levels),  # the floor bounds every component of a split
@@ -108,6 +108,10 @@ class SweepSpec:
             (self.oracle_points >= 2, "oracle_points must be at least 2"),
             (self.restarts >= 1, "restarts must be at least 1"),
             (self.output_path != "", "output_path must not be empty"),
+            # the largest arrays: every (level, restart) run's genes or history, the grid
+            fits("restarts", "genes or history", len(levels or default_eps_levels(self.family)),
+                 self.restarts, max(2 * cga.population, cga.iterations)),
+            fits("oracle_points", "grid", self.oracle_points, self.oracle_points, 4),
         ])
         if not levels:  # the checked params now name the family
             object.__setattr__(self, "eps_levels", default_eps_levels(self.family))
@@ -181,12 +185,12 @@ def optimize_levels(spec: SweepSpec) -> list[OptimizationResult]:
 
     Restart ``r`` at level index ``level`` draws from its own generator,
     derived from ``(spec.cga.rng_seed, level, r)``; every run of every level
-    advances in one :func:`run_lockstep` call, rated by :func:`key_rate`, and
-    at each level the first restart with the highest fitness wins.
+    advances in one :func:`~qkdopt.cga.run` call, rated by :func:`key_rate`,
+    and at each level the first restart with the highest fitness wins.
     """
     seed = spec.cga.rng_seed
     runs = [(idx, r) for idx in range(len(spec.eps_levels)) for r in range(spec.restarts)]
-    results = run_lockstep(
+    results = run_cga(
         spec.cga,
         [spec.eps_levels[idx] for idx, _ in runs],
         spec.family,
@@ -425,12 +429,10 @@ def _read_section(
 
 def _convert(tp: Any, raw: str) -> Any:
     """``raw`` read as a value of the annotated field type ``tp``."""
-    if tp is bool:
-        lowered = raw.strip().lower()
-        if lowered in ("true", "yes", "on", "1"):
-            return True
-        if lowered in ("false", "no", "off", "0"):
-            return False
+    if tp is bool:  # configparser's words: true/yes/on/1 or false/no/off/0, any case
+        states = configparser.ConfigParser.BOOLEAN_STATES
+        if (lowered := raw.strip().lower()) in states:
+            return states[lowered]
         raise ValueError(f"expected a boolean, got '{raw}'")
     if tp == tuple[float, ...]:
         return parse_eps_levels(raw)

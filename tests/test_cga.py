@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qkdopt import cga
-from qkdopt.budget import Family, field_types, map_gene, reconstruct_sec
+from qkdopt.budget import MAX_ARRAY_BYTES, Family, field_types, map_gene, reconstruct_sec
 from qkdopt.cga import (
     WORST_FITNESS,
     CgaConfig,
@@ -17,7 +17,6 @@ from qkdopt.cga import (
     mutate,
     pair,
     run,
-    run_lockstep,
     select,
     softmax_probabilities,
 )
@@ -64,6 +63,18 @@ def test_config_validation():
         with pytest.raises(ValueError, match="rng_seed"):
             CgaConfig(rng_seed=seed)
     assert CgaConfig(rng_seed=0).rng_seed == 0
+
+
+@pytest.mark.parametrize("field, largest", [("population", 2**23), ("iterations", 2**24)])
+def test_a_config_past_the_array_limit_is_refused(field, largest):
+    # the gene array (population x 2 floats) and the history (iterations floats)
+    # may take MAX_ARRAY_BYTES; past it the config is refused before a run allocates
+    assert 8 * largest * (2 if field == "population" else 1) == MAX_ARRAY_BYTES
+    assert getattr(CgaConfig(**{field: largest}), field) == largest
+    for value in (largest + 1, 10**12):
+        with pytest.raises(ValueError) as err:
+            CgaConfig(**{field: value})
+        assert str(err.value).startswith(f"{field} too large:")
 
 
 def test_config_sets_only_size_length_and_seed():
@@ -211,7 +222,7 @@ def test_lockstep_runs_equal_their_runs_alone():
 
     totals = [total for total, _ in _STACK]
     rngs = [np.random.default_rng(seed) for _, seed in _STACK]
-    stacked = run_lockstep(cfg, totals, Family.DV, counting, rngs)
+    stacked = run(cfg, totals, Family.DV, counting, rngs)
     assert len(calls) == cfg.iterations  # one rate call per generation for all runs
     alone = [
         run(cfg, total, Family.DV, rate, rng=np.random.default_rng(seed))
@@ -234,16 +245,25 @@ def test_lockstep_runs_equal_their_runs_alone():
 def test_lockstep_of_one_is_run():
     cfg = CgaConfig(population=20, iterations=10, rng_seed=3)
     rate = dv_rate_fn()
-    (stacked,) = run_lockstep(cfg, [1e-17], Family.DV, rate, [np.random.default_rng(3)])
+    (stacked,) = run(cfg, [1e-17], Family.DV, rate, [np.random.default_rng(3)])
     assert stacked == run(cfg, 1e-17, Family.DV, rate)
 
 
+@pytest.mark.parametrize("rngs", [None, [], [np.random.default_rng(1)] * 3])
+def test_run_needs_one_generator_per_total(rngs):
+    cfg = CgaConfig(population=8, iterations=1)
+    with pytest.raises(ValueError, match="2 totals need as many generators"):
+        run(cfg, [1e-12, 1e-10], Family.DV, dv_rate_fn(), rngs)
+
+
 def test_select_counts():
-    cfg = CgaConfig(population=200)
     fitness = np.arange(200.0)
-    parents = select(fitness, cfg)
+    parents = select(fitness)
     assert len(parents) == 100
     assert fitness[parents[0]] == 199
+    # a stack of runs: each row keeps the better half of its own row
+    parents = select(np.array([[1.0, 3.0, 2.0, 0.0], [0.0, 1.0, 2.0, 3.0]]))
+    assert parents.tolist() == [[1, 2], [3, 2]]
 
 
 def test_breed_keeps_the_ranked_survivors(monkeypatch):
@@ -264,19 +284,17 @@ def test_breed_keeps_the_ranked_survivors(monkeypatch):
 
 
 def test_select_stable_ties():
-    cfg = CgaConfig(population=6)
-    parents = select(np.full(6, 5.0), cfg)
+    parents = select(np.full(6, 5.0))
     assert parents.tolist() == [0, 1, 2]
-    parents = select(np.array([1.0, 5.0, 1.0, 5.0, 5.0, 1.0]), cfg)
+    parents = select(np.array([1.0, 5.0, 1.0, 5.0, 5.0, 1.0]))
     assert parents.tolist() == [1, 3, 4]
 
 
 def test_select_prefers_finite_over_worst():
-    cfg = CgaConfig(population=8)
     fitness = np.array(
         [WORST_FITNESS, 1.0, WORST_FITNESS, 2.0, 3.0, WORST_FITNESS, 4.0, WORST_FITNESS]
     )
-    parents = select(fitness, cfg)
+    parents = select(fitness)
     assert parents.tolist() == [6, 4, 3, 1]
 
 
@@ -512,7 +530,7 @@ def test_each_generation_draws_one_uniform_then_one_normal_block():
     def rate(budget):  # finite on the first run's rows, NaN on the second's
         return np.where(budget.total == 1e-12, budget.eps_pe, np.nan)
 
-    results = run_lockstep(cfg, [1e-12, 1e-10], Family.DV, rate, rngs)
+    results = run(cfg, [1e-12, 1e-10], Family.DV, rate, rngs)
     assert [result.reseeds for result in results] == [0, 1]
     bred, reseeded = (np.random.default_rng(s) for s in (1, 2))
     initialize(cfg, bred)

@@ -447,6 +447,15 @@ def test_seed_belongs_to_the_optimizer_commands(capsys, tmp_path):
         # 2**discretization must stay a finite float
         ("cv", "[protocol]\ndiscretization = 1024", "discretization must lie in [1, 1023]"),
         ("cv", f"[protocol]\ndiscretization = {10**22}", "discretization must lie in [1, 1023]"),
+        # past 1e4 the Holevo bound loses its float precision
+        ("cv", "[protocol]\nsignal_variance = 1e20", "signal_variance must lie in [1, 1e4]"),
+        # a block too small to hold one estimation signal
+        ("cv", "[protocol]\nblock_size = 2", "block split degenerate: m = 0"),
+        # arrays past the byte limit, refused before any is made
+        ("dv", f"[sweep]\nrestarts = {10**22}", "restarts too large"),
+        ("dv", f"[sweep]\noracle_points = {10**5}", "oracle_points too large"),
+        ("dv", f"[cga]\npopulation = {10**12}", "population too large"),
+        ("dv", f"[cga]\niterations = {10**12}", "iterations too large"),
     ],
 )
 def test_config_that_cannot_run_exits_one(capsys, tmp_path, family, section, cause):

@@ -362,6 +362,17 @@ def test_a_rate_past_the_float_range_raises():
         cv_key_rate(table_params(discretization=1023, clock_hz=1e308), budget)
 
 
+def test_signal_variance_is_bounded_where_the_holevo_bound_keeps_its_precision():
+    # at 1e4 float chi is within 1.7e-8 bits of its 50-digit value on a grid of
+    # channels; just past it the params are refused, as 1e20 once raised
+    # ZeroDivisionError from the mutual information
+    budget = reconstruct_sec(1e-9, 2e-10, 2e-10, Family.CV)
+    assert math.isfinite(cv_key_rate(table_params(signal_variance=1e4), budget).rate_per_use)
+    for value in (math.nextafter(1e4, math.inf), 1e20):
+        with pytest.raises(ValueError, match=r"signal_variance must lie in \[1, 1e4\]"):
+            CvProtocolParams(signal_variance=value)
+
+
 def test_cv_params_validation_collects_problems():
     with pytest.raises(ValueError) as exc:
         CvProtocolParams(det_efficiency=1.5, pe_ratio=2.0, signal_variance=0.5)

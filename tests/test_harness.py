@@ -377,6 +377,34 @@ def test_config_paper_sign_is_cv_only():
         loads_config(text)
 
 
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        (dict(restarts=10**22), "restarts"),
+        # 13 default DV levels x 4,000 restarts x population 200 x 2 genes
+        (dict(eps_levels=(), restarts=4_000, cga=CgaConfig(population=200)), "restarts"),
+        # 2 levels x 70,000 restarts x 1,000 generations of history
+        (dict(restarts=70_000, cga=CgaConfig(population=4, iterations=1_000)), "restarts"),
+        (dict(oracle_points=10**5), "oracle_points"),
+        (dict(oracle_points=2049), "oracle_points"),
+    ],
+)
+def test_a_sweep_past_the_array_limit_is_refused(overrides, field):
+    # refused when built: no (level, restart) list, gene stack or grid is made
+    with pytest.raises(ValueError) as err:
+        small_dv_spec(**overrides)
+    assert str(err.value).startswith(f"{field} too large:") and ";" not in str(err.value)
+
+
+def test_a_sweep_at_the_array_limit_is_allowed():
+    assert small_dv_spec(oracle_points=2048).oracle_points == 2048  # 2048**2 x 4 floats
+    # 2 levels x 2**17 restarts x 64 genes (and 64 generations) of 8 bytes
+    cga = CgaConfig(population=32, iterations=64)
+    assert small_dv_spec(restarts=2**17, cga=cga).restarts == 2**17
+    with pytest.raises(ValueError, match="restarts too large"):
+        small_dv_spec(restarts=2**17 + 1, cga=cga)
+
+
 def test_sweep_spec_family_is_the_type_of_its_params():
     assert SweepSpec(params=CvProtocolParams()).family is Family.CV
     assert SweepSpec(params=DvProtocolParams()).family is Family.DV
@@ -462,6 +490,16 @@ def test_run_sweep_keeps_optimum_when_baselines_fail():
     doc = json.loads(emit_results(result, fmt="json"))
     assert doc["records"][0]["error"] == record.error
     assert doc["records"][0]["rates_raw"]["opt"] == record.rate_opt
+
+
+def test_run_sweep_keeps_optimum_when_a_baseline_split_is_infeasible():
+    # at DV 2e-20 every asymmetric component clears the floor, but the split
+    # leaves eps_sec below it: the baselines are lost, the optimum is kept
+    spec = small_dv_spec(eps_levels=(2e-20,))
+    (record,) = run_sweep(spec).records
+    assert record.error == "total = 2e-20 too small for the asymmetric baseline split"
+    assert record.rate_sym is None and record.rate_asym is None
+    assert record.budget_opt is not None and record.rate_opt is not None
 
 
 def test_optimize_level_is_the_sweep_level():

@@ -91,8 +91,7 @@ class EpsilonBudget:
 
     Instances always satisfy the family closure identity
     ``pe_weight * eps_pe + eps_cor + eps_sec == total`` (to relative
-    tolerance 1e-12) with every component in ``[EPSILON_FLOOR, total)``.
-    The secrecy share splits evenly, ``eps_s == eps_h == eps_sec / 2``.  A
+    tolerance 1e-12) with every component in ``[EPSILON_FLOOR, total)``.  A
     batch holds each component and the total as 1-d arrays of one common
     length and is checked once, for all of its splits, each against its own
     total.
@@ -124,9 +123,6 @@ class EpsilonBudget:
             where = f" in row {row}" if shape else ""
             sums = f"weighted sum {closure[row]} vs total {total[row]}"
             raise ValueError(f"budget does not close{where}: {sums}")
-
-    #: Smoothing and hashing failure probabilities, half the secrecy share each.
-    eps_s = eps_h = property(lambda self: self.eps_sec / 2)
 
     @property
     def components(self) -> np.ndarray:

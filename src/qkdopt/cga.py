@@ -277,12 +277,14 @@ def run(
     whose secrecy remainder falls below the floor and NaN rates score
     :data:`WORST_FITNESS`, so selection discards them without aborting a
     run; anything ``rate`` raises propagates.  Then: rank, record each run's
-    best, select the parent pool (which survives whole), draw all pairs,
+    elite, select the parent pool (which survives whole), draw all pairs,
     breed offspring to refill each population, and mutate everything except
     each elite.  A run with fewer than two feasible parents is re-drawn
-    uniformly around its sole best chromosome and skips breeding for that
-    generation.  The winning genes are resolved back into a budget
-    (``None`` if the run never found a feasible split).
+    uniformly around its elite and skips breeding for that generation.  An
+    elite is never mutated and stays first among equals, so the last one is
+    the run's best split, the earliest on ties, if ``rate`` gives a split one
+    rate in any batch (every package rate does).  It is resolved back into a
+    budget (``None`` if the run never found a feasible split).
     """
     one = np.ndim(total_eps) == 0  # a scalar is a batch of one
     totals = np.atleast_1d(np.asarray(total_eps, dtype=float))
@@ -291,16 +293,13 @@ def run(
         raise ValueError(f"{totals.size} totals need as many generators")
     n_runs = totals.size
     runs = np.arange(n_runs)[:, None]
-    gene_totals = totals[:, None, None]
     row_totals = np.repeat(totals, config.population)
     genes = np.stack([initialize(config, rng) for rng in rngs])
     history = np.empty((config.iterations, n_runs))
     reseeds = np.zeros(n_runs, dtype=int)
-    best_genes = np.empty((n_runs, 2))
-    best_fitness = np.full(n_runs, np.nan)  # NaN until the first generation
 
     for generation in range(config.iterations):
-        eps = map_gene(genes, gene_totals).reshape(-1, 2)
+        eps = map_gene(genes.reshape(-1, 2), row_totals[:, None])
         feasible, budget = reconstruct_sec(row_totals, eps[:, 0], eps[:, 1], family)
         fitness = np.full(row_totals.shape, WORST_FITNESS)
         if budget is not None:
@@ -309,11 +308,7 @@ def run(
         fitness[np.isnan(fitness)] = WORST_FITNESS
         parents = select(fitness)
         pool, pool_fitness = genes[runs, parents], fitness[runs, parents]
-        elite = pool_fitness[:, 0]
-        better = ~(elite <= best_fitness)  # always in the first generation
-        np.copyto(best_genes, pool[:, 0], where=better[:, None])
-        np.copyto(best_fitness, elite, where=better)
-        history[generation] = elite
+        history[generation] = pool_fitness[:, 0]
 
         # the pool is ranked best-first: a worst-fitness second parent means
         # fewer than two feasible
@@ -326,15 +321,15 @@ def run(
             logger.info("re-seeding generation: fewer than two feasible parents")
             reseeds[r] += 1
             genes[r] = initialize(config, rngs[r])
-            genes[r, 0] = best_genes[r]
+            genes[r, 0] = pool[r, 0]
 
     history = history.T.tolist()
     results = [
         OptimizationResult(
-            best_genes=tuple(best_genes[r].tolist()),
-            best_fitness=float(best_fitness[r]),
-            best_budget=None if best_fitness[r] == WORST_FITNESS else reconstruct_sec(
-                total, *map_gene(best_genes[r], total).tolist(), family
+            best_genes=tuple(pool[r, 0].tolist()),
+            best_fitness=history[r][-1],
+            best_budget=None if history[r][-1] == WORST_FITNESS else reconstruct_sec(
+                total, *map_gene(pool[r, 0], total).tolist(), family
             ),
             fitness_history=history[r],
             evaluations=int(config.population * config.iterations),

@@ -33,7 +33,6 @@ __all__ = [
     "SweepSpec",
     "SweepRecord",
     "SweepResult",
-    "default_eps_levels",
     "key_rate",
     "load_config",
     "loads_config",
@@ -65,11 +64,6 @@ _DEFAULT_LEVELS = {
 
 class ConfigError(ValueError):
     """A configuration file failed to parse or validate."""
-
-
-def default_eps_levels(family: Family) -> tuple[float, ...]:
-    """Decade grid of total budgets swept by default for ``family``."""
-    return _DEFAULT_LEVELS[family]
 
 
 def key_rate(params: CvProtocolParams | DvProtocolParams, budget: EpsilonBudget):
@@ -109,12 +103,12 @@ class SweepSpec:
             (self.restarts >= 1, "restarts must be at least 1"),
             (self.output_path != "", "output_path must not be empty"),
             # the largest arrays: every (level, restart) run's genes or history, the grid
-            fits("restarts", "genes or history", len(levels or default_eps_levels(self.family)),
+            fits("restarts", "genes or history", len(levels or _DEFAULT_LEVELS[self.family]),
                  self.restarts, max(2 * cga.population, cga.iterations)),
             fits("oracle_points", "grid", self.oracle_points, self.oracle_points, 4),
         ])
         if not levels:  # the checked params now name the family
-            object.__setattr__(self, "eps_levels", default_eps_levels(self.family))
+            object.__setattr__(self, "eps_levels", _DEFAULT_LEVELS[self.family])
 
     @property
     def family(self) -> Family:

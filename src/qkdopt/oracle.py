@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .budget import EPSILON_FLOOR, EpsilonBudget, Family, check_fields, log2, reconstruct_sec
+from .budget import EPSILON_FLOOR, EpsilonBudget, Family, check_fields, fits, log2, reconstruct_sec
 from .cv_rate import CvProtocolParams, cv_key_rate, cv_rate_chain
 from .dv_rate import DvProtocolParams, dv_key_rate, dv_rate_chain
 
@@ -59,9 +59,10 @@ class GridSpec:
     points_per_axis: int = 200
 
     def __post_init__(self) -> None:
-        check_fields(
-            self, lambda: [(self.points_per_axis >= 2, "points_per_axis must be at least 2")]
-        )
+        check_fields(self, lambda: [
+            (self.points_per_axis >= 2, "points_per_axis must be at least 2"),
+            fits("points_per_axis", "grid", self.points_per_axis, self.points_per_axis, 4),
+        ])
 
     def axis(self, upper: float) -> np.ndarray:
         if upper < EPSILON_FLOOR:  # on the floor, every point is the floor: no feasible cell

@@ -20,9 +20,8 @@ def test_reconstruct_cv_basic():
     budget = reconstruct_sec(1e-5, 1e-6, 1e-6, Family.CV)
     assert budget is not None
     assert budget.eps_sec == pytest.approx(6e-6, rel=1e-12)
-    assert budget.eps_s == pytest.approx(3e-6, rel=1e-12)
-    assert budget.eps_h == pytest.approx(3e-6, rel=1e-12)
-    assert budget.eps_s == budget.eps_h == budget.eps_sec / 2
+    # the smoothing and hashing failure probabilities, half the secrecy share each
+    assert budget.eps_sec / 2 == pytest.approx(3e-6, rel=1e-12)
 
 
 def test_reconstruct_infeasible_returns_marker():
@@ -111,7 +110,7 @@ def test_reconstruct_batch_matches_single_splits():
     singles = [reconstruct_sec(total, p, c, Family.CV) for p, c in zip(pe.tolist(), cor.tolist())]
     assert feasible.tolist() == [b is not None for b in singles] == [True, True, True, False, False]
     kept = [b for b in singles if b is not None]
-    for name in ("eps_pe", "eps_cor", "eps_sec", "eps_s", "eps_h"):
+    for name in ("eps_pe", "eps_cor", "eps_sec"):
         assert getattr(budget, name).tolist() == [getattr(b, name) for b in kept]
     assert budget.total.tolist() == [total] * 3 and budget.family is Family.CV
     # the nextafter nudge is the same rule in both forms
@@ -181,7 +180,7 @@ def test_reconstruct_per_row_totals_match_float_calls():
         assert feasible.tolist() == [b is not None for b in singles]
         assert 0 < feasible.sum() < len(totals)
         kept = [b for b in singles if b is not None]
-        for name in ("total", "eps_pe", "eps_cor", "eps_sec", "eps_s", "eps_h"):
+        for name in ("total", "eps_pe", "eps_cor", "eps_sec"):
             assert getattr(budget, name).tolist() == [getattr(b, name) for b in kept]
     with pytest.raises(ValueError, match=r"\(0, 1\)"):
         reconstruct_sec(np.array([1e-9, 1.5]), np.full(2, 1e-12), np.full(2, 1e-12), Family.DV)

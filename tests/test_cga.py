@@ -235,6 +235,16 @@ def test_lockstep_runs_equal_their_runs_alone():
         assert got.fitness_history == want.fitness_history, total
         assert got.reseeds == want.reseeds, total
         assert got.evaluations == want.evaluations, total
+        # the elite is never mutated and stays first among equals, so the last
+        # generation's elite is the run's best: its fitness ends the history, no
+        # generation rated higher, and its budget, rated alone, gives it
+        assert got.best_fitness == got.fitness_history[-1] == max(got.fitness_history), total
+        if got.best_budget is None:
+            assert got.best_fitness == WORST_FITNESS, total
+        else:
+            assert got.best_fitness == float(rate(got.best_budget)), total
+            genes = map_gene(np.array(got.best_genes), total).tolist()
+            assert got.best_budget == reconstruct_sec(total, *genes, Family.DV), total
     by_total = dict(zip(totals, stacked))
     assert by_total[3e-21].reseeds > 0 and by_total[_NAN_TOTAL].reseeds == cfg.iterations
     assert by_total[_NAN_TOTAL].best_budget is None

@@ -1,11 +1,13 @@
 import json
-from dataclasses import replace
+import random
+from dataclasses import asdict, replace
 
 import pytest
 
 from qkdopt import cli, harness
 from qkdopt.cli import main
 from qkdopt.harness import SweepResult, loads_config, optimize_levels
+from qkdopt.oracle import PROTOCOLS
 
 SMALL_CGA_INI = "[cga]\npopulation = 24\niterations = 15\nrng_seed = 11\n"
 
@@ -572,3 +574,61 @@ def test_io_errors_exit_two(capsys):
     )
     assert code == 2
     assert "i/o" in err
+
+
+#: Values the fuzz below draws for INI keys and flags: unreadable, non-finite, past
+#: the float or array range, and a few small numbers that some keys can hold.
+_FUZZ_VALUES = ("nan", "inf", "1e400", str(10**22), "", "x", "-1", "0", "1", "2", "0.5",
+                "1e-9", "1e-17", "true")
+
+#: A value each [sweep] key can hold, small enough to run fast.
+_SWEEP_HOLDS = {"eps_levels": "1e-17 1e-9", "include_baselines": "false",
+                "include_oracle": "true", "oracle_points": "3", "restarts": "2",
+                "output_path": "out.txt"}
+
+
+def _fuzz_keys(rng, holds, n_keys):
+    """``n_keys`` of the keys of ``holds``, each set to a fuzz value half the time
+    and otherwise to the value it holds, a number scaled by a random factor in its
+    own type, so that the models meet extreme values too."""
+    def held(value):
+        if not isinstance(value, (int, float)):
+            return value
+        return type(value)(value * rng.choice((0, 1e-6, 0.5, 2, 1e6)))
+    return {k: rng.choice(_FUZZ_VALUES) if rng.random() < 0.5 else held(holds[k])
+            for k in rng.sample(sorted(holds), n_keys)}
+
+
+def test_fuzzed_commands_and_configs_exit_zero_or_one(capsys, tmp_path, monkeypatch):
+    # every input either runs or is refused in one line naming its cause; none
+    # reaches the internal-error net.  The sizes stay small: the CGA is fixed at
+    # 4 x 2, and the oracle grid at 8 points unless the fuzz sets it
+    monkeypatch.chdir(tmp_path)  # an output_path the fuzz sets lands here
+    rng = random.Random(0)
+    exits = []
+    for case in range(500):
+        family = rng.choice(list(PROTOCOLS))
+        # qber_override's default, None, has no INI form
+        holds = {k: 0.02 if v is None else v for k, v in asdict(PROTOCOLS[family].params()).items()}
+        protocol = _fuzz_keys(rng, holds, rng.randint(0, 3))
+        sweep = {"oracle_points": "8"} | _fuzz_keys(rng, _SWEEP_HOLDS, rng.randint(0, 2))
+        cfg = tmp_path / "fuzz.ini"
+        cfg.write_text(
+            f"[budget]\nfamily = {family.value}\n\n[cga]\npopulation = 4\niterations = 2\n"
+            + "".join(f"\n[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                      for name, keys in (("protocol", protocol), ("sweep", sweep)))
+        )
+        command = rng.choice(["rate", "optimize", "sweep", "oracle"])
+        argv = [command, "--config", str(cfg)]
+        if rng.random() < 0.8:  # half of them levels that can run
+            levels = ("1e-9", "1e-17", "1e-12,1e-9") if rng.random() < 0.5 else _FUZZ_VALUES
+            argv += ["--eps", rng.choice(levels)]
+        if rng.random() < 0.3:
+            argv += ["--format", rng.choice(("text", "csv", "json"))]
+        code, out, err = run_cli(capsys, *argv)
+        where = f"case {case}: {argv} with\n{cfg.read_text()}"
+        assert code in (0, 1), where + err
+        assert err.count("\n") <= 1 and (code == 0) == (err == ""), where + err
+        assert "internal error" not in out + err, where + err
+        exits.append(code)
+    assert 0 < exits.count(0) < len(exits)  # the fuzz reaches both outcomes

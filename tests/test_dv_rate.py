@@ -166,8 +166,8 @@ def test_dv_key_rate_frozen_symmetric():
         1.0
         - binary_entropy(out.qber_wc)
         - 1.25 * binary_entropy(out.qber_est)
-        + (1.0 + math.log2(budget.eps_cor * budget.eps_h**2)) / N_KEY
-        - aep_term(math.log2(budget.eps_s)) / math.sqrt(N_KEY)
+        + (1.0 + math.log2(budget.eps_cor * (budget.eps_sec / 2) ** 2)) / N_KEY
+        - aep_term(math.log2(budget.eps_sec / 2)) / math.sqrt(N_KEY)
     )
     assert out.secret_fraction == pytest.approx(expected_r, rel=1e-12)
 

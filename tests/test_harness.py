@@ -18,7 +18,6 @@ from qkdopt.harness import (
     CSV_COLUMNS,
     ConfigError,
     SweepSpec,
-    default_eps_levels,
     emit_results,
     key_rate,
     load_config,
@@ -57,7 +56,7 @@ def test_minimal_config_applies_defaults():
     assert spec.family is Family.CV
     assert spec.params == CvProtocolParams()
     assert spec.cga == CgaConfig()
-    assert spec.eps_levels == default_eps_levels(Family.CV)
+    assert spec.eps_levels == SweepSpec(params=CvProtocolParams()).eps_levels
     assert spec.include_baselines is True
     assert spec.include_oracle is False
     assert spec.restarts == 1
@@ -65,9 +64,9 @@ def test_minimal_config_applies_defaults():
 
 
 def test_default_levels_are_decade_grids():
-    cv = default_eps_levels(Family.CV)
+    cv = SweepSpec(params=CvProtocolParams()).eps_levels
     assert cv[0] == 1e-12 and cv[-1] == 1e-5 and len(cv) == 8
-    dv = default_eps_levels(Family.DV)
+    dv = SweepSpec(params=DvProtocolParams()).eps_levels
     assert dv[0] == 1e-17 and dv[-1] == 1e-5 and len(dv) == 13
     # each level is its decimal literal, whatever the host's pow
     assert cv == (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5)

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from qkdopt.budget import Family, reconstruct_sec
+from qkdopt.budget import MAX_ARRAY_BYTES, Family, reconstruct_sec
 from qkdopt.dv_rate import DvProtocolParams, dv_key_rate
 from qkdopt.harness import grid_csv_text
 from qkdopt.oracle import GridSpec, grid_search
@@ -13,6 +13,13 @@ from qkdopt.oracle import GridSpec, grid_search
 def test_grid_spec_validation_and_axes():
     with pytest.raises(ValueError):
         GridSpec(points_per_axis=1)
+    # the (points^2, 4) float grid must fit in MAX_ARRAY_BYTES: refused when the
+    # spec is built, before grid_search would ask for it (10**5 points: 320 GB)
+    assert 8 * 2048**2 * 4 == MAX_ARRAY_BYTES
+    assert GridSpec(points_per_axis=2048).points_per_axis == 2048
+    for points in (2049, 10**5):
+        with pytest.raises(ValueError, match="points_per_axis too large"):
+            GridSpec(points_per_axis=points)
     log_axis = GridSpec(points_per_axis=5).axis(1e-5)
     assert log_axis[0] == pytest.approx(1e-21, rel=1e-12)
     assert log_axis[-1] == pytest.approx(1e-5, rel=1e-12)

@@ -105,7 +105,6 @@ class OptimizationResult:
     feasible chromosomes and had to be re-drawn.
     """
 
-    best_genes: tuple[float, float]
     best_fitness: float
     best_budget: EpsilonBudget | None
     fitness_history: list[float] = field(repr=False)
@@ -279,8 +278,8 @@ def run(
     run; anything ``rate`` raises propagates.  Then: rank, record each run's
     elite, select the parent pool (which survives whole), draw all pairs,
     breed offspring to refill each population, and mutate everything except
-    each elite.  A run with fewer than two feasible parents is re-drawn
-    uniformly around its elite and skips breeding for that generation.  An
+    each elite.  A run with fewer than two feasible parents is re-drawn over
+    the whole gene square, its elite kept as row 0, and does not breed.  An
     elite is never mutated and stays first among equals, so the last one is
     the run's best split, the earliest on ties, if ``rate`` gives a split one
     rate in any batch (every package rate does).  It is resolved back into a
@@ -326,7 +325,6 @@ def run(
     history = history.T.tolist()
     results = [
         OptimizationResult(
-            best_genes=tuple(pool[r, 0].tolist()),
             best_fitness=history[r][-1],
             best_budget=None if history[r][-1] == WORST_FITNESS else reconstruct_sec(
                 total, *map_gene(pool[r, 0], total).tolist(), family

@@ -121,7 +121,6 @@ class EstimatorModel(NamedTuple):
     xi_hat: float
     sigma_t: float
     sigma_xi: float
-    m: int
 
 
 class WorstCaseChannel(NamedTuple):
@@ -213,7 +212,7 @@ def ml_estimator_model(
     sigma_z2 = 1.0 + params.electronic_noise + tau * xi_hat
     sigma_t = 2.0 * math.sqrt(tau * sigma_z2 / (m * sigma_x2)) / eta
     sigma_xi = sigma_z2 * math.sqrt(2.0 / m) / (eta * t_hat)
-    return EstimatorModel(t_hat=t_hat, xi_hat=xi_hat, sigma_t=sigma_t, sigma_xi=sigma_xi, m=m)
+    return EstimatorModel(t_hat=t_hat, xi_hat=xi_hat, sigma_t=sigma_t, sigma_xi=sigma_xi)
 
 
 def worst_case_estimators(

@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 import numpy as np
@@ -120,18 +120,17 @@ class SweepSpec:
 class SweepRecord:
     """Outcome at one total-budget level; raw (unclamped) rates in bits/s.
 
-    ``error`` holds the message of the baseline splits when the total is too
-    small for them; the optimizer's budget, rate and history and the oracle
-    are kept and the baseline rates are ``None``.
+    ``opt`` is the level's best optimizer run: its budget, rate (``-inf`` if
+    nothing was feasible, as for the oracle) and history.  ``error`` holds the
+    message of the baseline splits when the total is too small for them, whose
+    rates are then ``None``; ``rate_oracle`` is ``None`` only with the oracle off.
     """
 
     eps_total: float
-    budget_opt: EpsilonBudget | None = None
-    rate_opt: float | None = None
+    opt: OptimizationResult
     rate_sym: float | None = None
     rate_asym: float | None = None
     rate_oracle: float | None = None
-    fitness_history: list[float] | None = field(default=None, repr=False)
     error: str | None = None
 
 
@@ -160,15 +159,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         rate_oracle = None
         if spec.include_oracle:
             grid = grid_search(GridSpec(spec.oracle_points), total, spec.family, spec.params)
-            rate_oracle = grid.best_fitness if grid.best_budget is not None else None
+            rate_oracle = grid.best_fitness
         records.append(SweepRecord(
             eps_total=total,
-            budget_opt=opt.best_budget,
-            rate_opt=opt.best_fitness if opt.best_budget is not None else None,
+            opt=opt,
             rate_sym=rate_sym,
             rate_asym=rate_asym,
             rate_oracle=rate_oracle,
-            fitness_history=list(opt.fitness_history),
             error=error,
         ))
     return SweepResult(spec=spec, records=records)
@@ -277,7 +274,7 @@ def emit_results(result: SweepResult, fmt: str = "csv") -> str:
     rates, the winning budget, the fitness history and any baseline error.
     """
     rows = (
-        [rec.eps_total, *budget_fields(rec.budget_opt).values()]
+        [rec.eps_total, *budget_fields(rec.opt.best_budget).values()]
         + [clamped(rate) for rate in _rates(rec).values()]
         for rec in result.records
     )
@@ -285,17 +282,18 @@ def emit_results(result: SweepResult, fmt: str = "csv") -> str:
 
 
 def _rates(rec: SweepRecord) -> dict[str, float | None]:
-    return dict(opt=rec.rate_opt, sym=rec.rate_sym, asym=rec.rate_asym, oracle=rec.rate_oracle)
+    return dict(opt=rec.opt.best_fitness, sym=rec.rate_sym, asym=rec.rate_asym,
+                oracle=rec.rate_oracle)
 
 
 def _sweep_json(result: SweepResult) -> str:
     records = [
         {
             "eps_total": rec.eps_total,
-            "budget_opt": None if rec.budget_opt is None else budget_fields(rec.budget_opt),
+            "budget_opt": None if (best := rec.opt.best_budget) is None else budget_fields(best),
             "rates_raw": {k: finite(v) for k, v in _rates(rec).items()},
             "rates_clamped": {k: clamped(v) for k, v in _rates(rec).items()},
-            "fitness_history": rec.fitness_history,
+            "fitness_history": rec.opt.fitness_history,
             "error": rec.error,
         }
         for rec in result.records

@@ -120,7 +120,8 @@ def test_run_scores_feasibility_corners(monkeypatch):
     for family, total, fn in ((Family.CV, 1e-9, lambda b: 1.0), (Family.DV, 1e-17, rate)):
         result = run(cfg, total, family, fn)
         assert result.reseeds == 1
-        assert result.best_genes == (-1.0, -1.0)
+        corner = map_gene(np.array([-1.0, -1.0]), total).tolist()
+        assert result.best_budget == reconstruct_sec(total, *corner, family)
         assert math.isfinite(result.best_fitness)
         assert result.best_budget is not None
         assert result.best_fitness == fn(result.best_budget)
@@ -229,7 +230,6 @@ def test_lockstep_runs_equal_their_runs_alone():
         for total, seed in _STACK
     ]
     for (total, _), got, want in zip(_STACK, stacked, alone):
-        assert got.best_genes == want.best_genes, total
         assert got.best_fitness == want.best_fitness, total
         assert got.best_budget == want.best_budget, total
         assert got.fitness_history == want.fitness_history, total
@@ -243,13 +243,13 @@ def test_lockstep_runs_equal_their_runs_alone():
             assert got.best_fitness == WORST_FITNESS, total
         else:
             assert got.best_fitness == float(rate(got.best_budget)), total
-            genes = map_gene(np.array(got.best_genes), total).tolist()
-            assert got.best_budget == reconstruct_sec(total, *genes, Family.DV), total
+            components = got.best_budget.eps_pe, got.best_budget.eps_cor
+            assert got.best_budget == reconstruct_sec(total, *components, Family.DV), total
     by_total = dict(zip(totals, stacked))
     assert by_total[3e-21].reseeds > 0 and by_total[_NAN_TOTAL].reseeds == cfg.iterations
     assert by_total[_NAN_TOTAL].best_budget is None
     assert by_total[1e-6].reseeds == 0 and by_total[1e-6].best_budget is not None
-    assert stacked[0].best_genes != stacked[4].best_genes
+    assert stacked[0].best_budget != stacked[4].best_budget
 
 
 def test_lockstep_of_one_is_run():
@@ -599,13 +599,14 @@ def test_run_deterministic_and_consistent():
     rate = dv_rate_fn()
     first = run(cfg, 1e-17, Family.DV, rate)
     second = run(cfg, 1e-17, Family.DV, rate)
-    assert first.best_genes == second.best_genes
+    assert first.best_budget == second.best_budget
     assert first.best_fitness == second.best_fitness
     assert first.fitness_history == second.fitness_history
     assert first.evaluations == 40 * 30
     # plain floats: serialized with repr, numpy scalars would print as np.float64(...)
     assert type(first.best_fitness) is float
-    assert all(type(g) is float for g in first.best_genes)
+    best = first.best_budget
+    assert all(type(x) is float for x in (best.total, best.eps_pe, best.eps_cor, best.eps_sec))
     assert all(type(f) is float for f in first.fitness_history)
     # the reported fitness is exactly the rate of the reported budget
     assert first.best_budget is not None

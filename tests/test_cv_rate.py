@@ -64,18 +64,17 @@ def test_ml_estimator_model_table_values():
     assert est.xi_hat == 0.01
     assert est.sigma_t == pytest.approx(SIGMA_T, rel=1e-12)
     assert est.sigma_xi == pytest.approx(SIGMA_XI, rel=1e-12)
-    assert est.m == 120_000
 
 
 def test_worst_case_zero_width():
-    est = EstimatorModel(t_hat=0.8, xi_hat=0.02, sigma_t=0.1, sigma_xi=0.1, m=100)
+    est = EstimatorModel(t_hat=0.8, xi_hat=0.02, sigma_t=0.1, sigma_xi=0.1)
     wc = worst_case_estimators(est, 0.0)  # eps_pe = 1
     assert (wc.t, wc.xi) == (0.8, 0.02)
     assert not wc.degenerate
 
 
 def test_worst_case_noiseless_estimators():
-    est = EstimatorModel(t_hat=0.7, xi_hat=0.03, sigma_t=0.0, sigma_xi=0.0, m=10)
+    est = EstimatorModel(t_hat=0.7, xi_hat=0.03, sigma_t=0.0, sigma_xi=0.0)
     for eps_pe in (1e-3, 1e-10, 1e-18):
         wc = worst_case_estimators(est, log2(eps_pe))
         assert (wc.t, wc.xi) == (0.7, 0.03)
@@ -96,7 +95,7 @@ def test_worst_case_table_values():
 
 
 def test_worst_case_degenerate_marker():
-    est = EstimatorModel(t_hat=0.01, xi_hat=0.01, sigma_t=10.0, sigma_xi=0.0, m=4)
+    est = EstimatorModel(t_hat=0.01, xi_hat=0.01, sigma_t=10.0, sigma_xi=0.0)
     wc = worst_case_estimators(est, log2(1e-10))
     assert wc.degenerate
     assert wc.t == 1e-12  # clamped to the floor

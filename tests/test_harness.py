@@ -11,7 +11,7 @@ import pytest
 
 from qkdopt import harness
 from qkdopt.budget import Family, baseline_budgets, field_types
-from qkdopt.cga import CgaConfig, run
+from qkdopt.cga import WORST_FITNESS, CgaConfig, run
 from qkdopt.cv_rate import CvProtocolParams
 from qkdopt.dv_rate import DvProtocolParams
 from qkdopt.harness import (
@@ -431,14 +431,14 @@ def test_run_sweep_records_and_ordering():
     assert [r.eps_total for r in result.records] == [1e-18, 1e-17]
     for record in result.records:
         assert record.error is None
-        assert record.budget_opt is not None
+        assert record.opt.best_budget is not None
         assert record.rate_sym is not None
         assert record.rate_asym is not None
         assert record.rate_oracle is None  # oracle disabled
-        assert len(record.fitness_history) == SMALL_CGA.iterations
+        assert len(record.opt.fitness_history) == SMALL_CGA.iterations
         # the optimizer must not lose to either fixed baseline
-        assert record.rate_opt >= record.rate_sym - 1e-9
-        assert record.rate_opt >= record.rate_asym - 1e-9
+        assert record.opt.best_fitness >= record.rate_sym - 1e-9
+        assert record.opt.best_fitness >= record.rate_asym - 1e-9
 
 
 def test_run_sweep_without_baselines():
@@ -457,18 +457,28 @@ def test_run_sweep_with_oracle():
 
 def test_run_sweep_records_level_failures():
     # at 4e-21 the CV symmetric split (total / 5 per component) is below the
-    # component floor, so the baseline evaluation fails for that level only
+    # component floor, so the baseline evaluation fails for that level only;
+    # neither the optimizer nor the oracle finds a feasible split there
     spec = SweepSpec(
         params=CvProtocolParams(),
         cga=SMALL_CGA,
         eps_levels=(4e-21, 1e-9),
+        include_oracle=True,
+        oracle_points=20,
     )
     result = run_sweep(spec)
     first, second = result.records
     assert first.error is not None
-    assert first.rate_opt is None
+    assert first.opt.best_fitness == WORST_FITNESS and first.opt.best_budget is None
+    assert first.rate_oracle == WORST_FITNESS
     assert second.error is None
-    assert second.rate_opt is not None
+    assert math.isfinite(second.opt.best_fitness) and math.isfinite(second.rate_oracle)
+    # the level with nothing feasible reports neither rate, in either format
+    cells = dict(zip(CSV_COLUMNS, emit_results(result, fmt="csv").splitlines()[1].split(",")))
+    assert cells["rate_opt_bps"] == cells["rate_oracle_bps"] == ""
+    (rec, _) = json.loads(emit_results(result, fmt="json"))["records"]
+    for rates in (rec["rates_raw"], rec["rates_clamped"]):
+        assert rates["opt"] is None and rates["oracle"] is None
 
 
 def test_run_sweep_keeps_optimum_when_baselines_fail():
@@ -479,16 +489,16 @@ def test_run_sweep_keeps_optimum_when_baselines_fail():
     (record,) = result.records
     assert "at least 1e-21" in record.error
     assert record.rate_sym is None and record.rate_asym is None
-    assert record.budget_opt is not None
-    assert record.rate_opt is not None
-    assert record.rate_oracle is not None
-    assert len(record.fitness_history) == SMALL_CGA.iterations
+    assert record.opt.best_budget is not None
+    assert math.isfinite(record.opt.best_fitness)
+    assert math.isfinite(record.rate_oracle)
+    assert len(record.opt.fitness_history) == SMALL_CGA.iterations
     row = emit_results(result, fmt="csv").strip().split("\n")[1].split(",")
     assert row[0] == "1e-20"
     assert all(row[1:5]) and row[5:7] == ["", ""] and row[7]
     doc = json.loads(emit_results(result, fmt="json"))
     assert doc["records"][0]["error"] == record.error
-    assert doc["records"][0]["rates_raw"]["opt"] == record.rate_opt
+    assert doc["records"][0]["rates_raw"]["opt"] == record.opt.best_fitness
 
 
 def test_run_sweep_keeps_optimum_when_a_baseline_split_is_infeasible():
@@ -498,7 +508,7 @@ def test_run_sweep_keeps_optimum_when_a_baseline_split_is_infeasible():
     (record,) = run_sweep(spec).records
     assert record.error == "total = 2e-20 too small for the asymmetric baseline split"
     assert record.rate_sym is None and record.rate_asym is None
-    assert record.budget_opt is not None and record.rate_opt is not None
+    assert record.opt.best_budget is not None and math.isfinite(record.opt.best_fitness)
 
 
 def test_optimize_level_is_the_sweep_level():
@@ -507,9 +517,7 @@ def test_optimize_level_is_the_sweep_level():
     # the first level alone draws from the same generators as in the sweep
     first_alone = optimize_levels(replace(spec, eps_levels=spec.eps_levels[:1]))
     for best, record in [*zip(optimize_levels(spec), records), (*first_alone, records[0])]:
-        assert best.best_budget == record.budget_opt
-        assert best.best_fitness == record.rate_opt
-        assert best.fitness_history == record.fitness_history
+        assert record.opt == best
 
 
 def test_sweep_runs_equal_their_runs_alone(monkeypatch):
@@ -523,7 +531,8 @@ def test_sweep_runs_equal_their_runs_alone(monkeypatch):
         return dv_rate(budget)
 
     route_rates(monkeypatch, counting)
-    records = run_sweep(spec).records
+    result = run_sweep(spec)
+    records = result.records
     assert len(calls) == SMALL_CGA.iterations
     for idx, (total, record) in enumerate(zip(spec.eps_levels, records)):
         first, second = (
@@ -531,11 +540,12 @@ def test_sweep_runs_equal_their_runs_alone(monkeypatch):
             for r in range(2)
         )
         best = second if second.best_fitness > first.best_fitness else first
-        assert record.budget_opt == best.best_budget
-        assert record.rate_opt == (None if best.best_budget is None else best.best_fitness)
-        assert record.fitness_history == best.fitness_history
+        assert record.opt == best
     # the level at the floor finds no feasible split; the others do
-    assert records[0].rate_opt is None and None not in [r.rate_opt for r in records[1:]]
+    assert records[0].opt.best_fitness == WORST_FITNESS
+    assert all(math.isfinite(r.opt.best_fitness) for r in records[1:])
+    assert emit_results(result, fmt="csv").splitlines()[1].split(",")[4] == ""
+    assert json.loads(emit_results(result, fmt="json"))["records"][0]["rates_raw"]["opt"] is None
 
 
 def test_an_unseeded_sweep_draws_fresh_streams():
@@ -593,7 +603,7 @@ def test_emit_csv_leaves_a_nan_rate_empty(monkeypatch):
     header, row = emit_results(result, fmt="csv").splitlines()
     cells = dict(zip(header.split(","), row.split(",")))
     assert cells["rate_sym_bps"] == "" and cells["rate_asym_bps"] == ""
-    assert cells["rate_opt_bps"] == repr(max(result.records[0].rate_opt, 0.0))
+    assert cells["rate_opt_bps"] == repr(max(result.records[0].opt.best_fitness, 0.0))
 
 
 def test_emit_csv_schema_and_clamping():
@@ -662,7 +672,7 @@ def test_sweep_is_byte_deterministic():
 def test_sweep_restarts_never_hurt():
     single = run_sweep(small_dv_spec(eps_levels=(1e-17,)))
     double = run_sweep(small_dv_spec(eps_levels=(1e-17,), restarts=2))
-    assert double.records[0].rate_opt >= single.records[0].rate_opt
+    assert double.records[0].opt.best_fitness >= single.records[0].opt.best_fitness
 
 
 def test_load_config_missing_file():

@@ -148,8 +148,8 @@ def reconstruct_sec(total, eps_pe, eps_cor, family: Family):
     and give ``(feasible, budget)``: the mask of rows whose remainder clears
     the floor, and one batch budget of those rows, each with its own total
     (``None`` if there are none).  ``total`` may be one float or an array of
-    the same length.  Float components are completed as a one-row batch and
-    give a budget of floats (or ``None``).
+    the same length.  Scalar components, of any real type, are completed as a
+    one-row batch and give a budget of Python floats (or ``None``).
 
     Raises ``ValueError`` for genuine domain violations: ``total`` outside
     ``(0, 1)`` or either input below ``EPSILON_FLOOR``.
@@ -171,7 +171,7 @@ def reconstruct_sec(total, eps_pe, eps_cor, family: Family):
     if rows_total.shape != feasible.shape:  # one total for every split
         rows_total = np.broadcast_to(rows_total, feasible.shape)
     rows = (rows_total, rows_pe, rows_cor, eps_sec)
-    if isinstance(eps_pe, float):  # one split: a budget of floats
+    if np.ndim(eps_pe) == np.ndim(eps_cor) == 0:  # one split: a budget of floats
         return EpsilonBudget(*(v.item() for v in rows), family) if feasible[0] else None
     return feasible, EpsilonBudget(*(v[feasible] for v in rows), family) if feasible.any() else None
 
@@ -229,8 +229,8 @@ def map_gene(p, total):
 
 
 def _as_batch(x) -> np.ndarray:
-    """``x`` as an array of one or more dimensions (itself, if it is one)."""
-    return x if isinstance(x, np.ndarray) and x.ndim else np.atleast_1d(x)
+    """``x`` as a float64 array of one or more dimensions (itself, if it is one)."""
+    return np.atleast_1d(np.asarray(x, dtype=float))
 
 
 def log2(x) -> np.ndarray:

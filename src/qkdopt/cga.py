@@ -13,22 +13,24 @@ run's total.  Infeasible splits are not errors: they score the worst-fitness
 marker ``-inf`` and are simply never selected while anything feasible
 exists.
 
-Determinism: every run consumes its own ``numpy`` generator in a fixed
-stream order — one uniform block for initialization, then per generation one
-uniform block, split into the pairing, crossover and mutation-mask draws, and
-one normal block of mutation noise (or, in a generation that must be
-re-seeded, one uniform block).  Fitness evaluation draws nothing, so
-identical seeds give identical results regardless of how evaluations are
-scheduled or which runs share a stack.  Probabilities are normalized by
-sequential left-to-right sums (``np.cumsum``), not by the builtin ``sum``,
-which is compensated from Python 3.12 on, so the stream does not depend on
-the interpreter version.
+Determinism: every run consumes its own ``numpy`` generator, keyed by the
+seed and its total's value (see :func:`run`), in a fixed stream order — one
+uniform block for initialization, then per generation one uniform block,
+split into the pairing, crossover and mutation-mask draws, and one normal
+block of mutation noise (or, in a generation that must be re-seeded, one
+uniform block).  Fitness evaluation draws nothing, so a seeded run gives the
+same result however evaluations are scheduled or runs are stacked.
+Probabilities are normalized by sequential left-to-right sums
+(``np.cumsum``), not by the builtin ``sum``, which is compensated from
+Python 3.12 on, so the stream does not depend on the interpreter version.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -259,14 +261,14 @@ def run(
     total_eps: float | Sequence[float],
     family: Family,
     rate: Callable[[EpsilonBudget], float | np.ndarray],
-    rng: np.random.Generator | list[np.random.Generator] | None = None,
 ) -> OptimizationResult | list[OptimizationResult]:
     """Optimize the split of ``total_eps`` against a key-rate function.
 
-    One total, with one generator (``default_rng(config.rng_seed)`` if none
-    is given), gives one result.  A sequence of totals, with a list of as
-    many generators, gives a list: run ``r`` draws only from ``rng[r]``, in
-    the order it would alone, so each result equals that of its run alone.
+    One total gives one result, a sequence of totals a list.  Each run draws
+    only from ``default_rng([seed, bits, k])``: ``config.rng_seed``, its
+    total's IEEE 754 bit pattern as a ``uint64`` and ``k``, the count of
+    earlier runs of the call with that total (no seed: fresh entropy).  So a
+    result equals ``run`` at its total alone, or run ``k`` of ``k + 1`` repeats.
 
     The runs are stacked as ``(R, population, 2)`` genes, mapped linearly
     onto ``[component floor, total]``.  Each generation maps them onto
@@ -287,9 +289,9 @@ def run(
     """
     one = np.ndim(total_eps) == 0  # a scalar is a batch of one
     totals = np.atleast_1d(np.asarray(total_eps, dtype=float))
-    rngs = [np.random.default_rng(config.rng_seed) if rng is None else rng] if one else rng
-    if rngs is None or len(rngs) != totals.size:
-        raise ValueError(f"{totals.size} totals need as many generators")
+    seed, repeats = config.rng_seed, defaultdict(itertools.count)  # k of each total's runs
+    keys = [[seed, bits, next(repeats[bits])] for bits in totals.view(np.uint64).tolist()]
+    rngs = [np.random.default_rng(None if seed is None else key) for key in keys]
     n_runs = totals.size
     runs = np.arange(n_runs)[:, None]
     row_totals = np.repeat(totals, config.population)
@@ -317,7 +319,8 @@ def run(
         if bred.size:
             genes[bred] = _breed(pool[bred], pool_fitness[bred], config, [rngs[r] for r in bred])
         for r in stuck.nonzero()[0]:
-            logger.info("re-seeding generation: fewer than two feasible parents")
+            logger.info("run %d (total %s) re-seeds generation %d: fewer than two feasible "
+                        "parents", r, totals[r], generation)
             reseeds[r] += 1
             genes[r] = initialize(config, rngs[r])
             genes[r, 0] = pool[r, 0]

@@ -19,7 +19,7 @@ import errno
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from typing import Any, Sequence
 
 from .budget import Family, baseline_budgets, reconstruct_sec
@@ -64,7 +64,9 @@ def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> No
         dest="fmt",
         help="output format (default: %(default)s)",
     )
-    parser.add_argument("--out", metavar="PATH", help="write output here, not stdout")
+    parser.add_argument(
+        "--out", metavar="PATH", dest="output_path", help="write output here, not stdout"
+    )
     parser.add_argument(
         "--paper-sign-xi",
         action="store_true",
@@ -92,12 +94,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="optimize across a grid of total budgets")
     _add_common(p_sweep, ("csv", "json"))
-    p_sweep.add_argument("--oracle", action="store_true", help="also run the grid oracle per level")
+    p_sweep.add_argument(
+        "--oracle", action="store_const", const=True, dest="include_oracle",
+        help="also run the grid oracle per level",
+    )
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_oracle = sub.add_parser("oracle", help="dump the brute-force grid")
     _add_common(p_oracle, ("csv", "json"))
-    p_oracle.add_argument("--points", type=int, help="grid points per axis")
+    p_oracle.add_argument(
+        "--points", type=int, metavar="POINTS", dest="oracle_points", help="grid points per axis"
+    )
     p_oracle.set_defaults(func=_cmd_oracle)
 
     for p_cga in (p_opt, p_sweep):  # the commands that run the optimizer
@@ -123,7 +130,8 @@ def _build_spec(args: argparse.Namespace) -> SweepSpec:
             f"--family {args.family} conflicts with the config's "
             f"{spec.family.value} parameters"
         )
-    updates: dict[str, Any] = {}
+    named = {field.name for field in fields(SweepSpec)}  # a flag named after a field sets it
+    updates = {name: v for name, v in vars(args).items() if name in named and v is not None}
     if args.eps is not None:
         try:
             updates["eps_levels"] = parse_eps_levels(args.eps)
@@ -133,14 +141,6 @@ def _build_spec(args: argparse.Namespace) -> SweepSpec:
         if spec.family is not Family.CV:
             raise ValueError("--paper-sign-xi applies only to the cv family")
         updates["params"] = replace(spec.params, paper_sign_xi=True)
-    if args.out is not None:
-        updates["output_path"] = args.out
-    if getattr(args, "oracle", False):
-        updates["include_oracle"] = True
-    if getattr(args, "points", None) is not None:
-        updates["oracle_points"] = args.points
-    if getattr(args, "restarts", None) is not None:
-        updates["restarts"] = args.restarts
     if getattr(args, "seed", None) is not None:
         updates["cga"] = replace(spec.cga, rng_seed=args.seed)
     return replace(spec, **updates) if updates else spec
@@ -229,7 +229,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if spec.output_path is None:
             sys.stdout.write(text)
         else:
-            with open(spec.output_path, "w", newline="") as fh:
+            with open(spec.output_path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
     except ValueError as err:  # ConfigError and bad usage included
         print(f"error: {err}", file=sys.stderr)

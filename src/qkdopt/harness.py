@@ -78,9 +78,9 @@ class SweepSpec:
 
     ``params`` are the protocol: their class carries :attr:`family`.
     ``restarts`` independent optimizer runs are made per level (best kept).
-    With a fixed ``cga.rng_seed`` the per-level generators derive
-    deterministically from ``(seed, level index, restart index)``, so two
-    runs of the same spec emit identical bytes.
+    With a fixed ``cga.rng_seed``, restart ``k`` of level ``eps`` draws from
+    the key ``[seed, bits of eps, k]`` (see :func:`~qkdopt.cga.run`): the same
+    spec emits the same bytes, and a row does not depend on the other levels.
     """
 
     params: CvProtocolParams | DvProtocolParams
@@ -174,19 +174,16 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 def optimize_levels(spec: SweepSpec) -> list[OptimizationResult]:
     """Best of ``spec.restarts`` optimizer runs at each of ``spec.eps_levels``.
 
-    Restart ``r`` at level index ``level`` draws from its own generator,
-    derived from ``(spec.cga.rng_seed, level, r)``; every run of every level
-    advances in one :func:`~qkdopt.cga.run` call, rated by :func:`key_rate`,
-    and at each level the first restart with the highest fitness wins.
+    A level's restarts are ``restarts`` runs of its total in one
+    :func:`~qkdopt.cga.run` call for all levels (keyed ``[seed, bits, k]``,
+    ``k`` the restart), rated by :func:`key_rate`; the first with the highest
+    fitness wins, and restart 0 equals ``run`` at that level alone.
     """
-    seed = spec.cga.rng_seed
-    runs = [(idx, r) for idx in range(len(spec.eps_levels)) for r in range(spec.restarts)]
     results = run_cga(
         spec.cga,
-        [spec.eps_levels[idx] for idx, _ in runs],
+        [total for total in spec.eps_levels for _ in range(spec.restarts)],
         spec.family,
         lambda budget: key_rate(spec.params, budget).rate_bits_per_sec,
-        [np.random.default_rng(None if seed is None else [seed, idx, r]) for idx, r in runs],
     )
     return [
         max(results[k : k + spec.restarts], key=lambda result: result.best_fitness)
@@ -355,9 +352,9 @@ _NOT_SWEEP_KEYS = ("params", "cga")
 def load_config(path: str) -> SweepSpec:
     """Read a sweep spec from an INI file; see :func:`loads_config`."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     return loads_config(text)
 

@@ -159,6 +159,17 @@ def test_a_float_split_is_a_json_ready_budget(family):
     assert reconstruct_sec(total, total / 2, total / 2, family) is None
 
 
+def test_scalar_components_of_any_real_type_give_a_budget_of_floats():
+    # the shape of the answer follows the components' ndim, not their Python type
+    budget = reconstruct_sec(1e-9, np.float32(1e-10), 1e-11, Family.DV)
+    assert isinstance(budget, EpsilonBudget)
+    values = budget.total, budget.eps_pe, budget.eps_cor, budget.eps_sec
+    assert all(type(value) is float for value in values)
+    assert budget.eps_pe == float(np.float32(1e-10))  # read as float64, exactly
+    assert type(dv_key_rate(DvProtocolParams(), budget).rate_bits_per_sec) is float
+    assert reconstruct_sec(0.5, 1, 1, Family.DV) is None
+
+
 _QBER = lambda x: worst_case_qber(0.01, 1000, x)  # noqa: E731
 
 #: The helpers that take log2(eps) rather than eps.

@@ -1,6 +1,7 @@
 import bisect
 import functools
 import itertools
+import logging
 import math
 import operator
 
@@ -198,10 +199,10 @@ def test_run_rates_each_generation_in_one_call():
     assert all(0 < n <= 30 for n in calls) and sum(calls) < 30 * 12
 
 
-#: A stack of DV runs: (total, seed).  3e-21 leaves a feasible split only
-#: at the floor corner, so its run re-seeds; 2e-15 is rated NaN throughout;
-#: the two 1e-18 runs share a total but not a generator.
-_STACK = ((1e-18, 3), (3e-21, 4), (1e-12, 5), (2e-15, 6), (1e-18, 7), (1e-6, 8))
+#: A stack of DV totals.  3e-21 leaves a feasible split only at the floor
+#: corner, so its run re-seeds; 2e-15 is rated NaN throughout; 1e-18 is
+#: listed twice, so its second run is that total's first repeat.
+_STACK = (1e-18, 3e-21, 1e-12, 2e-15, 1e-18, 1e-6)
 _NAN_TOTAL = 2e-15
 
 
@@ -213,7 +214,7 @@ def _nan_at_one_level(rate):
 
 
 def test_lockstep_runs_equal_their_runs_alone():
-    cfg = CgaConfig(population=24, iterations=15)
+    cfg = CgaConfig(population=24, iterations=15, rng_seed=3)
     calls = []
     rate = _nan_at_one_level(dv_rate_fn())
 
@@ -221,15 +222,15 @@ def test_lockstep_runs_equal_their_runs_alone():
         calls.append(np.size(budget.eps_pe))
         return rate(budget)
 
-    totals = [total for total, _ in _STACK]
-    rngs = [np.random.default_rng(seed) for _, seed in _STACK]
-    stacked = run(cfg, totals, Family.DV, counting, rngs)
+    stacked = run(cfg, _STACK, Family.DV, counting)
     assert len(calls) == cfg.iterations  # one rate call per generation for all runs
-    alone = [
-        run(cfg, total, Family.DV, rate, rng=np.random.default_rng(seed))
-        for total, seed in _STACK
-    ]
-    for (total, _), got, want in zip(_STACK, stacked, alone):
+    # a run is keyed by its total's value: the first run of a total is that
+    # total's run alone, and its k-th repeat is run k of k + 1 copies of it
+    for i, (total, got) in enumerate(zip(_STACK, stacked)):
+        k = _STACK[:i].count(total)
+        want = run(cfg, [total] * (k + 1), Family.DV, rate)[k] if k else run(
+            cfg, total, Family.DV, rate
+        )
         assert got.best_fitness == want.best_fitness, total
         assert got.best_budget == want.best_budget, total
         assert got.fitness_history == want.fitness_history, total
@@ -245,7 +246,7 @@ def test_lockstep_runs_equal_their_runs_alone():
             assert got.best_fitness == float(rate(got.best_budget)), total
             components = got.best_budget.eps_pe, got.best_budget.eps_cor
             assert got.best_budget == reconstruct_sec(total, *components, Family.DV), total
-    by_total = dict(zip(totals, stacked))
+    by_total = dict(zip(_STACK, stacked))
     assert by_total[3e-21].reseeds > 0 and by_total[_NAN_TOTAL].reseeds == cfg.iterations
     assert by_total[_NAN_TOTAL].best_budget is None
     assert by_total[1e-6].reseeds == 0 and by_total[1e-6].best_budget is not None
@@ -255,15 +256,20 @@ def test_lockstep_runs_equal_their_runs_alone():
 def test_lockstep_of_one_is_run():
     cfg = CgaConfig(population=20, iterations=10, rng_seed=3)
     rate = dv_rate_fn()
-    (stacked,) = run(cfg, [1e-17], Family.DV, rate, [np.random.default_rng(3)])
+    (stacked,) = run(cfg, [1e-17], Family.DV, rate)
     assert stacked == run(cfg, 1e-17, Family.DV, rate)
 
 
-@pytest.mark.parametrize("rngs", [None, [], [np.random.default_rng(1)] * 3])
-def test_run_needs_one_generator_per_total(rngs):
-    cfg = CgaConfig(population=8, iterations=1)
-    with pytest.raises(ValueError, match="2 totals need as many generators"):
-        run(cfg, [1e-12, 1e-10], Family.DV, dv_rate_fn(), rngs)
+def test_a_reseed_is_logged_with_its_run_total_and_generation(caplog):
+    # at 3e-21 only the floor corner is feasible: the first generation of the
+    # second run holds no feasible pair and is re-drawn
+    cfg = CgaConfig(population=8, iterations=1, rng_seed=0)
+    with caplog.at_level(logging.INFO, logger="qkdopt.cga"):
+        results = run(cfg, [1e-12, 3e-21], Family.DV, dv_rate_fn())
+    assert [result.reseeds for result in results] == [0, 1]
+    assert [record.getMessage() for record in caplog.records] == [
+        "run 1 (total 3e-21) re-seeds generation 0: fewer than two feasible parents"
+    ]
 
 
 def test_select_counts():
@@ -529,27 +535,35 @@ def test_mutate_spares_elite_and_hits_everyone_else():
     assert np.array_equal(population, np.zeros((50, 2)))
 
 
-def test_each_generation_draws_one_uniform_then_one_normal_block():
+def test_each_generation_draws_one_uniform_then_one_normal_block(monkeypatch):
     # two runs, one generation: the bred run draws its pairing, crossover and
     # mutation-mask uniforms as one block, then its noise; the re-seeded run
     # (no feasible chromosome) draws only a fresh population
-    cfg = CgaConfig(population=10, iterations=1)
+    cfg = CgaConfig(population=10, iterations=1, rng_seed=5)
     size, k = cfg.population, cfg.population - cfg.population // 2
-    rngs = [np.random.default_rng(s) for s in (1, 2)]
+    default_rng, made = np.random.default_rng, []
+
+    def capturing(key):  # the generators run makes, with their keys
+        made.append((key, default_rng(key)))
+        return made[-1][1]
+
+    monkeypatch.setattr(np.random, "default_rng", capturing)
 
     def rate(budget):  # finite on the first run's rows, NaN on the second's
         return np.where(budget.total == 1e-12, budget.eps_pe, np.nan)
 
-    results = run(cfg, [1e-12, 1e-10], Family.DV, rate, rngs)
+    results = run(cfg, [1e-12, 1e-10], Family.DV, rate)
     assert [result.reseeds for result in results] == [0, 1]
-    bred, reseeded = (np.random.default_rng(s) for s in (1, 2))
+    bits = np.array([1e-12, 1e-10]).view(np.uint64).tolist()
+    assert [key for key, _ in made] == [[5, bits[0], 0], [5, bits[1], 0]]
+    bred, reseeded = (default_rng(key) for key, _ in made)
     initialize(cfg, bred)
     bred.random(6 * k + 2 * size)
     bred.normal(size=(size, 2))
     initialize(cfg, reseeded)
     initialize(cfg, reseeded)
-    assert rngs[0].bit_generator.state == bred.bit_generator.state
-    assert rngs[1].bit_generator.state == reseeded.bit_generator.state
+    assert made[0][1].bit_generator.state == bred.bit_generator.state
+    assert made[1][1].bit_generator.state == reseeded.bit_generator.state
 
 
 def on_shares(landscape):

@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +165,22 @@ def test_optimize_restarts_flag_keeps_the_best_run(capsys, tmp_path):
     assert (doc["eps_pe"], doc["eps_cor"]) == (best.best_budget.eps_pe, best.best_budget.eps_cor)
     # at this seed and level the second run wins
     assert doc["rate_bps_raw"] > optimize()["rate_bps_raw"]
+
+
+def test_every_sweep_level_is_optimize_at_that_level_alone(capsys, tmp_path):
+    # a run is keyed by its level's value, not by the level's place in the list
+    cfg = tmp_path / "dv.ini"
+    cfg.write_text("[budget]\nfamily = dv\n\n" + SMALL_CGA_INI + "\n[sweep]\nrestarts = 2\n")
+    levels = ("1e-18", "1e-17", "1e-16")
+    argv = ("--config", str(cfg), "--seed", "3", "--format", "json")
+    code, out, _ = run_cli(capsys, "sweep", "--eps", ",".join(levels), *argv)
+    assert code == 0
+    for level, record in zip(levels, json.loads(out)["records"]):
+        code, out, _ = run_cli(capsys, "optimize", "--eps", level, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert record["budget_opt"] == {k: doc[k] for k in ("eps_pe", "eps_cor", "eps_sec")}
+        assert record["rates_raw"]["opt"] == doc["rate_bps_raw"]
 
 
 def test_optimize_needs_single_eps(capsys):
@@ -559,6 +579,29 @@ def test_a_failed_command_leaves_an_existing_output_file(capsys, tmp_path):
     )
     assert code == 1 and "expected one --eps value" in err
     assert out.read_text() == "earlier output\n"
+
+
+def test_files_are_read_and_written_as_utf8_whatever_the_locale(tmp_path):
+    # with the locale's encoding, an open without one warns and a warning is an error
+    golden = Path(__file__).resolve().parent / "golden"
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", str(golden / "sweep_dv.ini"), "--out", str(out)]
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    flags = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+    done = subprocess.run(
+        [sys.executable, *flags, "-m", "qkdopt.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert out.read_bytes() == (golden / "sweep_dv.csv").read_bytes()
+
+
+def test_a_config_that_is_not_utf8_exits_one_naming_it(capsys, tmp_path):
+    cfg = tmp_path / "latin1.ini"
+    cfg.write_bytes("[budget]\nfamily = dv\n# caf\u00e9\n".encode("latin-1"))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: cannot read config {cfg}: ")
 
 
 def test_io_errors_exit_two(capsys):

@@ -12,12 +12,16 @@ and records the reason (and the largest relative difference) in CHANGES.md.
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
+from qkdopt.budget import Family
+from qkdopt.cga import CgaConfig, run
 from qkdopt.cli import main
+from qkdopt.dv_rate import DvProtocolParams, dv_key_rate
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -91,6 +95,19 @@ def test_output_matches_golden(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes(), (
         f"{name} differs from tests/golden/{name}"
     )
+
+
+def test_the_library_run_is_the_optimize_golden():
+    # `optimize --seed 1` and the library's run at the same seed are one run
+    doc = json.loads((GOLDEN / "optimize_dv.json").read_text(encoding="utf-8"))
+    params = DvProtocolParams()
+    result = run(
+        CgaConfig(rng_seed=1), 1e-18, Family.DV,
+        lambda budget: dv_key_rate(params, budget).rate_bits_per_sec,
+    )
+    names = ("eps_pe", "eps_cor", "eps_sec")
+    assert {k: getattr(result.best_budget, k) for k in names} == {k: doc[k] for k in names}
+    assert result.best_fitness == doc["rate_bps_raw"]
 
 
 if __name__ == "__main__":

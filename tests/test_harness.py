@@ -521,8 +521,8 @@ def test_optimize_level_is_the_sweep_level():
 
 
 def test_sweep_runs_equal_their_runs_alone(monkeypatch):
-    # every (level, restart) run advances in one lockstep; each must end as
-    # the same run made alone from its (seed, level, restart) generator
+    # every (level, restart) run advances in one lockstep; restart k of a
+    # level must end as run k of that level's total repeated alone
     spec = small_dv_spec(eps_levels=(3e-21, 1e-18, 1e-12), restarts=2, include_baselines=False)
     calls = []
 
@@ -534,11 +534,9 @@ def test_sweep_runs_equal_their_runs_alone(monkeypatch):
     result = run_sweep(spec)
     records = result.records
     assert len(calls) == SMALL_CGA.iterations
-    for idx, (total, record) in enumerate(zip(spec.eps_levels, records)):
-        first, second = (
-            run(SMALL_CGA, total, Family.DV, dv_rate, rng=np.random.default_rng([7, idx, r]))
-            for r in range(2)
-        )
+    for total, record in zip(spec.eps_levels, records):
+        first, second = run(SMALL_CGA, [total, total], Family.DV, dv_rate)
+        assert first == run(SMALL_CGA, total, Family.DV, dv_rate)
         best = second if second.best_fitness > first.best_fitness else first
         assert record.opt == best
     # the level at the floor finds no feasible split; the others do
@@ -546,6 +544,13 @@ def test_sweep_runs_equal_their_runs_alone(monkeypatch):
     assert all(math.isfinite(r.opt.best_fitness) for r in records[1:])
     assert emit_results(result, fmt="csv").splitlines()[1].split(",")[4] == ""
     assert json.loads(emit_results(result, fmt="json"))["records"][0]["rates_raw"]["opt"] is None
+
+
+def test_a_row_does_not_change_when_a_level_is_listed_before_it():
+    spec = small_dv_spec(eps_levels=(1e-17,), restarts=2)
+    (alone,) = run_sweep(spec).records
+    for before in (1e-18, 3e-21):
+        assert run_sweep(replace(spec, eps_levels=(before, 1e-17))).records[1] == alone
 
 
 def test_an_unseeded_sweep_draws_fresh_streams():

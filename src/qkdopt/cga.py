@@ -265,8 +265,8 @@ def run(
     """Optimize the split of ``total_eps`` against a key-rate function.
 
     One total gives one result, a sequence of totals a list.  Each run draws
-    only from ``default_rng([seed, bits, k])``: ``config.rng_seed``, its
-    total's IEEE 754 bit pattern as a ``uint64`` and ``k``, the count of
+    only from its own generator, keyed ``[seed, bits, k]``: ``config.rng_seed``,
+    its total's IEEE 754 bit pattern as a ``uint64`` and ``k``, the count of
     earlier runs of the call with that total (no seed: fresh entropy).  So a
     result equals ``run`` at its total alone, or run ``k`` of ``k + 1`` repeats.
 

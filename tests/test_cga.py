@@ -228,9 +228,10 @@ def test_lockstep_runs_equal_their_runs_alone():
     # total's run alone, and its k-th repeat is run k of k + 1 copies of it
     for i, (total, got) in enumerate(zip(_STACK, stacked)):
         k = _STACK[:i].count(total)
-        want = run(cfg, [total] * (k + 1), Family.DV, rate)[k] if k else run(
-            cfg, total, Family.DV, rate
-        )
+        if k:
+            want = run(cfg, [total] * (k + 1), Family.DV, rate)[k]
+        else:
+            want = run(cfg, total, Family.DV, rate)
         assert got.best_fitness == want.best_fitness, total
         assert got.best_budget == want.best_budget, total
         assert got.fitness_history == want.fitness_history, total

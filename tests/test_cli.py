@@ -582,7 +582,8 @@ def test_a_failed_command_leaves_an_existing_output_file(capsys, tmp_path):
 
 
 def test_files_are_read_and_written_as_utf8_whatever_the_locale(tmp_path):
-    # with the locale's encoding, an open without one warns and a warning is an error
+    # -X warn_default_encoding makes every open that relies on the locale's
+    # encoding warn, and -W error makes that warning fail the command
     golden = Path(__file__).resolve().parent / "golden"
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--config", str(golden / "sweep_dv.ini"), "--out", str(out)]

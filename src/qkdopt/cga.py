@@ -158,54 +158,35 @@ def pair(fitness: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     uniforms ``u``: row ``i`` of a run holds pair ``i``'s mother draw, then
     its father draw.
 
-    A draw picks the first index whose left-to-right cumulative weight
-    exceeds it or, past the top (only rounding slack allows that), the last
-    index of positive weight.  Mothers draw on the softmax weights of
-    ``fitness``; each father on the same weights with his mother's zeroed
-    and the rest divided by their left-to-right sum, so the two differ.
+    Each softmax probability of ``fitness`` counts as a whole number of units
+    of 2^-40, rounded down.  A draw ``u`` on integer weights of sum ``S``
+    picks the first index whose left-to-right cumulative weight exceeds
+    ``floor(u * S)``, ``u * S`` a float product.  Mothers draw on the run's
+    weights; each father on the same weights with his mother's taken out, so
+    the two differ.  Integer sums are exact: no draw depends on rounding them.
     """
     probs = softmax_probabilities(fitness)
     n_runs, n = probs.shape
-    positive = probs > 0.0
-    if (np.add.reduce(positive, axis=1) < 2).any():
+    # Every selectable parent gets at least one unit: its exp weight lies in
+    # [1, e] and ``fits`` limits a pool to n <= 2^22, so p > 2^-24, which is
+    # at least 2^16 units.  The flat sum cannot overflow: it is at most
+    # R 2^40 (1 + n 2^-52), below 2^63 for R < 2^23 runs, and a sweep's
+    # ``fits`` holds R P <= 2^23.  A draw stays inside its run: u <= 1 - 2^-53
+    # and S < 2^53 is an integer, so u * S is at most S - S 2^-53, over half
+    # an ulp below S (one ulp if S is a power of two), and floor(u * S) < S.
+    weights = (probs * 2.0**40).astype(np.int64)
+    if (np.add.reduce(weights > 0, axis=1) < 2).any():
         raise ValueError("pairing needs at least two selectable parents")
-    # Row r is r + 1j * (0, C[0], ..., C[n - 1], inf), C the run's CDF: as
-    # complex numbers sort by real, then imaginary part, one searchsorted
-    # places every run's draws among its own CDF values, compared exactly; a
-    # draw placed at base + j is below C[j] and not below C[j - 1].
-    runs = np.arange(n_runs)[:, None]
-    keys = np.zeros((n_runs, n + 2), complex)
-    keys.real, cdf = runs, keys.imag
-    probs.cumsum(axis=1, out=cdf[:, 1:-1])
-    cdf[:, -1] = np.inf
-    keys, base = keys.ravel(), runs * (n + 2) + 1
-    draws = np.empty(u.shape[:2], complex)
-    draws.real, draws.imag = runs, u[..., 0]
-    last = n - 1 - positive[:, ::-1].argmax(axis=1)[:, None]
-    mothers = np.minimum(keys.searchsorted(draws, "right") - base, last)
-    # A father draw covers t = u * (C[-1] - p_m) of the CDF without his
-    # mother's weight p_m, shifted past her interval from its start C[m - 1]
-    # on (C[m] is C[m - 1] + p_m rounded: no father lands on his mother).
-    # The rule's own CDF differs by rounding, under (4 n + 1) half-ulps of 1
-    # to first order (three sums of at most n + 1 weights: C, the zeroed
-    # row's and the rule's CDF; and a few products), so a draw within
-    # 4 (n + 2) ulps of 1 of a CDF value, or past the top, is drawn on its
-    # exact conditional row.
-    p_m = probs[runs, mothers]
-    t = u[..., 1] * (cdf[:, -2:-1] - p_m)
-    draws.imag = v = np.where(t < cdf[runs, mothers], t, t + p_m)
-    at = keys.searchsorted(draws, "right")
-    fathers, bound, band = at - base, keys.imag, 4 * (n + 2) * np.spacing(1.0)
-    exact = (fathers == n) | (v - bound[at - 1] <= band) | (bound[at] - v <= band)
-    if exact.any():
-        r, i = exact.nonzero()
-        rows = probs[r]
-        rows[np.arange(r.size), mothers[r, i]] = 0.0
-        rows /= rows.cumsum(axis=1)[:, -1:]
-        hit = u[r, i, 1][:, None] < rows.cumsum(axis=1)
-        top = n - 1 - (rows[:, ::-1] > 0.0).argmax(axis=1)
-        fathers[r, i] = np.where(hit[:, -1], hit.argmax(axis=1), top)
-    return mothers, fathers
+    # one flat cumsum holds every run's CDF, offset by the runs before it
+    cdf, total = weights.cumsum(), weights.sum(axis=1, keepdims=True)
+    start = cdf[n - 1 :: n, None] - total
+    mothers = cdf.searchsorted(start + (u[..., 0] * total).astype(np.int64), "right")
+    # a father's draw skips his mother's interval [C - w_m, C), C = cdf[mother]
+    w_m = weights.ravel()[mothers]
+    t = start + (u[..., 1] * (total - w_m)).astype(np.int64)
+    fathers = cdf.searchsorted(np.where(t < cdf[mothers] - w_m, t, t + w_m), "right")
+    base = np.arange(n_runs)[:, None] * n
+    return mothers - base, fathers - base
 
 
 def crossover(mothers: np.ndarray, fathers: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -374,75 +374,64 @@ def test_pair_needs_two_selectable():
         pair_one(np.array([1.0, WORST_FITNESS, WORST_FITNESS]), 3, rng)
 
 
+def units(probs):
+    """Integer pairing weights: each probability in whole units of 2^-40."""
+    return [int(p * 2**40) for p in probs]
+
+
+def first_above(cdf, x):
+    """The pairing rule in Python ints: the first index whose cumulative
+    weight ``cdf`` exceeds ``floor(x * S)``, ``S`` their sum."""
+    return bisect.bisect_right(cdf, math.floor(x * cdf[-1]))
+
+
 def test_pair_matches_sequential_inverse_cdf():
     # one (n, 2) block: row i is pair i's mother draw, then its father draw,
-    # each the first index whose left-to-right cumulative weight exceeds u
+    # each the first index whose left-to-right cumulative weight, summed in
+    # Python ints, exceeds the draw scaled to the weights' sum
     fitness = np.array([3.0, WORST_FITNESS, 1.0, 2.5, 2.0, WORST_FITNESS])
     mothers, fathers = pair_one(fitness, 500, np.random.default_rng(43))
     u = np.random.default_rng(43).random((500, 2))
 
-    def draw(probs, x):
-        acc = 0.0
-        for i, p in enumerate(probs):
-            acc += p
-            if x < acc:
+    def draw(weights, x):
+        t, acc = math.floor(x * sum(weights)), 0  # sums exact in ints
+        for i, w in enumerate(weights):
+            acc += w
+            if t < acc:
                 return i
-        return max(i for i, p in enumerate(probs) if p > 0.0)
 
-    probs = softmax_probabilities(fitness).tolist()
+    weights = units(softmax_probabilities(fitness).tolist())
     for i in range(500):
-        assert mothers[i] == draw(probs, u[i, 0])
-        conditional = list(probs)
-        conditional[mothers[i]] = 0.0
-        norm = functools.reduce(operator.add, conditional)
-        assert fathers[i] == draw([p / norm for p in conditional], u[i, 1])
+        assert mothers[i] == draw(weights, u[i, 0])
+        conditional = list(weights)
+        conditional[mothers[i]] = 0
+        assert fathers[i] == draw(conditional, u[i, 1])
     assert set(mothers.tolist()) | set(fathers.tolist()) == {0, 2, 3, 4}
-
-
-def test_pair_father_cdf_normalizes_left_to_right():
-    # a father draw placed exactly on a cumulative weight tells the plain
-    # left-to-right normalizer from a compensated one (Python 3.12's sum)
-    fitness = np.random.default_rng(5).uniform(0.0, 50.0, size=100)
-    conditional = [0.0] + softmax_probabilities(fitness).tolist()[1:]
-    plain_norm = functools.reduce(operator.add, conditional)
-    assert math.fsum(conditional) != plain_norm
-    plain = np.cumsum([p / plain_norm for p in conditional])
-    compensated = np.cumsum([p / math.fsum(conditional) for p in conditional])
-    k = int(np.flatnonzero(plain != compensated)[0])
-    u = min(plain[k], compensated[k])
-
-    class Fixed:
-        def random(self, size):
-            return np.array([[0.0, u]])  # mother 0, excluded from the fathers
-
-    mothers, fathers = pair_one(fitness, 1, Fixed())
-    assert mothers.tolist() == [0]
-    assert fathers.tolist() == [k if plain[k] > u else k + 1]
 
 
 def test_pair_rounding_slack_falls_back_to_last_selectable():
     class Top:
         def random(self, size):
-            return np.full(size, 2.0)
+            return np.full(size, 1.0 - 2.0**-53)  # the largest uniform rng.random gives
 
-    # the cumulative weights may end just below 1; a draw above all of them
-    # (only rounding slack allows one) picks the last selectable parent,
-    # never a trailing worst-fitness one
+    # even at the largest uniform, u * S rounds to below S: the draw stays in
+    # range and picks the last selectable parent, never a trailing
+    # worst-fitness one
     mothers, fathers = pair_one(np.array([2.0, 1.0, 3.0, WORST_FITNESS]), 4, Top())
     assert mothers.tolist() == [2] * 4
     assert fathers.tolist() == [1] * 4
 
 
 def test_pair_is_exact_on_every_conditional_cdf_value():
-    # each father draw sits exactly on a value of his mother's conditional
-    # CDF, where rounding decides the draw; the father must be the one the
-    # documented rule gives, computed here: zero the mother, divide by the
-    # left-to-right sum, sum left to right, take the first index whose sum
-    # exceeds u and, past the top, the last index of positive weight
-    def first_above(weights, x):
-        cdf = list(itertools.accumulate(weights))
-        j = bisect.bisect_right(cdf, x)
-        return j if j < len(weights) else max(i for i, w in enumerate(weights) if w > 0.0)
+    # mother draws sit on every boundary C_j / S of a run's integer CDF and
+    # one ulp either side of it; for every mother, father draws sit on every
+    # boundary of her conditional CDF and one ulp either side, where a float
+    # rule would round either way.  pair must give the mother and father that
+    # the rule gives in Python ints
+    def near_boundaries(cdf):
+        edges = (c / cdf[-1] for c in [0, *cdf])
+        near = {x for e in edges for x in (math.nextafter(e, 0.0), e, math.nextafter(e, 1.0))}
+        return sorted(x for x in near if 0.0 <= x < 1.0)
 
     rng = np.random.default_rng(17)
     for n in (2, 3, 20, 100):
@@ -453,18 +442,16 @@ def test_pair_is_exact_on_every_conditional_cdf_value():
         zeros[2::3] = WORST_FITNESS
         fitness = np.stack([random, dominant, zeros])
         cases = []
-        for probs in softmax_probabilities(fitness).tolist():
-            run = []
-            for m, lower in enumerate(itertools.accumulate([0.0] + probs[:-1])):
-                if probs[m] == 0.0:
-                    continue
-                conditional = list(probs)
-                conditional[m] = 0.0
-                norm = functools.reduce(operator.add, conditional)
-                conditional = [p / norm for p in conditional]
-                assert first_above(probs, lower) == m  # u = C[m - 1] draws mother m
-                for x in itertools.accumulate(conditional):
-                    run.append((lower, x, m, first_above(conditional, x)))
+        for weights in map(units, softmax_probabilities(fitness).tolist()):
+            run, mothers = [], set()
+            cdf = list(itertools.accumulate(weights))
+            for x in near_boundaries(cdf):
+                m = first_above(cdf, x)
+                conditional = list(itertools.accumulate(weights[:m] + [0] + weights[m + 1 :]))
+                for y in [0.5] if m in mothers else near_boundaries(conditional):
+                    run.append((x, y, m, first_above(conditional, y)))
+                mothers.add(m)
+            assert mothers == {i for i, w in enumerate(weights) if w > 0}
             cases.append(run)
         size = max(map(len, cases))
         cases = [list(itertools.islice(itertools.cycle(run), size)) for run in cases]

@@ -38,7 +38,7 @@ def log2(x):
 def literals(test_file):
     """The module-level ``NAME = number`` constants of ``test_file``, read from
     its source so that the package is not imported."""
-    tree = ast.parse((Path(__file__).resolve().parent / test_file).read_text())
+    tree = ast.parse((Path(__file__).resolve().parent / test_file).read_text(encoding="utf-8"))
     return {
         node.targets[0].id: node.value.value
         for node in tree.body

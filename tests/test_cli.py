@@ -235,7 +235,7 @@ def test_sweep_writes_deterministic_csv(capsys, tmp_path):
     assert run_cli(capsys, "sweep", "--config", str(cfg), "--out", str(out_a))[0] == 0
     assert run_cli(capsys, "sweep", "--config", str(cfg), "--out", str(out_b))[0] == 0
     assert out_a.read_bytes() == out_b.read_bytes()
-    header = out_a.read_text().split("\n")[0]
+    header = out_a.read_text(encoding="utf-8").split("\n")[0]
     assert header.split(",")[0] == "eps_total"
 
 
@@ -253,7 +253,7 @@ def test_config_output_path_applies_to_every_command(capsys, tmp_path, command, 
     argv = (command, "--config", str(cfg), "--eps", "1e-17", *extra)
     assert run_cli(capsys, *argv) == (0, "", "")
     assert run_cli(capsys, *argv, "--out", str(from_flag)) == (0, "", "")
-    assert from_config.read_text() == from_flag.read_text() != ""
+    assert from_config.read_text(encoding="utf-8") == from_flag.read_text(encoding="utf-8") != ""
 
 
 def test_sweep_family_conflict_with_config(capsys, tmp_path):
@@ -578,7 +578,7 @@ def test_a_failed_command_leaves_an_existing_output_file(capsys, tmp_path):
         capsys, "rate", "--family", "dv", "--eps", "1e-17,1e-16", "--out", str(out)
     )
     assert code == 1 and "expected one --eps value" in err
-    assert out.read_text() == "earlier output\n"
+    assert out.read_text(encoding="utf-8") == "earlier output\n"
 
 
 def test_files_are_read_and_written_as_utf8_whatever_the_locale(tmp_path):
@@ -670,7 +670,7 @@ def test_fuzzed_commands_and_configs_exit_zero_or_one(capsys, tmp_path, monkeypa
         if rng.random() < 0.3:
             argv += ["--format", rng.choice(("text", "csv", "json"))]
         code, out, err = run_cli(capsys, *argv)
-        where = f"case {case}: {argv} with\n{cfg.read_text()}"
+        where = f"case {case}: {argv} with\n{cfg.read_text(encoding='utf-8')}"
         assert code in (0, 1), where + err
         assert err.count("\n") <= 1 and (code == 0) == (err == ""), where + err
         assert "internal error" not in out + err, where + err

@@ -346,7 +346,7 @@ def test_config_lists_every_bad_cga_bound():
 def test_readme_config_example_loads():
     # the README's one INI example is a config the reader takes, and its
     # [cga] block shows the defaults
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     (example,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
     spec = loads_config(example)
     assert spec.family is Family.DV

@@ -144,7 +144,7 @@ def scan(source: str, module: str) -> Counter:
 def test_the_package_makes_only_the_allowed_libm_calls():
     found = Counter()
     for path in sorted(PACKAGE.glob("*.py")):
-        found += scan(path.read_text(), path.stem)
+        found += scan(path.read_text(encoding="utf-8"), path.stem)
     assert not (new := found - ALLOWED), f"C-library math not on the list: {dict(new)}"
     assert not (gone := ALLOWED - found), f"no longer made, take off the list: {dict(gone)}"
 

@@ -15,7 +15,7 @@ from qkdopt.cli import main
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 #: Every fenced block of the README as (language, body), in order.
-BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```$", README.read_text(), re.M | re.S)
+BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
 
 
 def test_optimize_example_prints_its_output_block(capsys):

@@ -70,7 +70,7 @@ def medians(runs: list[dict]) -> dict:
 def main() -> int:
     if git("status", "--porcelain", "--", "src", "bench"):
         sys.exit("src/ or bench/ differ from the revision: commit them first")
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
     runs = [bench_run(w["name"], seed, seconds, 0) for seed in SEEDS for w in spec["workloads"]]
     runs.append(bench_run(*TRACED, seconds, 1))

@@ -58,7 +58,7 @@ def main() -> int:
     paths = sorted(ROOT.glob("BENCH_*.json"))
     failed = False
     for path in paths:
-        for problem in problems_of(json.loads(path.read_text())):
+        for problem in problems_of(json.loads(path.read_text(encoding="utf-8"))):
             print(f"{path.name}: {problem}")
             failed = True
     print(f"checked {len(paths)} file(s)")

@@ -19,7 +19,7 @@ arrays of each component and of the total, sharing one family).  The
 functions here and the rate chains compute over 1-d arrays only, reading a
 float as a batch of one; floats come back in one place per public result:
 the budget that :func:`reconstruct_sec` returns for float inputs, and a rate
-chain's breakdown of a budget of floats (:func:`floats_of`).  :func:`log2` is
+chain's breakdown of a budget of one split (:func:`floats_of`).  :func:`log2` is
 the chains' one logarithm, one array kernel whatever the batch size, a single
 split included: each rate call makes two calls of it, one on the budget's
 components and one on its entropy arguments, and so does each oracle grid.
@@ -265,9 +265,12 @@ def log2(x) -> np.ndarray:
     return series
 
 
-def floats_of(breakdown):
-    """A rate chain's ``breakdown`` of one split with each 1-element array field
-    as its float, which prints by ``repr``: the result for a budget of floats."""
+def floats_of(breakdown, budget: EpsilonBudget):
+    """A rate chain's ``breakdown`` of ``budget``: for one split (scalar
+    components of any real type), each 1-element array field as its float,
+    which prints by ``repr``; for a batch, the breakdown as it is."""
+    if np.ndim(budget.eps_pe):
+        return breakdown
     arrays = {k: v.item() for k, v in vars(breakdown).items() if isinstance(v, np.ndarray)}
     return replace(breakdown, **arrays)
 

@@ -341,8 +341,7 @@ def cv_key_rate(params: CvProtocolParams, budget: EpsilonBudget) -> CvRateBreakd
     """
     if budget.family is not Family.CV:
         raise ValueError(f"budget family must be CV, got {budget.family}")
-    breakdown = cv_rate_chain(params, *log2(budget.components))
-    return floats_of(breakdown) if isinstance(budget.eps_pe, float) else breakdown
+    return floats_of(cv_rate_chain(params, *log2(budget.components)), budget)
 
 
 @refuse_overflow

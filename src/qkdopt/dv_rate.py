@@ -240,8 +240,7 @@ def dv_key_rate(params: DvProtocolParams, budget: EpsilonBudget) -> DvRateBreakd
     """
     if budget.family is not Family.DV:
         raise ValueError(f"budget family must be DV, got {budget.family}")
-    breakdown = dv_rate_chain(params, *log2(budget.components))
-    return floats_of(breakdown) if isinstance(budget.eps_pe, float) else breakdown
+    return floats_of(dv_rate_chain(params, *log2(budget.components)), budget)
 
 
 @refuse_overflow

@@ -170,6 +170,22 @@ def test_scalar_components_of_any_real_type_give_a_budget_of_floats():
     assert reconstruct_sec(0.5, 1, 1, Family.DV) is None
 
 
+@pytest.mark.parametrize(
+    "family, params, rate",
+    [(Family.DV, DvProtocolParams(), dv_key_rate), (Family.CV, CvProtocolParams(), cv_key_rate)],
+)
+def test_a_budget_of_numpy_scalars_rates_as_floats(family, params, rate):
+    # built in code rather than by reconstruct_sec, so eps_pe stays a
+    # float32: the breakdown follows the components' ndim, not their type
+    eps_pe, eps_cor = np.float32(1e-10), np.float64(1e-11)
+    eps_sec = 1e-9 - family.pe_weight * float(eps_pe) - float(eps_cor)
+    budget = EpsilonBudget(1e-9, eps_pe, eps_cor, eps_sec, family)
+    out = rate(params, budget)
+    plain = rate(params, EpsilonBudget(1e-9, float(eps_pe), float(eps_cor), eps_sec, family))
+    assert all(type(getattr(out, f.name)) is float for f in fields(out))
+    assert out == plain
+
+
 _QBER = lambda x: worst_case_qber(0.01, 1000, x)  # noqa: E731
 
 #: The helpers that take log2(eps) rather than eps.

@@ -379,12 +379,6 @@ def units(probs):
     return [int(p * 2**40) for p in probs]
 
 
-def first_above(cdf, x):
-    """The pairing rule in Python ints: the first index whose cumulative
-    weight ``cdf`` exceeds ``floor(x * S)``, ``S`` their sum."""
-    return bisect.bisect_right(cdf, math.floor(x * cdf[-1]))
-
-
 def test_pair_matches_sequential_inverse_cdf():
     # one (n, 2) block: row i is pair i's mother draw, then its father draw,
     # each the first index whose left-to-right cumulative weight, summed in
@@ -427,7 +421,11 @@ def test_pair_is_exact_on_every_conditional_cdf_value():
     # one ulp either side of it; for every mother, father draws sit on every
     # boundary of her conditional CDF and one ulp either side, where a float
     # rule would round either way.  pair must give the mother and father that
-    # the rule gives in Python ints
+    # the rule gives in Python ints: the first index whose cumulative weight
+    # exceeds floor(x * S), S the weights' sum
+    def first_above(cdf, x):
+        return bisect.bisect_right(cdf, math.floor(x * cdf[-1]))
+
     def near_boundaries(cdf):
         edges = (c / cdf[-1] for c in [0, *cdf])
         near = {x for e in edges for x in (math.nextafter(e, 0.0), e, math.nextafter(e, 1.0))}

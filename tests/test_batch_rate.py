@@ -173,6 +173,7 @@ def test_scalar_components_of_any_real_type_give_a_budget_of_floats():
 @pytest.mark.parametrize(
     "family, params, rate",
     [(Family.DV, DvProtocolParams(), dv_key_rate), (Family.CV, CvProtocolParams(), cv_key_rate)],
+    ids=["DV", "CV"],
 )
 def test_a_budget_of_numpy_scalars_rates_as_floats(family, params, rate):
     # built in code rather than by reconstruct_sec, so eps_pe stays a

@@ -11,8 +11,6 @@ the fitness history; a ``rate`` or ``optimize`` record and the oracle's grid too
 from __future__ import annotations
 
 import configparser
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -242,11 +240,8 @@ def _json(doc: Any) -> str:
 
 def _csv(header: list[str], rows: Iterable[Iterable[Any]]) -> str:
     """``header``, then each row's cells: the repr of a value, empty if not :func:`finite`."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(["" if finite(v) is None else repr(v) for v in row] for row in rows)
-    return buf.getvalue()
+    cells = (["" if finite(v) is None else repr(v) for v in row] for row in rows)
+    return "".join(",".join(line) + "\n" for line in (header, *cells))
 
 
 def emit_record(record: dict[str, Any], fmt: str) -> str:

@@ -152,9 +152,14 @@ def reconstruct_sec(total, eps_pe, eps_cor, family: Family):
     one-row batch and give a budget of Python floats (or ``None``).
 
     Raises ``ValueError`` for genuine domain violations: ``total`` outside
-    ``(0, 1)`` or either input below ``EPSILON_FLOOR``.
+    ``(0, 1)`` or either input below ``EPSILON_FLOOR``; and for components of
+    two shapes, or a total that is neither one float nor one per split.
     """
     rows_total, rows_pe, rows_cor = _as_batch(total), _as_batch(eps_pe), _as_batch(eps_cor)
+    if rows_pe.shape != rows_cor.shape or rows_total.shape not in ((1,), rows_pe.shape):
+        raise ValueError(
+            f"components must share one shape, and the total be a float or one per split; got "
+            f"total {np.shape(total)}, eps_pe {np.shape(eps_pe)}, eps_cor {np.shape(eps_cor)}")
     _check_totals(rows_total)
     if not ((rows_pe >= EPSILON_FLOOR) & (rows_cor >= EPSILON_FLOOR)).all():
         if rows_total.min() < EPSILON_FLOOR:  # name the cause, not the arrays
@@ -197,7 +202,10 @@ def baseline_budgets(total: float, family: Family) -> list[tuple[str, EpsilonBud
     (``symmetric``) and a deliberately lopsided one (``asymmetric``) that
     overweights correctness.  Both are feasible for any ``total`` well above
     the component floor and serve as the non-optimized comparison points.
+    ``total`` is one float: an array raises ``ValueError``.
     """
+    if np.ndim(total):
+        raise ValueError(f"baseline splits take one total, got an array of shape {np.shape(total)}")
     out = []
     for label, pe_frac, cor_frac in _BASELINE_FRACTIONS[family]:
         budget = reconstruct_sec(total, total * pe_frac, total * cor_frac, family)

@@ -186,6 +186,31 @@ def test_reconstruct_per_row_totals_match_float_calls():
         reconstruct_sec(np.array([1e-9, 1.5]), np.full(2, 1e-12), np.full(2, 1e-12), Family.DV)
 
 
+def _one_line(err: pytest.ExceptionInfo) -> str:
+    message = str(err.value)
+    assert "\n" not in message and len(message) < 200
+    return message
+
+
+def test_reconstruct_refuses_components_of_two_shapes():
+    # one float component against an array of two used to fail on a boolean index
+    with pytest.raises(ValueError) as err:
+        reconstruct_sec(1e-9, 1e-11, np.array([1e-12, 1e-13]), Family.DV)
+    assert _one_line(err).endswith("got total (), eps_pe (), eps_cor (2,)")
+    with pytest.raises(ValueError, match=r"eps_pe \(3,\), eps_cor \(2,\)$"):
+        reconstruct_sec(1e-9, np.full(3, 1e-12), np.full(2, 1e-12), Family.CV)
+
+
+def test_reconstruct_refuses_a_total_that_is_not_one_per_split():
+    # two totals for one split used to fail converting an array to a scalar
+    with pytest.raises(ValueError) as err:
+        reconstruct_sec(np.array([1e-9, 1e-8]), 1e-11, 1e-12, Family.DV)
+    assert _one_line(err).startswith("components must share one shape, and the total be a float")
+    assert str(err.value).endswith("got total (2,), eps_pe (), eps_cor ()")
+    with pytest.raises(ValueError, match=r"total \(3,\), eps_pe \(2,\)"):
+        reconstruct_sec(np.full(3, 1e-9), np.full(2, 1e-12), np.full(2, 1e-12), Family.CV)
+
+
 def test_batch_budget_closes_each_row_against_its_own_total():
     sec = np.array([6e-6, 6e-9])
     rows = dict(eps_pe=np.array([1e-6, 1e-9]), eps_cor=np.array([1e-6, 1e-9]),
@@ -290,6 +315,18 @@ def test_baselines_dv():
     assert sym.eps_pe == pytest.approx(1e-18, rel=1e-12)
     assert sym.eps_cor == pytest.approx(1e-18, rel=1e-12)
     assert sym.eps_sec == pytest.approx(1e-18, rel=1e-9)
+
+
+def test_baselines_refuse_an_array_total():
+    # an array of totals used to give (mask, budget) pairs in place of budgets
+    with pytest.raises(ValueError) as err:
+        baseline_budgets(np.array([1e-9, 1e-8]), Family.DV)
+    assert _one_line(err) == "baseline splits take one total, got an array of shape (2,)"
+    # a numpy scalar is one total, and the floor still refuses a tiny one
+    assert dict(baseline_budgets(np.float64(3e-18), Family.DV)) == dict(
+        baseline_budgets(3e-18, Family.DV))
+    with pytest.raises(ValueError, match="too small for the asymmetric baseline split"):
+        baseline_budgets(2e-20, Family.DV)
 
 
 def test_closure_property_random_splits():

@@ -239,7 +239,11 @@ def _json(doc: Any) -> str:
 
 
 def _csv(header: list[str], rows: Iterable[Iterable[Any]]) -> str:
-    """``header``, then each row's cells: the repr of a value, empty if not :func:`finite`."""
+    """``header``, then each row's cells: the repr of a value, empty if not :func:`finite`.
+
+    Each line is joined as in :func:`grid_csv_text`, with no quoting: a cell is the repr of a
+    float, an int, a bool or a family name, or empty, and none holds a comma, a double quote,
+    CR or LF (``test_golden.py::test_every_csv_parses_as_its_comma_split_cells``)."""
     cells = (["" if finite(v) is None else repr(v) for v in row] for row in rows)
     return "".join(",".join(line) + "\n" for line in (header, *cells))
 

@@ -12,6 +12,8 @@ and records the reason (and the largest relative difference) in CHANGES.md.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -95,6 +97,25 @@ def test_output_matches_golden(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes(), (
         f"{name} differs from tests/golden/{name}"
     )
+
+
+#: The one record with a bool cell (``feasible``), which no golden holds.
+_BOOL_RECORD = ["optimize", "--family", "dv", "--eps", "1e-18", "--seed", "1", "--format", "csv"]
+
+
+@pytest.mark.parametrize("name", [*sorted(p.name for p in GOLDEN.glob("*.csv")), "bool_record"])
+def test_every_csv_parses_as_its_comma_split_cells(name, tmp_path):
+    # the package joins cells with commas and never quotes: a cell with a
+    # comma, a quote, CR or LF would shift the columns of this row
+    path = GOLDEN / name
+    if name == "bool_record":
+        path = tmp_path / "optimize.csv"
+        assert main([*_BOOL_RECORD, "--out", str(path)]) == 0
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("\n")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows == [line.split(",") for line in text[:-1].split("\n")]
+    assert {len(row) for row in rows} == {len(rows[0])}
 
 
 def test_the_library_run_is_the_optimize_golden():

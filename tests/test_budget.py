@@ -193,20 +193,22 @@ def _one_line(err: pytest.ExceptionInfo) -> str:
 
 
 def test_reconstruct_refuses_components_of_two_shapes():
-    # one float component against an array of two used to fail on a boolean index
+    # a float eps_pe has no row to pair with each of two eps_cor values
     with pytest.raises(ValueError) as err:
         reconstruct_sec(1e-9, 1e-11, np.array([1e-12, 1e-13]), Family.DV)
-    assert _one_line(err).endswith("got total (), eps_pe (), eps_cor (2,)")
+    assert _one_line(err) == (
+        "components must share one shape, and the total be a float or one per split; "
+        "got total (), eps_pe (), eps_cor (2,)")
     with pytest.raises(ValueError, match=r"eps_pe \(3,\), eps_cor \(2,\)$"):
         reconstruct_sec(1e-9, np.full(3, 1e-12), np.full(2, 1e-12), Family.CV)
 
 
 def test_reconstruct_refuses_a_total_that_is_not_one_per_split():
-    # two totals for one split used to fail converting an array to a scalar
     with pytest.raises(ValueError) as err:
         reconstruct_sec(np.array([1e-9, 1e-8]), 1e-11, 1e-12, Family.DV)
-    assert _one_line(err).startswith("components must share one shape, and the total be a float")
-    assert str(err.value).endswith("got total (2,), eps_pe (), eps_cor ()")
+    assert _one_line(err) == (
+        "components must share one shape, and the total be a float or one per split; "
+        "got total (2,), eps_pe (), eps_cor ()")
     with pytest.raises(ValueError, match=r"total \(3,\), eps_pe \(2,\)"):
         reconstruct_sec(np.full(3, 1e-9), np.full(2, 1e-12), np.full(2, 1e-12), Family.CV)
 
@@ -318,7 +320,7 @@ def test_baselines_dv():
 
 
 def test_baselines_refuse_an_array_total():
-    # an array of totals used to give (mask, budget) pairs in place of budgets
+    # the splits of several totals would be batches, not the promised budgets
     with pytest.raises(ValueError) as err:
         baseline_budgets(np.array([1e-9, 1e-8]), Family.DV)
     assert _one_line(err) == "baseline splits take one total, got an array of shape (2,)"

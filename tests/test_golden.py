@@ -111,7 +111,7 @@ def test_every_csv_parses_as_its_comma_split_cells(name, tmp_path):
     if name == "bool_record":
         path = tmp_path / "optimize.csv"
         assert main([*_BOOL_RECORD, "--out", str(path)]) == 0
-    text = path.read_text(encoding="utf-8")
+    text = path.read_bytes().decode("utf-8")  # not read_text, which would turn CR LF into LF
     assert text.endswith("\n")
     rows = list(csv.reader(io.StringIO(text, newline="")))
     assert rows == [line.split(",") for line in text[:-1].split("\n")]

@@ -14,6 +14,8 @@ from qkdopt.budget import (
     map_gene,
     reconstruct_sec,
 )
+from qkdopt.cv_rate import CvProtocolParams, bosonic_entropy, holevo_bound, pe_confidence_width
+from qkdopt.dv_rate import aep_term, binary_entropy, worst_case_qber
 
 
 def test_reconstruct_cv_basic():
@@ -190,6 +192,65 @@ def _one_line(err: pytest.ExceptionInfo) -> str:
     message = str(err.value)
     assert "\n" not in message and len(message) < 200
     return message
+
+
+def _bad_at_1_and_2(ok, first, second) -> np.ndarray:
+    return np.array([ok, first, second])
+
+
+_OK = np.full(3, 1e-12)
+_CV = CvProtocolParams()
+
+#: Each array refusal of the budget and rate layers, fed two different bad
+#: values at positions 1 and 2: ``(call, bound, named value, unnamed value)``.
+ARRAY_REFUSALS = {
+    "budget-total": (
+        lambda: EpsilonBudget(_bad_at_1_and_2(1e-9, 1.5, 2.0), _OK, _OK, _OK, Family.DV),
+        "total budget must lie in (0, 1)", 1.5, 2.0),
+    "reconstruct-total": (
+        lambda: reconstruct_sec(_bad_at_1_and_2(1e-9, 1.5, 2.0), _OK, _OK, Family.DV),
+        "total budget must lie in (0, 1)", 1.5, 2.0),
+    "reconstruct-eps_pe": (
+        lambda: reconstruct_sec(1e-9, _bad_at_1_and_2(1e-12, 5e-22, 2e-22), _OK, Family.DV),
+        "eps_pe must be at least 1e-21", 2e-22, 5e-22),
+    "reconstruct-eps_cor": (
+        lambda: reconstruct_sec(1e-9, _OK, _bad_at_1_and_2(1e-12, 5e-22, 2e-22), Family.CV),
+        "eps_cor must be at least 1e-21", 2e-22, 5e-22),
+    "map_gene": (
+        lambda: map_gene(_bad_at_1_and_2(0.0, 1.5, -2.0), 1e-9),
+        "genes must lie in [-1, 1]", 1.5, -2.0),
+    "worst_case_qber": (
+        lambda: worst_case_qber(0.01, 100, _bad_at_1_and_2(-10.0, 0.5, 1.0)),
+        "log2(eps_pe) must lie in (-inf, 0)", 0.5, 1.0),
+    "aep_term": (
+        lambda: aep_term(_bad_at_1_and_2(-10.0, 2.0, 3.0)),
+        "log2(eps_s) must lie in (-inf, 1]", 2.0, 3.0),
+    "binary_entropy": (
+        lambda: binary_entropy(_bad_at_1_and_2(0.1, 1.5, -0.5)),
+        "probability must lie in [0, 1]", 1.5, -0.5),
+    "pe_confidence_width": (
+        lambda: pe_confidence_width(_bad_at_1_and_2(-10.0, 0.5, 1.0)),
+        "log2(eps_pe) must lie in (-inf, 0]", 0.5, 1.0),
+    "holevo_bound-t": (
+        lambda: holevo_bound(_CV, _bad_at_1_and_2(0.5, 1.5, 2.0), np.full(3, 0.01)),
+        "transmissivity must lie in (0, 1]", 1.5, 2.0),
+    "holevo_bound-xi": (
+        lambda: holevo_bound(_CV, np.full(3, 0.5), _bad_at_1_and_2(0.01, -0.1, -0.2)),
+        "excess noise must be non-negative", -0.1, -0.2),
+    "bosonic_entropy": (
+        lambda: bosonic_entropy(_bad_at_1_and_2(2.0, 0.5, 0.25)),
+        "below 1: unphysical state", 0.5, 0.25),
+}
+
+
+@pytest.mark.parametrize("site", ARRAY_REFUSALS)
+def test_array_refusal_names_one_value_in_one_line(site):
+    call, bound, named, unnamed = ARRAY_REFUSALS[site]
+    with pytest.raises(ValueError) as err:
+        call()
+    message = _one_line(err)
+    assert bound in message
+    assert str(named) in message and str(unnamed) not in message
 
 
 def test_reconstruct_refuses_components_of_two_shapes():

@@ -110,7 +110,7 @@ class EpsilonBudget:
         if getattr(self.total, "shape", ()) != shape:
             raise ValueError("total must be a float, or an array of one total per split")
         total = _as_batch(self.total)
-        _check_totals(total)
+        refuse_outside(total, (0.0 < total) & (total < 1.0), "total budget must lie in (0, 1)")
         parts = self.components
         if not (inside := (EPSILON_FLOOR <= parts) & (parts < total)).all():
             k, row = np.argwhere(~inside)[0]  # name one value, not the arrays
@@ -128,11 +128,6 @@ class EpsilonBudget:
     def components(self) -> np.ndarray:
         """``eps_pe``, ``eps_cor`` and ``eps_sec`` as the rows of one ``(3, n)`` array."""
         return np.array((self.eps_pe, self.eps_cor, self.eps_sec)).reshape(3, -1)
-
-
-def _check_totals(total: np.ndarray) -> None:
-    if not (inside := (0.0 < total) & (total < 1.0)).all():  # name one total, not the array
-        raise ValueError(f"total budget must lie in (0, 1), got {total[~inside][0]}")
 
 
 def reconstruct_sec(total, eps_pe, eps_cor, family: Family):
@@ -155,27 +150,25 @@ def reconstruct_sec(total, eps_pe, eps_cor, family: Family):
     ``(0, 1)`` or either input below ``EPSILON_FLOOR``; and for components of
     two shapes, or a total that is neither one float nor one per split.
     """
-    rows_total, rows_pe, rows_cor = _as_batch(total), _as_batch(eps_pe), _as_batch(eps_cor)
-    if rows_pe.shape != rows_cor.shape or rows_total.shape not in ((1,), rows_pe.shape):
+    totals, rows_pe, rows_cor = _as_batch(total), _as_batch(eps_pe), _as_batch(eps_cor)
+    if rows_pe.shape != rows_cor.shape or totals.shape not in ((1,), rows_pe.shape):
         raise ValueError(
             f"components must share one shape, and the total be a float or one per split; got "
             f"total {np.shape(total)}, eps_pe {np.shape(eps_pe)}, eps_cor {np.shape(eps_cor)}")
-    _check_totals(rows_total)
+    refuse_outside(totals, (0.0 < totals) & (totals < 1.0), "total budget must lie in (0, 1)")
     if not ((rows_pe >= EPSILON_FLOOR) & (rows_cor >= EPSILON_FLOOR)).all():
-        if rows_total.min() < EPSILON_FLOOR:  # name the cause, not the arrays
-            raise ValueError(f"total {rows_total.min()} is below the floor {EPSILON_FLOOR}")
+        if totals.min() < EPSILON_FLOOR:  # name the cause, not the arrays
+            raise ValueError(f"total {totals.min()} is below the floor {EPSILON_FLOOR}")
         for name, rows in (("eps_pe", rows_pe), ("eps_cor", rows_cor)):
-            if not (above := rows >= EPSILON_FLOOR).all():
-                low = rows[~above].min()
-                raise ValueError(f"{name} must be at least {EPSILON_FLOOR}, got {low}")
-    eps_sec = rows_total - family.pe_weight * rows_pe - rows_cor
+            refuse_outside(rows, rows >= EPSILON_FLOOR, f"{name} must be at least {EPSILON_FLOOR}")
+    eps_sec = totals - family.pe_weight * rows_pe - rows_cor
     feasible = eps_sec >= EPSILON_FLOOR
     # Subtracting components below half an ulp of ``total`` rounds back to
     # ``total`` itself; nudge down so the strict component bound holds.
-    eps_sec = np.minimum(eps_sec, np.nextafter(rows_total, 0.0))
-    if rows_total.shape != feasible.shape:  # one total for every split
-        rows_total = np.broadcast_to(rows_total, feasible.shape)
-    rows = (rows_total, rows_pe, rows_cor, eps_sec)
+    eps_sec = np.minimum(eps_sec, np.nextafter(totals, 0.0))
+    if totals.shape != feasible.shape:  # one total for every split
+        totals = np.broadcast_to(totals, feasible.shape)
+    rows = (totals, rows_pe, rows_cor, eps_sec)
     if np.ndim(eps_pe) == np.ndim(eps_cor) == 0:  # one split: a budget of floats
         return EpsilonBudget(*(v.item() for v in rows), family) if feasible[0] else None
     return feasible, EpsilonBudget(*(v[feasible] for v in rows), family) if feasible.any() else None
@@ -231,9 +224,14 @@ def map_gene(p, total):
     two no room above the floor, and the split is judged infeasible downstream.
     """
     p = _as_batch(p)
-    if not (inside := (-1.0 <= p) & (p <= 1.0)).all():  # name one gene, not the array
-        raise ValueError(f"genes must lie in [-1, 1], got {p[~inside][0]}")
+    refuse_outside(p, (-1.0 <= p) & (p <= 1.0), "genes must lie in [-1, 1]")
     return EPSILON_FLOOR + 0.5 * (p + 1.0) * (total - EPSILON_FLOOR)
+
+
+def refuse_outside(values: np.ndarray, inside: np.ndarray, bound: str) -> None:
+    """Refuse the first of ``values`` where the mask ``inside`` fails: ``"{bound}, got {it}"``."""
+    if not inside.all():
+        raise ValueError(f"{bound}, got {values[~inside][0]}")
 
 
 def _as_batch(x) -> np.ndarray:

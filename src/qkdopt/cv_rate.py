@@ -36,7 +36,8 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .budget import LN2, EpsilonBudget, Family, check_fields, floats_of, log2, refuse_overflow
+from .budget import (
+    LN2, EpsilonBudget, Family, check_fields, floats_of, log2, refuse_outside, refuse_overflow)
 
 __all__ = [
     "CvProtocolParams",
@@ -175,9 +176,8 @@ def pe_confidence_width(log2_eps_pe):
     interval has zero width.
     """
     log2_eps_pe = np.atleast_1d(log2_eps_pe)
-    if not (inside := (-np.inf < log2_eps_pe) & (log2_eps_pe <= 0.0)).all():
-        bad = log2_eps_pe[~inside][0]  # name one value, not the array
-        raise ValueError(f"log2(eps_pe) must lie in (-inf, 0], got {bad}")
+    inside = (-np.inf < log2_eps_pe) & (log2_eps_pe <= 0.0)
+    refuse_outside(log2_eps_pe, inside, "log2(eps_pe) must lie in (-inf, 0]")
     return np.sqrt(-2.0 * LN2 * log2_eps_pe)
 
 
@@ -274,8 +274,7 @@ def bosonic_entropy(nu):
     unphysical and raises ``ValueError``.
     """
     nu = np.atleast_1d(nu)
-    if not (physical := nu >= 1.0 - _NU_TOL).all():
-        raise ValueError(f"symplectic eigenvalue {nu[~physical][0]} below 1: unphysical state")
+    refuse_outside(nu, nu >= 1.0 - _NU_TOL, "symplectic eigenvalues below 1 are unphysical")
     mixed = nu > 1.0
     nu = np.where(mixed, nu, 3.0)  # keep the vacuum out of log2's domain
     up_dn = 0.5 * np.stack((nu + 1.0, nu - 1.0))
@@ -302,10 +301,8 @@ def holevo_bound(params: CvProtocolParams, t, xi):
     :param xi: excess noise of the pessimistic channel, >= 0
     """
     t, xi = np.atleast_1d(t, xi)
-    if not (inside := (0.0 < t) & (t <= 1.0)).all():
-        raise ValueError(f"transmissivity must lie in (0, 1], got {t[~inside][0]}")
-    if not (inside := xi >= 0.0).all():
-        raise ValueError(f"excess noise must be non-negative, got {xi[~inside][0]}")
+    refuse_outside(t, (0.0 < t) & (t <= 1.0), "transmissivity must lie in (0, 1]")
+    refuse_outside(xi, xi >= 0.0, "excess noise must be non-negative")
     mu = params.signal_variance
     b = t * mu + 1.0 - t + t * xi
     c2 = t * (mu * mu - 1.0)

@@ -26,7 +26,8 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .budget import LN2, EpsilonBudget, Family, check_fields, floats_of, log2, refuse_overflow
+from .budget import (
+    LN2, EpsilonBudget, Family, check_fields, floats_of, log2, refuse_outside, refuse_overflow)
 from .cv_rate import transmissivity
 
 __all__ = [
@@ -179,9 +180,8 @@ def worst_case_qber(qber_est: float, m: int, log2_eps_pe):
     if m < 1:
         raise ValueError(f"need at least one estimation bit, got m = {m}")
     log2_eps_pe = np.atleast_1d(log2_eps_pe)
-    if not (inside := (-np.inf < log2_eps_pe) & (log2_eps_pe < 0.0)).all():
-        bad = log2_eps_pe[~inside][0]  # name one value, not the array
-        raise ValueError(f"log2(eps_pe) must lie in (-inf, 0), got {bad}")
+    inside = (-np.inf < log2_eps_pe) & (log2_eps_pe < 0.0)
+    refuse_outside(log2_eps_pe, inside, "log2(eps_pe) must lie in (-inf, 0)")
     dev = np.sqrt((2.0 / m) * (math.log(m + 1) - LN2 * log2_eps_pe))
     return np.minimum(qber_est + dev, 0.5)
 
@@ -194,8 +194,8 @@ def aep_term(log2_eps_s):
     mathematical check; real budgets keep ``eps_s`` far below 1).
     """
     log2_eps_s = np.atleast_1d(log2_eps_s)
-    if not (inside := (-np.inf < log2_eps_s) & (log2_eps_s <= 1.0)).all():
-        raise ValueError(f"log2(eps_s) must lie in (-inf, 1], got {log2_eps_s[~inside][0]}")
+    inside = (-np.inf < log2_eps_s) & (log2_eps_s <= 1.0)
+    refuse_outside(log2_eps_s, inside, "log2(eps_s) must lie in (-inf, 1]")
     return 7.0 * np.sqrt(1.0 - log2_eps_s)
 
 
@@ -206,8 +206,7 @@ def binary_entropy(p):
     one logarithm call for ``p`` and ``1 - p`` together.
     """
     p = np.atleast_1d(p)
-    if not (inside := (0.0 <= p) & (p <= 1.0)).all():
-        raise ValueError(f"probability must lie in [0, 1], got {p[~inside][0]}")
+    refuse_outside(p, (0.0 <= p) & (p <= 1.0), "probability must lie in [0, 1]")
     inner = (0.0 < p) & (p < 1.0)
     p = np.where(inner, p, 0.5)  # keep the endpoints out of log2's domain
     pq = np.stack((p, 1.0 - p))

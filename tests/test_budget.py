@@ -212,10 +212,10 @@ ARRAY_REFUSALS = {
         "total budget must lie in (0, 1)", 1.5, 2.0),
     "reconstruct-eps_pe": (
         lambda: reconstruct_sec(1e-9, _bad_at_1_and_2(1e-12, 5e-22, 2e-22), _OK, Family.DV),
-        "eps_pe must be at least 1e-21", 2e-22, 5e-22),
+        "eps_pe must be at least 1e-21", 5e-22, 2e-22),
     "reconstruct-eps_cor": (
         lambda: reconstruct_sec(1e-9, _OK, _bad_at_1_and_2(1e-12, 5e-22, 2e-22), Family.CV),
-        "eps_cor must be at least 1e-21", 2e-22, 5e-22),
+        "eps_cor must be at least 1e-21", 5e-22, 2e-22),
     "map_gene": (
         lambda: map_gene(_bad_at_1_and_2(0.0, 1.5, -2.0), 1e-9),
         "genes must lie in [-1, 1]", 1.5, -2.0),
@@ -239,7 +239,7 @@ ARRAY_REFUSALS = {
         "excess noise must be non-negative", -0.1, -0.2),
     "bosonic_entropy": (
         lambda: bosonic_entropy(_bad_at_1_and_2(2.0, 0.5, 0.25)),
-        "below 1: unphysical state", 0.5, 0.25),
+        "symplectic eigenvalues below 1 are unphysical", 0.5, 0.25),
 }
 
 

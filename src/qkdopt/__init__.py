@@ -4,6 +4,7 @@ from .budget import (
     EPSILON_FLOOR,
     EpsilonBudget,
     Family,
+    baseline_budget,
     baseline_budgets,
     map_gene,
     reconstruct_sec,

@@ -42,6 +42,7 @@ __all__ = [
     "Family",
     "EpsilonBudget",
     "reconstruct_sec",
+    "baseline_budget",
     "baseline_budgets",
     "map_gene",
     "LN2",
@@ -177,37 +178,36 @@ def reconstruct_sec(total, eps_pe, eps_cor, family: Family):
 # Fixed reference splits, expressed as (pe, cor) fractions of the total.
 # The secrecy share is reconstructed so the closure identity holds exactly.
 _BASELINE_FRACTIONS = {
-    Family.CV: (
-        ("symmetric", 1.0 / 5.0, 1.0 / 5.0),
-        ("asymmetric", 1.0 / 10.0, 2.0 / 5.0),
-    ),
-    Family.DV: (
-        ("symmetric", 1.0 / 3.0, 1.0 / 3.0),
-        ("asymmetric", 5.0 / 99.5, 90.0 / 99.5),
-    ),
+    Family.CV: {"symmetric": (1.0 / 5.0, 1.0 / 5.0), "asymmetric": (1.0 / 10.0, 2.0 / 5.0)},
+    Family.DV: {"symmetric": (1.0 / 3.0, 1.0 / 3.0), "asymmetric": (5.0 / 99.5, 90.0 / 99.5)},
 }
 
 
-def baseline_budgets(total: float, family: Family) -> list[tuple[str, EpsilonBudget]]:
-    """Return the labelled reference splits for ``total``.
+def baseline_budget(total: float, family: Family, label: str) -> EpsilonBudget:
+    """The ``label`` reference split of ``total``, built on its own.
 
-    Two fixed splits per family: an even division of the budget
-    (``symmetric``) and a deliberately lopsided one (``asymmetric``) that
-    overweights correctness.  Both are feasible for any ``total`` well above
-    the component floor and serve as the non-optimized comparison points.
-    ``total`` is one float: an array raises ``ValueError``.
+    ``symmetric`` divides the budget evenly; ``asymmetric`` deliberately
+    overweights correctness.  Either is feasible for any ``total`` well above
+    the component floor.  Within a few floors of it, where a component or the
+    remainder falls below the floor, it raises one ``ValueError``, ``total =
+    X too small for the {label} baseline split``.  ``total`` is one float: an
+    array raises ``ValueError``.
     """
     if np.ndim(total):
         raise ValueError(f"baseline splits take one total, got an array of shape {np.shape(total)}")
-    out = []
-    for label, pe_frac, cor_frac in _BASELINE_FRACTIONS[family]:
-        budget = reconstruct_sec(total, total * pe_frac, total * cor_frac, family)
-        if budget is None:  # only possible within a few floors of EPSILON_FLOOR
-            raise ValueError(
-                f"total = {total} too small for the {label} baseline split"
-            )
-        out.append((label, budget))
-    return out
+    pe_frac, cor_frac = _BASELINE_FRACTIONS[family][label]
+    eps_pe, eps_cor = total * pe_frac, total * cor_frac
+    # a component below the floor is refused here, by label; a total out of (0, 1) is not
+    below_floor = 0.0 < total < 1.0 and min(eps_pe, eps_cor) < EPSILON_FLOOR
+    if below_floor or (budget := reconstruct_sec(total, eps_pe, eps_cor, family)) is None:
+        raise ValueError(f"total = {total} too small for the {label} baseline split")
+    return budget
+
+
+def baseline_budgets(total: float, family: Family) -> list[tuple[str, EpsilonBudget]]:
+    """Both labelled reference splits of ``total`` (:func:`baseline_budget`),
+    the non-optimized comparison points, or the first one's ``ValueError``."""
+    return [(label, baseline_budget(total, family, label)) for label in _BASELINE_FRACTIONS[family]]
 
 
 def map_gene(p, total):

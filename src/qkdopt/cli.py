@@ -22,7 +22,7 @@ import sys
 from dataclasses import asdict, fields, replace
 from typing import Any, Sequence
 
-from .budget import Family, baseline_budgets, reconstruct_sec
+from .budget import Family, baseline_budget, reconstruct_sec
 from .harness import (
     SweepSpec,
     budget_fields,
@@ -181,7 +181,7 @@ def _cmd_rate(args: argparse.Namespace, spec: SweepSpec) -> str:
             raise ValueError("the requested components leave no room for the secrecy share")
     else:
         label = "symmetric" if (args.split or "sym") == "sym" else "asymmetric"
-        budget = dict(baseline_budgets(total, spec.family))[label]
+        budget = baseline_budget(total, spec.family, label)
     breakdown = key_rate(spec.params, budget)
     record = {
         "family": spec.family.value,

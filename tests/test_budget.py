@@ -9,6 +9,7 @@ from qkdopt.budget import (
     LN2,
     EpsilonBudget,
     Family,
+    baseline_budget,
     baseline_budgets,
     log2,
     map_gene,
@@ -390,6 +391,35 @@ def test_baselines_refuse_an_array_total():
         baseline_budgets(3e-18, Family.DV))
     with pytest.raises(ValueError, match="too small for the asymmetric baseline split"):
         baseline_budgets(2e-20, Family.DV)
+
+
+def test_a_baseline_split_built_alone_is_the_one_of_both():
+    for family in Family:
+        for total in (3e-20, 1e-17, 1e-9, 0.5):
+            alone = [(label, baseline_budget(total, family, label))
+                     for label in ("symmetric", "asymmetric")]
+            assert alone == baseline_budgets(total, family)
+    # the symmetric splits exist where the asymmetric ones do not
+    assert baseline_budget(1e-20, Family.DV, "symmetric").eps_pe == 1e-20 * (1.0 / 3.0)
+    assert baseline_budget(7e-21, Family.CV, "symmetric").eps_pe == 7e-21 * (1.0 / 5.0)
+
+
+@pytest.mark.parametrize("total, family, label", [
+    (2e-20, Family.DV, "asymmetric"),  # the remainder below the floor
+    (1e-20, Family.DV, "asymmetric"),  # eps_pe below the floor
+    (7e-21, Family.CV, "asymmetric"),  # eps_pe below the floor
+    (1e-21, Family.DV, "symmetric"),  # every component below the floor
+    (5e-22, Family.CV, "symmetric"),  # the total itself below the floor
+])
+def test_a_baseline_split_too_small_is_refused_by_its_label(total, family, label):
+    for build in (lambda: baseline_budget(total, family, label),
+                  lambda: baseline_budgets(total, family)):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert _one_line(err) == f"total = {total} too small for the {label} baseline split"
+    # a total out of (0, 1) keeps the budget's own refusal
+    with pytest.raises(ValueError, match=r"must lie in \(0, 1\), got 1.5$"):
+        baseline_budget(1.5, family, label)
 
 
 def test_closure_property_random_splits():

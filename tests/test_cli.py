@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from qkdopt import cli, harness
+from qkdopt.budget import Family, baseline_budget
 from qkdopt.cli import main
 from qkdopt.harness import SweepResult, loads_config, optimize_levels
 from qkdopt.oracle import PROTOCOLS
@@ -59,6 +60,19 @@ def test_rate_csv_two_lines(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 2
     assert lines[0].startswith("family,eps_total,")
+
+
+@pytest.mark.parametrize("family, eps", [("dv", "1e-20"), ("cv", "7e-21")])
+def test_rate_builds_only_the_named_baseline_split(capsys, family, eps):
+    # at these totals the symmetric split exists and the asymmetric one does not
+    code, out, err = run_cli(capsys, "rate", "--family", family, "--eps", eps, "--format", "json")
+    assert (code, err) == (0, "")
+    doc, sym = json.loads(out), baseline_budget(float(eps), Family(family), "symmetric")
+    names = ("eps_pe", "eps_cor", "eps_sec")
+    assert [doc[name] for name in names] == [getattr(sym, name) for name in names]
+    code, out, err = run_cli(capsys, "rate", "--family", family, "--eps", eps, "--split", "asym")
+    assert (code, out) == (1, "")
+    assert err == f"error: total = {float(eps)} too small for the asymmetric baseline split\n"
 
 
 def test_rate_flag_conflicts(capsys):

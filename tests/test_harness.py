@@ -487,7 +487,7 @@ def test_run_sweep_keeps_optimum_when_baselines_fail():
     spec = small_dv_spec(eps_levels=(1e-20,), include_oracle=True, oracle_points=20)
     result = run_sweep(spec)
     (record,) = result.records
-    assert "at least 1e-21" in record.error
+    assert record.error == "total = 1e-20 too small for the asymmetric baseline split"
     assert record.rate_sym is None and record.rate_asym is None
     assert record.opt.best_budget is not None
     assert math.isfinite(record.opt.best_fitness)
@@ -509,6 +509,14 @@ def test_run_sweep_keeps_optimum_when_a_baseline_split_is_infeasible():
     assert record.error == "total = 2e-20 too small for the asymmetric baseline split"
     assert record.rate_sym is None and record.rate_asym is None
     assert record.opt.best_budget is not None and math.isfinite(record.opt.best_fitness)
+
+
+def test_a_sweep_level_below_every_baseline_names_the_first_split():
+    # at DV 1e-21 each symmetric share is a third of the floor
+    spec = small_dv_spec(eps_levels=(1e-21,))
+    (record,) = run_sweep(spec).records
+    assert record.error == "total = 1e-21 too small for the symmetric baseline split"
+    assert record.rate_sym is None and record.rate_asym is None
 
 
 def test_optimize_level_is_the_sweep_level():

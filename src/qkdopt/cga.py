@@ -245,7 +245,8 @@ def run(
 ) -> OptimizationResult | list[OptimizationResult]:
     """Optimize the split of ``total_eps`` against a key-rate function.
 
-    One total gives one result, a sequence of totals a list.  Each run draws
+    One total gives one result, a non-empty 1-d sequence of totals a list;
+    any other shape raises ``ValueError``.  Each run draws
     only from its own generator, keyed ``[seed, bits, k]``: ``config.rng_seed``,
     its total's IEEE 754 bit pattern as a ``uint64`` and ``k``, the count of
     earlier runs of the call with that total (no seed: fresh entropy).  So a
@@ -270,6 +271,8 @@ def run(
     """
     one = np.ndim(total_eps) == 0  # a scalar is a batch of one
     totals = np.atleast_1d(np.asarray(total_eps, dtype=float))
+    if totals.ndim != 1 or not totals.size:
+        raise ValueError(f"runs take one total or a 1-d list of totals, got shape {totals.shape}")
     seed, repeats = config.rng_seed, defaultdict(itertools.count)  # k of each total's runs
     keys = [[seed, bits, next(repeats[bits])] for bits in totals.view(np.uint64).tolist()]
     rngs = [np.random.default_rng(None if seed is None else key) for key in keys]

@@ -102,7 +102,7 @@ def grid_search(
     and ``eps_cor``) with the feasible cells' ``eps_sec`` and runs its
     ``eps_pe`` stage once per axis value; or a function from a batch budget
     of the feasible cells to their rates, called once.  Parameters of
-    another family raise ``ValueError``.
+    another family, or a ``total_eps`` that is an array, raise ``ValueError``.
 
     A cell is infeasible when its secrecy remainder falls below the floor or
     its rate is NaN; anything the rate raises propagates.  The best cell
@@ -111,6 +111,8 @@ def grid_search(
     cells run ``eps_pe``-major over increasing axes, it is the first maximum
     in row order.
     """
+    if np.ndim(total_eps):
+        raise ValueError(f"a grid takes one total, got an array of shape {np.shape(total_eps)}")
     protocol = PROTOCOLS[family]
     if not callable(rate) and not isinstance(rate, protocol.params):
         raise ValueError(f"parameters {type(rate).__name__} cannot rate a {family.value} grid")

@@ -183,6 +183,17 @@ def test_run_above_one_names_the_total_in_one_line():
     assert "1.5" in message
 
 
+@pytest.mark.parametrize("totals, shape", [([], "(0,)"), (np.array([[1e-9]]), "(1, 1)")])
+def test_run_refuses_totals_of_the_wrong_shape_in_one_line(totals, shape):
+    cfg = CgaConfig(population=20, iterations=2, rng_seed=1)
+    with pytest.raises(ValueError) as err:
+        run(cfg, totals, Family.DV, dv_rate_fn())
+    assert str(err.value) == f"runs take one total or a 1-d list of totals, got shape {shape}"
+    # a numpy scalar is one total, as a float is
+    assert run(cfg, np.float64(1e-17), Family.DV, dv_rate_fn()) == run(
+        cfg, 1e-17, Family.DV, dv_rate_fn())
+
+
 def test_run_rates_each_generation_in_one_call():
     calls = []
     rate = dv_rate_fn()

@@ -31,6 +31,19 @@ def test_grid_spec_validation_and_axes():
         GridSpec(points_per_axis=5).axis(9e-22)
 
 
+@pytest.mark.parametrize(
+    "total, shape", [(np.array([1e-9, 1e-8]), "(2,)"), (np.array([1e-9]), "(1,)")])
+def test_grid_search_refuses_an_array_total_in_one_line(total, shape):
+    params = DvProtocolParams()
+    with pytest.raises(ValueError) as err:
+        grid_search(GridSpec(3), total, Family.DV, params)
+    assert str(err.value) == f"a grid takes one total, got an array of shape {shape}"
+    # a numpy scalar is one total, as a float is
+    one, alone = (grid_search(GridSpec(3), t, Family.DV, params) for t in (np.float64(1e-9), 1e-9))
+    assert one.best_budget == alone.best_budget
+    assert np.array_equal(one.cells, alone.cells, equal_nan=True)
+
+
 def test_grid_search_separable_concave():
     # peak at eps_pe = 1e-10, eps_cor = 1e-6 in log space; the grid argmax
     # must land within one cell of it

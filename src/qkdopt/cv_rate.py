@@ -343,7 +343,7 @@ def cv_key_rate(params: CvProtocolParams, budget: EpsilonBudget) -> CvRateBreakd
 
 @refuse_overflow
 def cv_rate_chain(
-    params: CvProtocolParams, log2_pe, log2_cor, log2_sec, pe_of=None
+    params: CvProtocolParams, log2_pe, log2_cor, log2_sec, pe_of=slice(None)
 ) -> CvRateBreakdown:
     """The breakdown of :func:`cv_key_rate` from 1-d arrays of the ``log2`` of
     the components, in two stages, with the finite-size deduction of each split
@@ -355,8 +355,8 @@ def cv_rate_chain(
     the leftover-hash cost at ``D`` bits per sample and the log term.  The
     ``eps_pe`` stage, the worst-case channel, its Holevo bound, ``R_pe`` and the
     entropy-estimation penalty, runs once per element of ``log2_pe``; the
-    remainder once per split, split ``k`` taking stage ``pe_of[k]`` (stage ``k``
-    without ``pe_of``).  A grid passes its axis once with ``pe_of`` indexing it,
+    remainder once per split, split ``k`` taking stage ``pe_of[k]`` (by default
+    stage ``k``).  A grid passes its axis once with ``pe_of`` indexing it,
     and rates each cell exactly as a budget of that cell alone.  The one
     logarithm is in :func:`bosonic_entropy`.
     """
@@ -375,8 +375,7 @@ def cv_rate_chain(
     chi = holevo_bound(params, wc.t, wc.xi)
     r_pe = np.where(wc.degenerate, 0.0, params.recon_efficiency * info - chi)
     ent = root_n * math.log2(n) * np.sqrt(2.0 * LN2 * (1.0 - log2_pe))
-    if pe_of is not None:
-        chi, r_pe, ent = chi[pe_of], r_pe[pe_of], ent[pe_of]
+    chi, r_pe, ent = chi[pe_of], r_pe[pe_of], ent[pe_of]  # the default slice: views, no copy
 
     hashing = 4.0 * root_n * math.log2(math.sqrt(2.0**params.discretization) + 2.0)
     fs = ent + hashing * np.sqrt(3.0 - 2.0 * log2_sec) - (2.0 * log2_sec + log2_cor - 1.0)

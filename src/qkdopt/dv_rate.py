@@ -244,14 +244,14 @@ def dv_key_rate(params: DvProtocolParams, budget: EpsilonBudget) -> DvRateBreakd
 
 @refuse_overflow
 def dv_rate_chain(
-    params: DvProtocolParams, log2_pe, log2_cor, log2_sec, pe_of=None
+    params: DvProtocolParams, log2_pe, log2_cor, log2_sec, pe_of=slice(None)
 ) -> DvRateBreakdown:
     """The breakdown of :func:`dv_key_rate` from 1-d arrays of the ``log2`` of
     the components, in two stages.
 
     The ``eps_pe`` stage, ``E_wc`` and ``1 - h(E_wc) - f_EC * h(E)``, runs once
     per element of ``log2_pe``; the remainder runs once per split, split ``k``
-    taking stage ``pe_of[k]`` (stage ``k`` without ``pe_of``).  A grid passes
+    taking stage ``pe_of[k]`` (by default stage ``k``).  A grid passes
     its axis once with ``pe_of`` indexing it, and rates each cell exactly as
     a budget of that cell alone.  The one logarithm is in
     :func:`binary_entropy`; ``log2(eps_h) = log2(eps_sec) - 1``.
@@ -271,8 +271,7 @@ def dv_rate_chain(
     qber_wc = worst_case_qber(qber, m, log2_pe)
     h = binary_entropy(np.concatenate((qber_wc, [qber])))  # each h(E_wc), then h(E)
     head = 1.0 - h[:-1] - params.recon_efficiency * h[-1]
-    if pe_of is not None:
-        qber_wc, head = qber_wc[pe_of], head[pe_of]
+    qber_wc, head = qber_wc[pe_of], head[pe_of]  # the default slice: views, no copy
 
     log2_h = log2_sec - 1.0  # eps_h = eps_s = eps_sec / 2
     log_term = (1.0 + log2_cor + 2.0 * log2_h) / n  # log2(eps_cor * eps_h^2)

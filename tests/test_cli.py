@@ -128,7 +128,7 @@ def test_paper_sign_xi_is_a_cv_parameter(capsys, tmp_path, command):
 
     def run(family, *flag):
         cfg = tmp_path / f"{family}.ini"
-        cfg.write_text(f"[budget]\nfamily = {family}\n\n" + SMALL_CGA_INI)
+        cfg.write_text(f"[budget]\nfamily = {family}\n\n" + SMALL_CGA_INI, encoding="utf-8")
         argv = [command, "--config", str(cfg), "--family", family, "--eps", "1e-9"]
         return run_cli(capsys, *argv, *extra, *flag)
 
@@ -143,7 +143,7 @@ def test_paper_sign_xi_is_a_cv_parameter(capsys, tmp_path, command):
 
 def test_optimize_reports_budget(capsys, tmp_path):
     cfg = tmp_path / "dv.ini"
-    cfg.write_text("[budget]\nfamily = dv\n\n" + SMALL_CGA_INI)
+    cfg.write_text("[budget]\nfamily = dv\n\n" + SMALL_CGA_INI, encoding="utf-8")
     code, out, _ = run_cli(
         capsys,
         "optimize",
@@ -165,7 +165,7 @@ def test_optimize_reports_budget(capsys, tmp_path):
 def test_optimize_restarts_flag_keeps_the_best_run(capsys, tmp_path):
     text = "[budget]\nfamily = dv\n\n" + SMALL_CGA_INI
     cfg = tmp_path / "dv.ini"
-    cfg.write_text(text)
+    cfg.write_text(text, encoding="utf-8")
 
     def optimize(*flag):
         argv = ["optimize", "--config", str(cfg), "--eps", "1e-17", "--format", "json"]
@@ -184,7 +184,8 @@ def test_optimize_restarts_flag_keeps_the_best_run(capsys, tmp_path):
 def test_every_sweep_level_is_optimize_at_that_level_alone(capsys, tmp_path):
     # a run is keyed by its level's value, not by the level's place in the list
     cfg = tmp_path / "dv.ini"
-    cfg.write_text("[budget]\nfamily = dv\n\n" + SMALL_CGA_INI + "\n[sweep]\nrestarts = 2\n")
+    text = "[budget]\nfamily = dv\n\n" + SMALL_CGA_INI + "\n[sweep]\nrestarts = 2\n"
+    cfg.write_text(text, encoding="utf-8")
     levels = ("1e-18", "1e-17", "1e-16")
     argv = ("--config", str(cfg), "--seed", "3", "--format", "json")
     code, out, _ = run_cli(capsys, "sweep", "--eps", ",".join(levels), *argv)
@@ -214,7 +215,7 @@ def test_eps_flag_reads_levels_like_the_config(capsys, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_sweep", record)
     cfg = tmp_path / "levels.ini"
-    cfg.write_text("[budget]\nfamily = dv\n\n[sweep]\neps_levels = 1e-9, 1e-8\n")
+    cfg.write_text("[budget]\nfamily = dv\n\n[sweep]\neps_levels = 1e-9, 1e-8\n", encoding="utf-8")
     assert run_cli(capsys, "sweep", "--family", "dv", "--eps", "1e-9, 1e-8")[0] == 0
     assert run_cli(capsys, "sweep", "--config", str(cfg))[0] == 0
     assert specs[0].eps_levels == specs[1].eps_levels == (1e-9, 1e-8)
@@ -231,7 +232,7 @@ def test_empty_eps_flag_is_rejected(capsys):
 
 def test_empty_config_level_list_is_rejected(capsys, tmp_path):
     cfg = tmp_path / "cv.ini"
-    cfg.write_text("[budget]\nfamily = cv\n\n[sweep]\neps_levels =\n")
+    cfg.write_text("[budget]\nfamily = cv\n\n[sweep]\neps_levels =\n", encoding="utf-8")
     code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--seed", "1")
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "bad value for sweep.eps_levels: " in err
@@ -242,7 +243,8 @@ def test_sweep_writes_deterministic_csv(capsys, tmp_path):
     cfg.write_text(
         "[budget]\nfamily = dv\n\n"
         + SMALL_CGA_INI
-        + "\n[sweep]\neps_levels = 1e-18 1e-17\n"
+        + "\n[sweep]\neps_levels = 1e-18 1e-17\n",
+        encoding="utf-8",
     )
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
@@ -262,7 +264,8 @@ def test_config_output_path_applies_to_every_command(capsys, tmp_path, command, 
     from_config, from_flag = tmp_path / "config.out", tmp_path / "flag.out"
     cfg = tmp_path / "dv.ini"
     cfg.write_text(
-        "[budget]\nfamily = dv\n\n" + SMALL_CGA_INI + f"\n[sweep]\noutput_path = {from_config}\n"
+        "[budget]\nfamily = dv\n\n" + SMALL_CGA_INI + f"\n[sweep]\noutput_path = {from_config}\n",
+        encoding="utf-8",
     )
     argv = (command, "--config", str(cfg), "--eps", "1e-17", *extra)
     assert run_cli(capsys, *argv) == (0, "", "")
@@ -272,7 +275,7 @@ def test_config_output_path_applies_to_every_command(capsys, tmp_path, command, 
 
 def test_sweep_family_conflict_with_config(capsys, tmp_path):
     cfg = tmp_path / "dv.ini"
-    cfg.write_text("[budget]\nfamily = dv\n")
+    cfg.write_text("[budget]\nfamily = dv\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--family", "cv")
     assert code == 1
     assert "conflict" in err
@@ -372,7 +375,7 @@ def test_a_format_the_command_lacks_exits_one_before_any_work(capsys, monkeypatc
 def test_bad_input_exits_one_naming_the_cause(capsys, tmp_path, argv, config, causes):
     if config is not None:
         cfg = tmp_path / "bad.ini"
-        cfg.write_text(config)
+        cfg.write_text(config, encoding="utf-8")
         argv = [*argv, "--config", str(cfg)]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
@@ -404,7 +407,8 @@ def test_level_below_the_floor_is_named_in_one_line(capsys, command, family, lev
 
 def test_config_level_below_the_floor_is_named(capsys, tmp_path):
     cfg = tmp_path / "dv.ini"
-    cfg.write_text("[budget]\nfamily = dv\n\n[sweep]\neps_levels = 1e-30, 1e-17\n")
+    cfg.write_text(
+        "[budget]\nfamily = dv\n\n[sweep]\neps_levels = 1e-30, 1e-17\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
     assert code == 1
     assert err.count("\n") == 1 and "1e-30" in err and "1e-21" in err
@@ -412,7 +416,7 @@ def test_config_level_below_the_floor_is_named(capsys, tmp_path):
 
 def test_levels_from_the_floor_up_are_allowed(capsys, tmp_path):
     cfg = tmp_path / "dv.ini"
-    cfg.write_text("[budget]\nfamily = dv\n\n" + SMALL_CGA_INI)
+    cfg.write_text("[budget]\nfamily = dv\n\n" + SMALL_CGA_INI, encoding="utf-8")
     code, out, _ = run_cli(
         capsys, "optimize", "--config", str(cfg), "--eps", "2e-21", "--format", "json"
     )
@@ -430,7 +434,7 @@ def test_the_oracle_at_the_floor_finds_no_feasible_cell(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["feasible_count"] == 0 and doc["best_budget"] is None
     cfg = tmp_path / "dv.ini"
-    cfg.write_text("[budget]\nfamily = dv\n\n" + SMALL_CGA_INI)
+    cfg.write_text("[budget]\nfamily = dv\n\n" + SMALL_CGA_INI, encoding="utf-8")
     code, out, _ = run_cli(
         capsys, "sweep", "--config", str(cfg), "--eps", "1e-21", "--oracle", "--seed", "1",
         "--format", "json",
@@ -448,7 +452,7 @@ def test_negative_seed_exits_one(capsys, tmp_path):
         assert code == 1
         assert "rng_seed" in err
     cfg = tmp_path / "dv.ini"
-    cfg.write_text("[budget]\nfamily = dv\n\n[cga]\nrng_seed = -3\n")
+    cfg.write_text("[budget]\nfamily = dv\n\n[cga]\nrng_seed = -3\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
     assert code == 1
     assert "rng_seed" in err
@@ -463,7 +467,7 @@ def test_seed_belongs_to_the_optimizer_commands(capsys, tmp_path):
         assert code == 1 and out == ""
         assert "--seed" in err and err.count("\n") == 1
     cfg = tmp_path / "dv.ini"
-    cfg.write_text("[budget]\nfamily = dv\n\n" + SMALL_CGA_INI)
+    cfg.write_text("[budget]\nfamily = dv\n\n" + SMALL_CGA_INI, encoding="utf-8")
     for command in ("optimize", "sweep"):
         code, out, err = run_cli(
             capsys, command, "--config", str(cfg), "--eps", "1e-17", "--seed", "1"
@@ -497,7 +501,7 @@ def test_seed_belongs_to_the_optimizer_commands(capsys, tmp_path):
 def test_config_that_cannot_run_exits_one(capsys, tmp_path, family, section, cause):
     # once, not as an error column in every level's record
     cfg = tmp_path / "bad.ini"
-    cfg.write_text(f"[budget]\nfamily = {family}\n\n{section}\n")
+    cfg.write_text(f"[budget]\nfamily = {family}\n\n{section}\n", encoding="utf-8")
     code, out, err = run_cli(
         capsys, "sweep", "--config", str(cfg), "--seed", "11", "--eps", "1e-10,1e-9"
     )
@@ -514,7 +518,8 @@ def test_config_that_cannot_run_exits_one(capsys, tmp_path, family, section, cau
 def test_a_rate_past_the_float_range_exits_one(capsys, tmp_path, command):
     # not a rate of -inf, an infeasible optimum or infeasible cells, with exit 0
     cfg = tmp_path / "huge.ini"
-    cfg.write_text("[budget]\nfamily = dv\n\n[protocol]\nrecon_efficiency = 1e308\n")
+    cfg.write_text(
+        "[budget]\nfamily = dv\n\n[protocol]\nrecon_efficiency = 1e308\n", encoding="utf-8")
     code, out, err = run_cli(capsys, *command, "--config", str(cfg), "--eps", "1e-17")
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "overflows the float range" in err, err
@@ -525,7 +530,8 @@ def test_removed_cga_tuning_keys_are_unknown(capsys, tmp_path):
     # silently run with other values
     keys = ("mutation_rate", "parent_rate", "survival_rate", "mutation_sigma")
     cfg = tmp_path / "old.ini"
-    cfg.write_text("[budget]\nfamily = dv\n\n[cga]\n" + "".join(f"{k} = 0.5\n" for k in keys))
+    text = "[budget]\nfamily = dv\n\n[cga]\n" + "".join(f"{k} = 0.5\n" for k in keys)
+    cfg.write_text(text, encoding="utf-8")
     code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--eps", "1e-17")
     assert code == 1 and out == ""
     assert err.count("\n") == 1
@@ -554,7 +560,7 @@ def test_empty_output_path_exits_one_before_any_rate(capsys, tmp_path, monkeypat
         argv = ("rate", "--family", "dv", "--eps", "1e-17", "--out", "")
     else:
         cfg = tmp_path / "dv.ini"
-        cfg.write_text("[budget]\nfamily = dv\n\n[sweep]\noutput_path =\n")
+        cfg.write_text("[budget]\nfamily = dv\n\n[sweep]\noutput_path =\n", encoding="utf-8")
         argv = ("sweep", "--config", str(cfg), "--eps", "1e-17")
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
@@ -574,7 +580,8 @@ def test_unwritable_output_path_exits_two_before_any_rate(
     cfg = tmp_path / "dv.ini"
     cfg.write_text(
         "[budget]\nfamily = dv\n\n" + SMALL_CGA_INI
-        + ("" if route == "--out" else f"\n[sweep]\noutput_path = {out}\n")
+        + ("" if route == "--out" else f"\n[sweep]\noutput_path = {out}\n"),
+        encoding="utf-8",
     )
     argv = ["sweep", "--config", str(cfg), "--eps", "1e-17"]
     if route == "--out":
@@ -587,7 +594,7 @@ def test_unwritable_output_path_exits_two_before_any_rate(
 
 def test_a_failed_command_leaves_an_existing_output_file(capsys, tmp_path):
     out = tmp_path / "kept.txt"
-    out.write_text("earlier output\n")
+    out.write_text("earlier output\n", encoding="utf-8")
     code, _, err = run_cli(
         capsys, "rate", "--family", "dv", "--eps", "1e-17,1e-16", "--out", str(out)
     )
@@ -605,7 +612,8 @@ def test_files_are_read_and_written_as_utf8_whatever_the_locale(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     flags = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
     done = subprocess.run(
-        [sys.executable, *flags, "-m", "qkdopt.cli", *argv], capture_output=True, text=True, env=env
+        [sys.executable, *flags, "-m", "qkdopt.cli", *argv],
+        capture_output=True, encoding="utf-8", env=env,
     )
     assert (done.returncode, done.stderr) == (0, "")
     assert out.read_bytes() == (golden / "sweep_dv.csv").read_bytes()
@@ -674,7 +682,8 @@ def test_fuzzed_commands_and_configs_exit_zero_or_one(capsys, tmp_path, monkeypa
         cfg.write_text(
             f"[budget]\nfamily = {family.value}\n\n[cga]\npopulation = 4\niterations = 2\n"
             + "".join(f"\n[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
-                      for name, keys in (("protocol", protocol), ("sweep", sweep)))
+                      for name, keys in (("protocol", protocol), ("sweep", sweep))),
+            encoding="utf-8",
         )
         command = rng.choice(["rate", "optimize", "sweep", "oracle"])
         argv = [command, "--config", str(cfg)]

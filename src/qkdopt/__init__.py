@@ -4,7 +4,6 @@ from .budget import (
     EPSILON_FLOOR,
     EpsilonBudget,
     Family,
-    baseline_budget,
     baseline_budgets,
     map_gene,
     reconstruct_sec,
